@@ -511,7 +511,7 @@ impl Device {
                 let bfaults = Rc::new(LaunchFaults::new(name, None, watchdog));
                 let bprof = profiling.then(|| Rc::new(LaunchProfiler::new()));
                 let defer = AtomicDefer::default();
-                let mut l2 = L2Tracker::new();
+                let mut l2 = L2Tracker::default();
                 let mut block = BlockCtx {
                     block_id: b,
                     grid_blocks: config.blocks,
@@ -598,7 +598,7 @@ impl Device {
                     b,
                     config.warps_per_block(),
                 ));
-                let mut l2 = L2Tracker::new();
+                let mut l2 = L2Tracker::default();
                 let mut block = BlockCtx {
                     block_id: b,
                     grid_blocks: config.blocks,

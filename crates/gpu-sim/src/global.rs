@@ -1,5 +1,6 @@
 //! Simulated device (global) memory buffers.
 
+use crate::warp::{Lanes, WARP_SIZE};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -26,18 +27,25 @@ impl<T: Copy> Storage<T> {
         }
     }
 
-    pub(crate) fn get(&self, idx: usize) -> T {
+    fn get(&self, idx: usize) -> T {
         self.data[idx]
     }
 
-    pub(crate) fn set(&mut self, idx: usize, v: T) {
+    fn set(&mut self, idx: usize, v: T) {
         self.mark_init(idx);
         self.data[idx] = v;
     }
 
-    pub(crate) fn rmw(&mut self, idx: usize, f: impl FnOnce(T) -> T) {
-        self.mark_init(idx);
-        self.data[idx] = f(self.data[idx]);
+    /// Applies `op(current, vals[l])` to each active lane's element in
+    /// lane order — the hardware-serialized schedule of one warp-wide
+    /// atomic.
+    fn rmw_lanes(&mut self, idx: &Lanes<Option<usize>>, vals: &Lanes<T>, op: impl Fn(T, T) -> T) {
+        for l in 0..WARP_SIZE {
+            if let Some(i) = idx[l] {
+                self.mark_init(i);
+                self.data[i] = op(self.data[i], vals[l]);
+            }
+        }
     }
 }
 
@@ -62,15 +70,19 @@ pub(crate) type SharedStorage<T> = Arc<RwLock<Storage<T>>>;
 #[derive(Debug)]
 pub struct GlobalBuffer<T> {
     id: u64,
+    /// Element count, fixed at construction (storage never resizes), so
+    /// bounds checks need no lock.
+    len: usize,
     storage: SharedStorage<T>,
     /// Optional human-readable label; fault injection targets buffers by
     /// label (see [`crate::fault::FaultPlan::with_bit_flips`]).
     label: RwLock<Option<String>>,
 }
 
-/// Ignores lock poisoning: a panicking block (watchdog abort, injected
-/// fault) never holds a guard across user code, so the payload is
-/// always consistent.
+/// Ignores lock poisoning: a block that panics while holding a guard
+/// (an out-of-bounds lane, a panicking atomic `op`) has already aborted
+/// its launch, and every element store is a single assignment, so the
+/// payload is always consistent.
 fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(|e| e.into_inner())
 }
@@ -89,6 +101,7 @@ impl<T: Copy + Default> GlobalBuffer<T> {
     pub fn from_vec(data: Vec<T>) -> Self {
         Self {
             id: NEXT_BUFFER_ID.fetch_add(1, Ordering::Relaxed),
+            len: data.len(),
             storage: Arc::new(RwLock::new(Storage { data, init: None })),
             label: RwLock::new(None),
         }
@@ -102,6 +115,7 @@ impl<T: Copy + Default> GlobalBuffer<T> {
     pub fn uninit(len: usize) -> Self {
         Self {
             id: NEXT_BUFFER_ID.fetch_add(1, Ordering::Relaxed),
+            len,
             storage: Arc::new(RwLock::new(Storage {
                 data: vec![T::default(); len],
                 init: Some(vec![false; len]),
@@ -146,7 +160,7 @@ impl<T: Copy + Default> GlobalBuffer<T> {
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        read_lock(&self.storage).data.len()
+        self.len
     }
 
     /// True when the buffer has no elements.
@@ -182,25 +196,67 @@ impl<T: Copy + Default> GlobalBuffer<T> {
         write_lock(&self.storage).set(idx, v);
     }
 
-    /// Whether element `idx` has ever been written (always true for
-    /// buffers constructed from data).
-    pub(crate) fn is_init(&self, idx: usize) -> bool {
-        match &read_lock(&self.storage).init {
-            None => true,
-            Some(bits) => bits.get(idx).copied().unwrap_or(true),
+    /// Lanes whose element has never been written, as a bitmask over
+    /// the warp (always empty for buffers constructed from data). One
+    /// read guard covers the whole warp; out-of-range lanes count as
+    /// initialized, leaving them to memcheck.
+    pub(crate) fn uninit_lanes(&self, idx: &Lanes<Option<usize>>) -> u32 {
+        let s = read_lock(&self.storage);
+        let Some(bits) = &s.init else { return 0 };
+        let mut mask = 0;
+        for (l, slot) in idx.iter().enumerate() {
+            if let Some(&false) = slot.and_then(|i| bits.get(i)) {
+                mask |= 1 << l;
+            }
+        }
+        mask
+    }
+
+    /// Reads each active lane's element under one read guard; inactive
+    /// lanes get `T::default()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an active index is out of bounds.
+    pub(crate) fn gather_lanes(&self, idx: &Lanes<Option<usize>>) -> Lanes<T> {
+        let s = read_lock(&self.storage);
+        let mut out = [T::default(); WARP_SIZE];
+        for (slot, i) in out.iter_mut().zip(idx) {
+            if let Some(i) = *i {
+                *slot = s.get(i);
+            }
+        }
+        out
+    }
+
+    /// Writes each active lane's value in lane order under one write
+    /// guard, so the last of several lanes on one index wins.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an active index is out of bounds.
+    pub(crate) fn scatter_lanes(&self, idx: &Lanes<Option<usize>>, vals: &Lanes<T>) {
+        let mut s = write_lock(&self.storage);
+        for (i, &v) in idx.iter().zip(vals) {
+            if let Some(i) = *i {
+                s.set(i, v);
+            }
         }
     }
 
-    pub(crate) fn read(&self, idx: usize) -> T {
-        read_lock(&self.storage).get(idx)
-    }
-
-    pub(crate) fn write(&self, idx: usize, v: T) {
-        write_lock(&self.storage).set(idx, v);
-    }
-
-    pub(crate) fn rmw(&self, idx: usize, f: impl FnOnce(T) -> T) {
-        write_lock(&self.storage).rmw(idx, f);
+    /// One warp-wide read-modify-write under one write guard (see
+    /// [`Storage::rmw_lanes`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an active index is out of bounds.
+    pub(crate) fn rmw_lanes(
+        &self,
+        idx: &Lanes<Option<usize>>,
+        vals: &Lanes<T>,
+        op: impl Fn(T, T) -> T,
+    ) {
+        write_lock(&self.storage).rmw_lanes(idx, vals, op);
     }
 
     /// Clones the storage handle for deferred atomic replay (parallel
@@ -211,14 +267,16 @@ impl<T: Copy + Default> GlobalBuffer<T> {
     }
 }
 
-/// Applies one deferred read-modify-write through a storage handle,
-/// outside any buffer borrow. Used by the parallel executor's replay
-/// phase.
-pub(crate) fn replay_rmw<T: Copy>(storage: &SharedStorage<T>, idx: usize, f: impl FnOnce(T) -> T) {
-    storage
-        .write()
-        .unwrap_or_else(|e| e.into_inner())
-        .rmw(idx, f);
+/// Applies one deferred warp-wide read-modify-write through a storage
+/// handle, outside any buffer borrow. Used by the parallel executor's
+/// replay phase.
+pub(crate) fn replay_rmw<T: Copy>(
+    storage: &SharedStorage<T>,
+    idx: &Lanes<Option<usize>>,
+    vals: &Lanes<T>,
+    op: impl Fn(T, T) -> T,
+) {
+    write_lock(storage).rmw_lanes(idx, vals, op);
 }
 
 #[cfg(test)]
@@ -242,32 +300,56 @@ mod tests {
         assert!(!b.is_empty());
     }
 
+    /// Lanes `0..n` active on `idx[l]`, the rest inactive.
+    fn lanes(idx: &[usize]) -> Lanes<Option<usize>> {
+        let mut out = [None; WARP_SIZE];
+        for (slot, &i) in out.iter_mut().zip(idx) {
+            *slot = Some(i);
+        }
+        out
+    }
+
     #[test]
-    fn rmw_applies_function() {
-        let b = GlobalBuffer::from_slice(&[10i64]);
-        b.rmw(0, |v| v + 5);
-        assert_eq!(b.host_get(0), 15);
+    fn rmw_lanes_applies_in_lane_order() {
+        let b = GlobalBuffer::from_slice(&[10i64, 0]);
+        let mut vals = [0i64; WARP_SIZE];
+        vals[..3].copy_from_slice(&[5, 2, 7]);
+        // Lanes 0 and 2 share element 0: `v * 10 + x` exposes the order.
+        b.rmw_lanes(&lanes(&[0, 1, 0]), &vals, |v, x| v * 10 + x);
+        assert_eq!(b.to_vec(), vec![1057, 2]);
+    }
+
+    #[test]
+    fn gather_and_scatter_lanes_round_trip() {
+        let b = GlobalBuffer::<u32>::zeroed(4);
+        let mut vals = [0u32; WARP_SIZE];
+        vals[..3].copy_from_slice(&[7, 8, 9]);
+        // Duplicate index: the later lane's write wins.
+        b.scatter_lanes(&lanes(&[3, 1, 3]), &vals);
+        assert_eq!(b.to_vec(), vec![0, 8, 0, 9]);
+        let got = b.gather_lanes(&lanes(&[1, 3]));
+        assert_eq!(&got[..3], &[8, 9, 0]);
     }
 
     #[test]
     fn uninit_tracks_writes_per_element() {
         let b = GlobalBuffer::<f32>::uninit(3);
-        assert!(!b.is_init(0));
-        b.write(1, 2.0);
-        assert!(b.is_init(1));
-        assert!(!b.is_init(2));
-        b.rmw(2, |v| v + 1.0);
-        assert!(b.is_init(2));
+        let all = lanes(&[0, 1, 2, 7]);
+        assert_eq!(b.uninit_lanes(&all), 0b111);
+        b.scatter_lanes(&lanes(&[1]), &[2.0; WARP_SIZE]);
+        assert_eq!(b.uninit_lanes(&all), 0b101);
+        b.rmw_lanes(&lanes(&[2]), &[1.0; WARP_SIZE], |v, x| v + x);
+        assert_eq!(b.uninit_lanes(&all), 0b001);
         // Constructed-from-data buffers are fully initialized.
         let c = GlobalBuffer::from_slice(&[1u32]);
-        assert!(c.is_init(0));
+        assert_eq!(c.uninit_lanes(&lanes(&[0])), 0);
     }
 
     #[test]
     fn replay_through_shared_storage_matches_direct_rmw() {
         let b = GlobalBuffer::from_slice(&[1.0f64, 2.0]);
         let handle = b.shared_storage();
-        replay_rmw(&handle, 1, |v| v * 10.0);
+        replay_rmw(&handle, &lanes(&[1]), &[10.0; WARP_SIZE], |v, x| v * x);
         assert_eq!(b.host_get(1), 20.0);
     }
 }

@@ -65,4 +65,4 @@ pub use prof::{
 pub use sanitizer::{CheckerKind, MemSpace, SanitizerMode, SanitizerReport, SimError};
 pub use shared::{SharedArray, SharedMem};
 pub use spec::{Arch, DeviceSpec, Occupancy};
-pub use warp::{lanes_from_fn, Lanes, WarpCtx, WARP_SIZE};
+pub use warp::{lanes_from_fn, Lanes, Segments, WarpCtx, WARP_SIZE};

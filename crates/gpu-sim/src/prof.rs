@@ -188,6 +188,15 @@ struct RangeAcc {
     inclusive: Counters,
 }
 
+impl RangeAcc {
+    /// Counts one closed call of the range.
+    fn add(&mut self, exclusive: &Counters, inclusive: &Counters) {
+        self.calls += 1;
+        self.exclusive.merge(exclusive);
+        self.inclusive.merge(inclusive);
+    }
+}
+
 #[derive(Debug, Default)]
 pub(crate) struct ProfData {
     ranges: BTreeMap<String, RangeAcc>,
@@ -214,10 +223,16 @@ impl LaunchProfiler {
 
     fn record(&self, span: TraceSpan, exclusive: &Counters, inclusive: &Counters) {
         let mut d = self.data.borrow_mut();
-        let acc = d.ranges.entry(span.path.clone()).or_default();
-        acc.calls += 1;
-        acc.exclusive.merge(exclusive);
-        acc.inclusive.merge(inclusive);
+        // Look the path up by `&str` first: only a range's first close
+        // allocates its key.
+        match d.ranges.get_mut(span.path.as_str()) {
+            Some(acc) => acc.add(exclusive, inclusive),
+            None => {
+                let mut acc = RangeAcc::default();
+                acc.add(exclusive, inclusive);
+                d.ranges.insert(span.path.clone(), acc);
+            }
+        }
         if d.spans.len() < MAX_SPANS {
             d.spans.push(span);
         } else {

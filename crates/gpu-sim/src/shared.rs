@@ -139,24 +139,6 @@ impl<T: Copy> SharedArray<T> {
         self.len() == 0
     }
 
-    /// The first shared-memory bank an element index maps to (4-byte
-    /// banks). Elements wider than a bank span several; see
-    /// [`SharedArray::banks_of`].
-    pub fn bank_of(&self, idx: usize, banks: usize) -> usize {
-        ((self.base_byte + idx * self.elem_bytes) / 4) % banks
-    }
-
-    /// Every bank an element access touches. A 4-byte element occupies
-    /// one bank; an 8-byte element (`f64`, `u64`) straddles two
-    /// consecutive banks, so a warp-wide access pays for both words —
-    /// the doubled shared-memory traffic real hardware shows for
-    /// double-precision tiles.
-    pub fn banks_of(&self, idx: usize, banks: usize) -> Vec<usize> {
-        let first_word = (self.base_byte + idx * self.elem_bytes) / 4;
-        let words = self.elem_bytes.div_ceil(4).max(1);
-        (0..words).map(|w| (first_word + w) % banks).collect()
-    }
-
     /// The 4-byte word addresses an element occupies, as
     /// `(first_word, word_count)` — the unit of bank-conflict accounting.
     pub(crate) fn word_span(&self, idx: usize) -> (usize, usize) {
@@ -300,31 +282,5 @@ mod tests {
         let b = a.clone();
         a.write(1, 42);
         assert_eq!(b.read(1), 42);
-    }
-
-    #[test]
-    fn bank_mapping_wraps_mod_banks() {
-        let pool = SharedMem::new(4096);
-        let a = pool.alloc::<f32>(128);
-        assert_eq!(a.bank_of(0, 32), 0);
-        assert_eq!(a.bank_of(31, 32), 31);
-        assert_eq!(a.bank_of(32, 32), 0);
-        // f64 elements straddle two banks; `bank_of` reports the first,
-        // `banks_of` both words.
-        let pool2 = SharedMem::new(4096);
-        let d = pool2.alloc::<f64>(64);
-        assert_eq!(d.bank_of(1, 32), 2);
-        assert_eq!(d.banks_of(1, 32), vec![2, 3]);
-        assert_eq!(d.banks_of(16, 32), vec![0, 1]);
-        // 4-byte elements touch exactly one bank.
-        assert_eq!(a.banks_of(5, 32), vec![5]);
-    }
-
-    #[test]
-    fn base_offset_shifts_banks() {
-        let pool = SharedMem::new(4096);
-        let _pad = pool.alloc::<f32>(1);
-        let a = pool.alloc::<f32>(8);
-        assert_eq!(a.bank_of(0, 32), 1);
     }
 }

@@ -17,6 +17,8 @@ use crate::shared::SharedArray;
 use crate::spec::DeviceSpec;
 use std::cell::RefCell;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Deref;
 
 /// Per-block record of distinct `(buffer, segment)` touches, standing
 /// in for the block's view of the L2: the first touch of a segment is a
@@ -25,7 +27,39 @@ use std::collections::HashSet;
 /// keeps the counter independent of block execution order, which is
 /// what lets a launch run its blocks on concurrent host threads and
 /// still merge byte-identical counters.
-pub type L2Tracker = HashSet<(u64, usize)>;
+///
+/// Only membership is ever queried (nothing iterates the set), so the
+/// hasher needs no DoS resistance: [`SegmentHasher`] is a fixed
+/// multiply-rotate hash, cheaper than the default SipHash.
+pub type L2Tracker = HashSet<(u64, usize), BuildHasherDefault<SegmentHasher>>;
+
+/// The [`L2Tracker`] hasher: the Fx multiply-rotate mix over each
+/// integer written. Deterministic (no per-process seed) and unkeyed.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct SegmentHasher(u64);
+
+impl Hasher for SegmentHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Per-block log of global atomics deferred by a parallel launch.
 ///
@@ -66,6 +100,71 @@ pub const WARP_SIZE: usize = 32;
 
 /// A per-lane value vector: one slot per lane of the warp.
 pub type Lanes<T> = [T; WARP_SIZE];
+
+/// Widest shared-memory element, in 4-byte bank words, that one lane
+/// may access (a 128-bit vector access on hardware).
+const MAX_SMEM_WORDS: usize = 4;
+
+/// A stack-resident multiset of at most `N / 2` distinct keys (open
+/// addressing, Fibonacci hashing, linear probing; `N` a power of two).
+/// The warp-op charge paths count distinct segments, words, banks and
+/// addresses with it instead of heap `Vec`s or sorts. One warp-op adds
+/// at most `MAX_SMEM_WORDS × WARP_SIZE` keys, so counts fit a `u8`.
+struct Tally<const N: usize> {
+    keys: [usize; N],
+    counts: [u8; N],
+}
+
+impl<const N: usize> Tally<N> {
+    /// Marks an empty slot; no key reaches it (segments, words and
+    /// banks are quotients or remainders, and an address that large is
+    /// out of bounds and panics the op).
+    const EMPTY: usize = usize::MAX;
+
+    fn new() -> Self {
+        Self {
+            keys: [Self::EMPTY; N],
+            counts: [0; N],
+        }
+    }
+
+    /// Adds one occurrence of `key`, returning its count so far (`1` on
+    /// first sight).
+    #[inline]
+    fn add(&mut self, key: usize) -> u8 {
+        let shift = 64 - N.trailing_zeros();
+        let mut h = ((key as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+        loop {
+            if self.keys[h] == key {
+                self.counts[h] += 1;
+                return self.counts[h];
+            }
+            if self.keys[h] == Self::EMPTY {
+                self.keys[h] = key;
+                self.counts[h] = 1;
+                return 1;
+            }
+            h = (h + 1) & (N - 1);
+        }
+    }
+}
+
+/// The result of [`WarpCtx::warp_segmented_reduce`]: one `(key, value)`
+/// pair per segment, at most one per lane, held on the stack. Derefs to
+/// the slice of segments.
+#[derive(Debug)]
+pub struct Segments<T> {
+    len: usize,
+    segs: [(u32, T); WARP_SIZE],
+}
+
+impl<T> Deref for Segments<T> {
+    type Target = [(u32, T)];
+
+    fn deref(&self) -> &[(u32, T)] {
+        &self.segs[..self.len]
+    }
+}
 
 /// Builds a `Lanes` array from a function of the lane index.
 pub fn lanes_from_fn<T: Copy + Default>(mut f: impl FnMut(usize) -> T) -> Lanes<T> {
@@ -269,9 +368,10 @@ impl<'a> WarpCtx<'a> {
         if !self.san.enabled() {
             return;
         }
+        let uninit = buf.uninit_lanes(idx);
         for (l, slot) in idx.iter().enumerate() {
             if let Some(i) = *slot {
-                if !buf.is_init(i) {
+                if uninit & (1 << l) != 0 {
                     self.san.report(
                         CheckerKind::Initcheck,
                         Some(self.warp_id),
@@ -311,13 +411,7 @@ impl<'a> WarpCtx<'a> {
         );
         self.global_initcheck(buf, &idx);
         self.charge_global::<T>(buf.id(), &idx);
-        let mut out = [T::default(); WARP_SIZE];
-        for (l, slot) in out.iter_mut().enumerate() {
-            if let Some(i) = idx[l] {
-                *slot = buf.read(i);
-            }
-        }
-        out
+        buf.gather_lanes(&idx)
     }
 
     /// Scatters one element per active lane to global memory. Same cost
@@ -337,11 +431,7 @@ impl<'a> WarpCtx<'a> {
             "global scatter",
         );
         self.charge_global::<T>(buf.id(), &idx);
-        for l in 0..WARP_SIZE {
-            if let Some(i) = idx[l] {
-                buf.write(i, vals[l]);
-            }
-        }
+        buf.scatter_lanes(&idx, vals);
     }
 
     /// Atomically reduces each active lane's value into global memory
@@ -367,40 +457,18 @@ impl<'a> WarpCtx<'a> {
             "global atomic",
         );
         self.charge_global::<T>(buf.id(), &idx);
-        let mut seen: Vec<(usize, u64)> = Vec::new();
-        for l in 0..WARP_SIZE {
-            if let Some(i) = idx[l] {
-                self.counters.atomics += 1;
-                match seen.iter_mut().find(|(a, _)| *a == i) {
-                    Some((_, m)) => *m += 1,
-                    None => seen.push((i, 1)),
-                }
-            }
-        }
-        for (_, m) in seen {
-            self.counters.atomic_conflict_extra += m - 1;
-        }
+        self.charge_atomics(&idx);
         match self.deferred {
-            None => {
-                // Serial path (and hand-built contexts): apply in lane
-                // order, exactly the hardware-serialized schedule.
-                for l in 0..WARP_SIZE {
-                    if let Some(i) = idx[l] {
-                        buf.rmw(i, |cur| op(cur, vals[l]));
-                    }
-                }
-            }
+            // Serial path (and hand-built contexts): apply in lane
+            // order, exactly the hardware-serialized schedule.
+            None => buf.rmw_lanes(&idx, vals, op),
             Some(log) => {
                 // Parallel path: log the whole warp-op; the launch
                 // replays logs in block order after the grid finishes.
                 let storage = buf.shared_storage();
                 let vals = *vals;
                 log.push(Box::new(move || {
-                    for l in 0..WARP_SIZE {
-                        if let Some(i) = idx[l] {
-                            crate::global::replay_rmw(&storage, i, |cur| op(cur, vals[l]));
-                        }
-                    }
+                    crate::global::replay_rmw(&storage, &idx, &vals, op)
                 }));
             }
         }
@@ -490,23 +558,15 @@ impl<'a> WarpCtx<'a> {
             "shared atomic",
         );
         self.charge_smem(arr, &idx);
-        let mut seen: Vec<(usize, u64)> = Vec::new();
+        self.charge_atomics(&idx);
         let mut out = [T::default(); WARP_SIZE];
         for l in 0..WARP_SIZE {
             if let Some(i) = idx[l] {
-                self.counters.atomics += 1;
-                match seen.iter_mut().find(|(a, _)| *a == i) {
-                    Some((_, m)) => *m += 1,
-                    None => seen.push((i, 1)),
-                }
                 if let Some(sh) = arr.shadow() {
                     sh.warp_atomic(i, self.warp_id, l);
                 }
                 out[l] = arr.rmw(i, |cur| op(cur, vals[l]));
             }
-        }
-        for (_, m) in seen {
-            self.counters.atomic_conflict_extra += m - 1;
         }
         out
     }
@@ -557,16 +617,22 @@ impl<'a> WarpCtx<'a> {
         active: &Lanes<bool>,
         id: T,
         op: impl Fn(T, T) -> T,
-    ) -> Vec<(u32, T)> {
+    ) -> Segments<T> {
         self.issue(10);
-        let mut out: Vec<(u32, T)> = Vec::new();
+        let mut out = Segments {
+            len: 0,
+            segs: [(0, id); WARP_SIZE],
+        };
         for l in 0..WARP_SIZE {
             if !active[l] {
                 continue;
             }
-            match out.last_mut() {
+            match out.len.checked_sub(1).map(|last| &mut out.segs[last]) {
                 Some((k, acc)) if *k == keys[l] => *acc = op(*acc, vals[l]),
-                _ => out.push((keys[l], op(id, vals[l]))),
+                _ => {
+                    out.segs[out.len] = (keys[l], op(id, vals[l]));
+                    out.len += 1;
+                }
             }
         }
         out
@@ -598,24 +664,46 @@ impl<'a> WarpCtx<'a> {
         self.watchdog_tick();
         let seg = self.spec.mem_transaction_bytes;
         let esz = std::mem::size_of::<T>();
-        let mut segments: Vec<usize> = idx.iter().flatten().map(|&i| i * esz / seg).collect();
-        let requested = segments.len() as u64 * esz as u64;
-        segments.sort_unstable();
-        segments.dedup();
-        for &sg in &segments {
-            if self.l2.insert((buf_id, sg)) {
-                self.counters.global_bytes_unique += seg as u64;
+        let mut segments = Tally::<{ 2 * WARP_SIZE }>::new();
+        let (mut active, mut distinct) = (0, 0);
+        for &i in idx.iter().flatten() {
+            active += 1;
+            let sg = i * esz / seg;
+            if segments.add(sg) == 1 {
+                distinct += 1;
+                if self.l2.insert((buf_id, sg)) {
+                    self.counters.global_bytes_unique += seg as u64;
+                }
             }
         }
-        self.counters.global_transactions += segments.len() as u64;
-        self.counters.global_bytes += (segments.len() * seg) as u64;
-        self.counters.global_bytes_requested += requested;
+        self.counters.global_transactions += distinct as u64;
+        self.counters.global_bytes += (distinct * seg) as u64;
+        self.counters.global_bytes_requested += (active * esz) as u64;
+    }
+
+    /// Charges one warp-wide atomic: one atomic per active lane, and
+    /// same-address serialization — each address hit by `m` active
+    /// lanes pays `m − 1` extra slots, `active − distinct` in total.
+    fn charge_atomics(&mut self, idx: &Lanes<Option<usize>>) {
+        let mut addrs = Tally::<{ 2 * WARP_SIZE }>::new();
+        for &i in idx.iter().flatten() {
+            self.counters.atomics += 1;
+            if addrs.add(i) > 1 {
+                self.counters.atomic_conflict_extra += 1;
+            }
+        }
     }
 
     fn charge_smem<T>(&mut self, arr: &SharedArray<T>, idx: &Lanes<Option<usize>>)
     where
         T: Copy,
     {
+        const {
+            assert!(
+                std::mem::size_of::<T>() <= 4 * MAX_SMEM_WORDS,
+                "shared-memory elements are at most 16 bytes per lane"
+            )
+        };
         self.counters.issues += 1;
         self.counters.smem_accesses += 1;
         self.watchdog_tick();
@@ -625,20 +713,20 @@ impl<'a> WarpCtx<'a> {
         // bank (f64/u64) span several consecutive words, so a warp-wide
         // unit-stride f64 access puts two distinct words in every bank —
         // one replay, the doubled traffic real hardware shows for
-        // double-precision shared-memory tiles.
-        let mut per_bank: Vec<Vec<usize>> = vec![Vec::new(); banks];
+        // double-precision shared-memory tiles. The replay count is the
+        // most distinct words any one bank holds.
+        let mut words = Tally::<{ 2 * MAX_SMEM_WORDS * WARP_SIZE }>::new();
+        let mut per_bank = Tally::<{ 2 * MAX_SMEM_WORDS * WARP_SIZE }>::new();
+        let mut replay = 0u8;
         for i in idx.iter().flatten() {
-            let (first_word, words) = arr.word_span(*i);
-            for w in 0..words {
-                let word = first_word + w;
-                let b = word % banks;
-                if !per_bank[b].contains(&word) {
-                    per_bank[b].push(word);
+            let (first_word, span) = arr.word_span(*i);
+            for word in first_word..first_word + span {
+                if words.add(word) == 1 {
+                    replay = replay.max(per_bank.add(word % banks));
                 }
             }
         }
-        let replay = per_bank.iter().map(Vec::len).max().unwrap_or(0);
-        self.counters.bank_conflict_extra += replay.saturating_sub(1) as u64;
+        self.counters.bank_conflict_extra += u64::from(replay.saturating_sub(1));
     }
 }
 
@@ -648,13 +736,13 @@ mod tests {
     use crate::shared::SharedMem;
     use crate::spec::DeviceSpec;
 
-    fn ctx_counters() -> (DeviceSpec, Counters) {
-        (DeviceSpec::volta_v100(), Counters::new())
+    fn with_ctx<R>(f: impl FnOnce(&mut WarpCtx) -> R) -> (R, Counters) {
+        with_spec_ctx(&DeviceSpec::volta_v100(), f)
     }
 
-    fn with_ctx<R>(f: impl FnOnce(&mut WarpCtx) -> R) -> (R, Counters) {
-        let (spec, mut counters) = ctx_counters();
-        let mut l2 = L2Tracker::new();
+    fn with_spec_ctx<R>(spec: &DeviceSpec, f: impl FnOnce(&mut WarpCtx) -> R) -> (R, Counters) {
+        let mut counters = Counters::new();
+        let mut l2 = L2Tracker::default();
         let san = BlockSanitizer::disabled();
         let faults = LaunchFaults::disabled();
         let r = {
@@ -662,7 +750,7 @@ mod tests {
                 block_id: 0,
                 warp_id: 0,
                 warps_per_block: 1,
-                spec: &spec,
+                spec,
                 counters: &mut counters,
                 l2: &mut l2,
                 san: &san,
@@ -879,7 +967,7 @@ mod tests {
         let active = [true; WARP_SIZE];
         let (segs, c) =
             with_ctx(|ctx| ctx.warp_segmented_reduce(&keys, &vals, &active, 0.0, |a, b| a + b));
-        assert_eq!(segs, vec![(0, 10.0), (1, 10.0), (2, 10.0), (3, 2.0)]);
+        assert_eq!(*segs, [(0, 10.0), (1, 10.0), (2, 10.0), (3, 2.0)]);
         assert_eq!(c.issues, 10);
     }
 
@@ -892,6 +980,276 @@ mod tests {
         active[9] = true;
         let (segs, _) =
             with_ctx(|ctx| ctx.warp_segmented_reduce(&keys, &vals, &active, 0.0, |a, b| a + b));
-        assert_eq!(segs, vec![(7, 12.0)]);
+        assert_eq!(*segs, [(7, 12.0)]);
+    }
+
+    /// The charge and access paths as they were before they went
+    /// allocation-free: heap `Vec`s per bank and per atomic, a SipHash
+    /// L2 set, one element access per lane. The oracle proptest below
+    /// holds the production paths to these counter for counter and byte
+    /// for byte.
+    mod oracle {
+        use super::*;
+
+        pub(super) struct Reference<'a> {
+            pub spec: &'a DeviceSpec,
+            pub counters: Counters,
+            pub l2: HashSet<(u64, usize)>,
+        }
+
+        impl Reference<'_> {
+            fn charge_global<T>(&mut self, buf_id: u64, idx: &Lanes<Option<usize>>) {
+                self.counters.issues += 1;
+                let seg = self.spec.mem_transaction_bytes;
+                let esz = std::mem::size_of::<T>();
+                let mut segments: Vec<usize> =
+                    idx.iter().flatten().map(|&i| i * esz / seg).collect();
+                let requested = segments.len() as u64 * esz as u64;
+                segments.sort_unstable();
+                segments.dedup();
+                for &sg in &segments {
+                    if self.l2.insert((buf_id, sg)) {
+                        self.counters.global_bytes_unique += seg as u64;
+                    }
+                }
+                self.counters.global_transactions += segments.len() as u64;
+                self.counters.global_bytes += (segments.len() * seg) as u64;
+                self.counters.global_bytes_requested += requested;
+            }
+
+            fn charge_smem<T: Copy>(&mut self, arr: &SharedArray<T>, idx: &Lanes<Option<usize>>) {
+                self.counters.issues += 1;
+                self.counters.smem_accesses += 1;
+                let banks = self.spec.smem_banks;
+                let mut per_bank: Vec<Vec<usize>> = vec![Vec::new(); banks];
+                for i in idx.iter().flatten() {
+                    let (first_word, words) = arr.word_span(*i);
+                    for w in 0..words {
+                        let word = first_word + w;
+                        let b = word % banks;
+                        if !per_bank[b].contains(&word) {
+                            per_bank[b].push(word);
+                        }
+                    }
+                }
+                let replay = per_bank.iter().map(Vec::len).max().unwrap_or(0);
+                self.counters.bank_conflict_extra += replay.saturating_sub(1) as u64;
+            }
+
+            fn charge_atomics(&mut self, idx: &Lanes<Option<usize>>) {
+                let mut seen: Vec<(usize, u64)> = Vec::new();
+                for &i in idx.iter().flatten() {
+                    self.counters.atomics += 1;
+                    match seen.iter_mut().find(|(a, _)| *a == i) {
+                        Some((_, m)) => *m += 1,
+                        None => seen.push((i, 1)),
+                    }
+                }
+                for (_, m) in seen {
+                    self.counters.atomic_conflict_extra += m - 1;
+                }
+            }
+
+            pub fn global_gather<T: Copy + Default>(
+                &mut self,
+                buf: &GlobalBuffer<T>,
+                idx: &Lanes<Option<usize>>,
+            ) -> Lanes<T> {
+                self.charge_global::<T>(buf.id(), idx);
+                lanes_from_fn(|l| idx[l].map_or(T::default(), |i| buf.host_get(i)))
+            }
+
+            pub fn global_scatter<T: Copy + Default>(
+                &mut self,
+                buf: &GlobalBuffer<T>,
+                idx: &Lanes<Option<usize>>,
+                vals: &Lanes<T>,
+            ) {
+                self.charge_global::<T>(buf.id(), idx);
+                for l in 0..WARP_SIZE {
+                    if let Some(i) = idx[l] {
+                        buf.host_set(i, vals[l]);
+                    }
+                }
+            }
+
+            pub fn global_atomic<T: Copy + Default>(
+                &mut self,
+                buf: &GlobalBuffer<T>,
+                idx: &Lanes<Option<usize>>,
+                vals: &Lanes<T>,
+                op: impl Fn(T, T) -> T,
+            ) {
+                self.charge_global::<T>(buf.id(), idx);
+                self.charge_atomics(idx);
+                for l in 0..WARP_SIZE {
+                    if let Some(i) = idx[l] {
+                        buf.host_set(i, op(buf.host_get(i), vals[l]));
+                    }
+                }
+            }
+
+            pub fn smem_gather<T: Copy + Default>(
+                &mut self,
+                arr: &SharedArray<T>,
+                idx: &Lanes<Option<usize>>,
+            ) -> Lanes<T> {
+                self.charge_smem(arr, idx);
+                lanes_from_fn(|l| idx[l].map_or(T::default(), |i| arr.read(i)))
+            }
+
+            pub fn smem_atomic<T: Copy + Default>(
+                &mut self,
+                arr: &SharedArray<T>,
+                idx: &Lanes<Option<usize>>,
+                vals: &Lanes<T>,
+                op: impl Fn(T, T) -> T,
+            ) -> Lanes<T> {
+                self.charge_smem(arr, idx);
+                self.charge_atomics(idx);
+                let mut out = [T::default(); WARP_SIZE];
+                for l in 0..WARP_SIZE {
+                    if let Some(i) = idx[l] {
+                        out[l] = arr.rmw(i, |cur| op(cur, vals[l]));
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// One generated warp-op: `(kind, lane mask, index pattern, base,
+    /// stride, seed)`.
+    type OpSpec = (u8, u32, u8, usize, usize, u64);
+
+    const GLOBAL_LEN: usize = 4096;
+    const SMEM_LEN: usize = 512;
+
+    fn mix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Lane indices below `len` for one op: random, strided, a few
+    /// duplicated addresses, or unit stride, under the lane mask.
+    fn op_lanes(op: &OpSpec, len: usize) -> Lanes<Option<usize>> {
+        let &(_, mask, pattern, base, stride, seed) = op;
+        lanes_from_fn(|l| {
+            let r = mix(seed ^ l as u64) as usize;
+            let i = match pattern {
+                0 => r,
+                1 => base + l * stride,
+                2 => base + (r % 3) * stride,
+                _ => base + l,
+            };
+            (mask & (1 << l) != 0).then_some(i % len)
+        })
+    }
+
+    /// Runs `ops` through the production paths and through the oracle on
+    /// identical fresh buffers, asserting equal counters, equal returned
+    /// lanes and equal buffer contents.
+    fn check_against_oracle<T>(ops: &[OpSpec], banks: usize, pad: usize)
+    where
+        T: Copy + Default + PartialEq + std::fmt::Debug + From<f32> + Send + Sync + 'static,
+        T: std::ops::Add<Output = T>,
+    {
+        let spec = DeviceSpec {
+            smem_banks: banks,
+            ..DeviceSpec::volta_v100()
+        };
+        let init = |i: usize| T::from((mix(i as u64) % 1000) as f32 * 0.37);
+        let globals = || GlobalBuffer::from_vec((0..GLOBAL_LEN).map(init).collect());
+        let pools = [SharedMem::new(64 * 1024), SharedMem::new(64 * 1024)];
+        let smem = pools.each_ref().map(|pool| {
+            // A `u32` pad shifts the array's base by `4 · pad` bytes, so
+            // 8-byte elements can straddle banks.
+            let _ = pool.alloc::<u32>(pad);
+            let arr = pool.alloc::<T>(SMEM_LEN);
+            for i in 0..SMEM_LEN {
+                arr.write(i, init(i + GLOBAL_LEN));
+            }
+            arr
+        });
+        let (buf, ref_buf) = (globals(), globals());
+        let mut reference = oracle::Reference {
+            spec: &spec,
+            counters: Counters::new(),
+            l2: HashSet::new(),
+        };
+        let add = |a: T, b: T| a + b;
+        let (_, counters) = with_spec_ctx(&spec, |w| {
+            for op in ops {
+                let vals =
+                    lanes_from_fn(|l| T::from((mix(op.5 + 1 + l as u64) % 97) as f32 * 0.11));
+                let g = op_lanes(op, GLOBAL_LEN);
+                let s = op_lanes(op, SMEM_LEN);
+                match op.0 % 5 {
+                    0 => assert_eq!(
+                        w.global_gather(&buf, &g),
+                        reference.global_gather(&ref_buf, &g)
+                    ),
+                    1 => {
+                        w.global_scatter(&buf, &g, &vals);
+                        reference.global_scatter(&ref_buf, &g, &vals);
+                    }
+                    2 => {
+                        w.global_atomic(&buf, &g, &vals, add);
+                        reference.global_atomic(&ref_buf, &g, &vals, add);
+                    }
+                    3 => assert_eq!(
+                        w.smem_gather(&smem[0], &s),
+                        reference.smem_gather(&smem[1], &s)
+                    ),
+                    _ => assert_eq!(
+                        w.smem_atomic(&smem[0], &s, &vals, add),
+                        reference.smem_atomic(&smem[1], &s, &vals, add)
+                    ),
+                }
+            }
+        });
+        assert_eq!(counters, reference.counters);
+        assert_eq!(buf.to_vec(), ref_buf.to_vec());
+        assert_eq!(smem[0].snapshot(), smem[1].snapshot());
+    }
+
+    use proptest::Strategy;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Random warp-op sequences (lane masks, duplicate and strided
+        /// indices, 4- and 8-byte elements, shifted shared-memory bases,
+        /// 16/32/64 banks) charge exactly what the oracle charges and
+        /// leave the same bytes behind.
+        #[test]
+        fn warp_ops_match_the_oracle(
+            ops in proptest::collection::vec(
+                (
+                    0u8..5,
+                    proptest::prop_oneof![
+                        proptest::Just(u32::MAX),
+                        0u32..=u32::MAX,
+                        (0u32..32).prop_map(|l| 1 << l),
+                    ],
+                    0u8..4,
+                    0usize..GLOBAL_LEN,
+                    1usize..130,
+                    0u64..u64::MAX,
+                ),
+                1..12,
+            ),
+            banks in proptest::prop_oneof![proptest::Just(16usize), proptest::Just(32), proptest::Just(64)],
+            pad in 0usize..8,
+            wide in 0u8..2,
+        ) {
+            if wide == 1 {
+                check_against_oracle::<f64>(&ops, banks, pad);
+            } else {
+                check_against_oracle::<f32>(&ops, banks, pad);
+            }
+        }
     }
 }
