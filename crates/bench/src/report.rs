@@ -24,7 +24,7 @@
 //! its own rendering before touching the filesystem, so a document that
 //! reaches disk round-trips by construction.
 
-use gpu_sim::{json_escape, Counters, LaunchProfile, LaunchStats};
+use gpu_sim::{json_escape, json_number, Counters, LaunchProfile, LaunchStats};
 use std::fmt::Write as _;
 
 /// Schema tag carried by every document this module writes.
@@ -174,7 +174,7 @@ impl BenchReport {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\":{}", json_escape(k), fmt_number(*v));
+                let _ = write!(out, "\"{}\":{}", json_escape(k), json_number(*v));
             }
             out.push_str("}}");
         }
@@ -199,19 +199,6 @@ impl BenchReport {
             panic!("cannot write bench report {path:?}: {e}");
         }
     }
-}
-
-/// Formats an `f64` as a JSON number.
-///
-/// # Panics
-///
-/// Panics on non-finite values — JSON has no representation for them,
-/// and a NaN in a benchmark report means the harness is broken.
-fn fmt_number(v: f64) -> String {
-    assert!(v.is_finite(), "non-finite value {v} in bench report");
-    let s = format!("{v:?}");
-    debug_assert!(s.parse::<f64>().is_ok());
-    s
 }
 
 // ---------------------------------------------------------------------

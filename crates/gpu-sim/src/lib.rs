@@ -60,7 +60,8 @@ pub use fault::FaultPlan;
 pub use global::GlobalBuffer;
 pub use prims::{bitonic_sort_by_key, warp_binary_search};
 pub use prof::{
-    chrome_trace, chrome_trace_envelope, json_escape, LaunchProfile, RangeStats, TraceSpan,
+    chrome_trace, chrome_trace_envelope, json_escape, json_number, LaunchProfile, RangeStats,
+    TraceSpan,
 };
 pub use sanitizer::{CheckerKind, MemSpace, SanitizerMode, SanitizerReport, SimError};
 pub use shared::{SharedArray, SharedMem};

@@ -417,6 +417,19 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// Formats an `f64` as a JSON number in its shortest round-trip form —
+/// the one number convention every hand-written JSON document in the
+/// workspace (`metrics.v1`, `bench.v1`) shares.
+///
+/// # Panics
+///
+/// Panics on non-finite values: JSON has no representation for them,
+/// and a NaN in a report means its producer is broken.
+pub fn json_number(v: f64) -> String {
+    assert!(v.is_finite(), "non-finite value {v} in a JSON document");
+    format!("{v:?}")
+}
+
 /// Wraps pre-rendered `trace_event` objects in the chrome://tracing
 /// envelope. Shared by the kernel profiler's [`chrome_trace`] and
 /// downstream exporters (the serving layer's per-request trace), so

@@ -132,29 +132,10 @@ impl<T: Real> PreparedCache<T> {
 
     /// Looks up (or prepares, on miss) the shard set for `nn`'s fitted
     /// index over `multi`. On a miss the index is sliced, uploaded, and
-    /// its norms warmed; `warm_seconds` in the return value is the
-    /// simulated time that warming cost (0.0 on a hit), which the
-    /// request engine charges to the batch that triggered the miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors from the norm-warming launches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nn` has not been fitted.
-    pub fn get_or_prepare(
-        &mut self,
-        nn: &NearestNeighbors<T>,
-        multi: &MultiDevice,
-    ) -> Result<(Arc<PreparedShards<T>>, f64), KernelError> {
-        let (shards, outcome) = self.lookup(nn, multi)?;
-        Ok((shards, outcome.warm_seconds))
-    }
-
-    /// [`Self::get_or_prepare`] with a full [`CacheOutcome`] — the
-    /// request engine uses this to emit cache hit/miss span events and
-    /// per-lookup eviction counts.
+    /// its norms warmed; the returned [`CacheOutcome`] carries the
+    /// simulated warming time (0.0 on a hit), which the request engine
+    /// charges to the batch that triggered the miss, plus the hit flag
+    /// and eviction count its span events and metrics report.
     ///
     /// # Errors
     ///
@@ -270,11 +251,11 @@ mod tests {
         let mut cache = PreparedCache::new(usize::MAX);
         let nn_a = NearestNeighbors::new(Device::volta(), Distance::Euclidean).fit(dataset(6, 1.0));
         let nn_b = NearestNeighbors::new(Device::volta(), Distance::Euclidean).fit(dataset(6, 2.0));
-        let (_, warm_a) = cache.get_or_prepare(&nn_a, &multi).expect("ok");
-        assert!(warm_a > 0.0, "miss warms norms");
-        let (_, warm_again) = cache.get_or_prepare(&nn_a, &multi).expect("ok");
-        assert_eq!(warm_again, 0.0, "hit is free");
-        cache.get_or_prepare(&nn_b, &multi).expect("ok");
+        let (_, first) = cache.lookup(&nn_a, &multi).expect("ok");
+        assert!(first.warm_seconds > 0.0, "miss warms norms");
+        let (_, again) = cache.lookup(&nn_a, &multi).expect("ok");
+        assert_eq!(again.warm_seconds, 0.0, "hit is free");
+        cache.lookup(&nn_b, &multi).expect("ok");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (1, 2, 0));
         assert_eq!(cache.len(), 2);
@@ -288,13 +269,13 @@ mod tests {
         // Budget sized so exactly one prepared entry fits.
         let probe = nn_a.prepare_shards(&multi);
         let mut cache = PreparedCache::new(probe.device_bytes() + 1);
-        cache.get_or_prepare(&nn_a, &multi).expect("ok");
-        cache.get_or_prepare(&nn_b, &multi).expect("ok");
+        cache.lookup(&nn_a, &multi).expect("ok");
+        cache.lookup(&nn_b, &multi).expect("ok");
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 1);
         // A is gone: touching it again is a miss (and evicts B).
-        let (_, warm) = cache.get_or_prepare(&nn_a, &multi).expect("ok");
-        assert!(warm > 0.0);
+        let (_, again) = cache.lookup(&nn_a, &multi).expect("ok");
+        assert!(again.warm_seconds > 0.0);
         assert_eq!(cache.stats().misses, 3);
     }
 
@@ -314,8 +295,8 @@ mod tests {
         let mut cache = PreparedCache::new(0);
         let nn_a = NearestNeighbors::new(Device::volta(), Distance::Euclidean).fit(dataset(6, 1.0));
         let nn_b = NearestNeighbors::new(Device::volta(), Distance::Euclidean).fit(dataset(6, 2.0));
-        let (shards_a, warm_a) = cache.get_or_prepare(&nn_a, &multi).expect("ok");
-        assert!(warm_a > 0.0);
+        let (shards_a, first) = cache.lookup(&nn_a, &multi).expect("ok");
+        assert!(first.warm_seconds > 0.0);
         assert_eq!(cache.len(), 1, "oversized entry is still admitted");
         assert!(cache.resident_bytes() > cache.budget_bytes());
         let (_, outcome) = cache.lookup(&nn_b, &multi).expect("ok");

@@ -40,10 +40,9 @@ use crate::slo::{assess, SloBudget, SloReport};
 use crate::span::{RequestSpan, RequestTraces, SpanEvent};
 use crate::wal::{WalError, WalRecord};
 use kernels::{KernelError, SmemMode};
-use neighbors::{IvfIndex, IvfParams, IvfPrepared, MultiDevice, NearestNeighbors};
+use neighbors::{IvfIndex, IvfParams, IvfPrepared, KnnResult, MultiDevice, NearestNeighbors};
 use sparse::{CsrMatrix, Idx, Real};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// How the engine generates candidates for each batch (DESIGN §15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -250,27 +249,28 @@ pub struct ServeEngine<T> {
     config: ServeConfig,
     metrics: MetricsRegistry,
     slos: BTreeMap<usize, SloBudget>,
-    /// Fitted IVF artifacts per dataset id (IVF mode only), keyed by
-    /// content fingerprint + pool size so refits and reshards are
-    /// detected exactly like [`PreparedCache`] misses.
+    /// Fitted IVF artifacts per dataset id (IVF mode only).
     ivf: BTreeMap<usize, IvfEntry<T>>,
 }
 
-/// What `ivf_lookup` hands a dispatching batch: the fitted index, its
-/// prepared posting lists, the fit's simulated seconds, and whether
-/// this call paid them (false on a cache hit).
-type IvfArtifact<T> = (Arc<IvfIndex<T>>, Arc<IvfPrepared<T>>, f64, bool);
-
 /// One cached IVF artifact: the fitted index plus its posting lists
-/// prepared for the engine's pool.
+/// prepared for the engine's pool, keyed by (content fingerprint,
+/// `nlist`, pool size) so refits and reshards are detected exactly like
+/// [`PreparedCache`] misses.
 struct IvfEntry<T> {
-    fingerprint: u64,
-    nlist: usize,
-    devices: usize,
-    index: Arc<IvfIndex<T>>,
-    prepared: Arc<IvfPrepared<T>>,
+    key: (u64, usize, usize),
+    index: IvfIndex<T>,
+    prepared: IvfPrepared<T>,
 }
 
+/// What one replay serves: borrowed fitted datasets (one per dataset
+/// id), or a single [`MutableDataset`] fed by a WAL write stream.
+enum Source<'s, 'd, T> {
+    Fitted(&'s [NearestNeighbors<T>]),
+    Mutable(&'s mut Ingest<'d, T>),
+}
+
+#[derive(Default)]
 struct OpenBatch<T> {
     requests: Vec<Request<T>>,
     /// Sticky: set when any member was admitted past the degrade
@@ -280,6 +280,7 @@ struct OpenBatch<T> {
 
 /// Mutable state of one replay's event loop, bundled so
 /// [`ServeEngine::dispatch`] stays a readable call.
+#[derive(Default)]
 struct ReplayState<T> {
     open: Vec<OpenBatch<T>>,
     responses: Vec<Response<T>>,
@@ -297,9 +298,10 @@ struct ReplayState<T> {
     prepares: u64,
     /// Per-dataset admission token buckets (empty without admission).
     buckets: Vec<TokenBucket>,
-    /// Lazily-built degraded-mode clones of the fitted estimators
-    /// (same fitted index, bloom-filter smem; DESIGN §14).
-    degraded_fit: Vec<Option<NearestNeighbors<T>>>,
+    /// Lazily-built degraded-mode clones of each dataset's base
+    /// estimator (same fitted index, bloom-filter smem; DESIGN §14),
+    /// tagged with the base generation they were cloned from.
+    degraded_fit: Vec<Option<(u64, NearestNeighbors<T>)>>,
     degraded_requests: u64,
     degraded_batches: u64,
     /// `ann.*` accounting (IVF mode only; all zero in exact mode).
@@ -308,6 +310,49 @@ struct ReplayState<T> {
     ann_shortlist_rows: u64,
     ann_fits: u64,
     ann_degraded_nprobe: u64,
+}
+
+impl<T: Real> ReplayState<T> {
+    fn new(datasets: usize, admission: Option<&AdmissionConfig>) -> Self {
+        Self {
+            open: (0..datasets).map(|_| OpenBatch::default()).collect(),
+            buckets: admission
+                .map(|cfg| vec![TokenBucket::new(cfg); datasets])
+                .unwrap_or_default(),
+            degraded_fit: (0..datasets).map(|_| None).collect(),
+            ..Self::default()
+        }
+    }
+}
+
+/// A closed batch on its way to the device.
+struct Batch<'b, T> {
+    requests: &'b [Request<T>],
+    /// The members' rows stacked into one query matrix.
+    query: CsrMatrix<T>,
+    dataset: usize,
+    close_s: f64,
+    /// When the device picks the batch up (`close_s` or later).
+    start_s: f64,
+}
+
+impl<T> Batch<'_, T> {
+    /// Appends `event` at `t_s` to every member's span.
+    fn emit(&self, traces: &mut RequestTraces, t_s: f64, event: SpanEvent) {
+        for req in self.requests {
+            traces.push_event(req.id, t_s, event.clone());
+        }
+    }
+}
+
+/// `nn` forced onto the bloom-filter smem representation — the
+/// low-footprint end of the Hybrid→Hash→Bloom→NaiveCsr cascade. Every
+/// strategy produces bit-identical distances (DESIGN §11), so degrading
+/// trades occupancy headroom, never answer bytes.
+fn bloom<T: Real>(nn: NearestNeighbors<T>) -> NearestNeighbors<T> {
+    let mut opts = *nn.pairwise_options();
+    opts.smem_mode = SmemMode::Bloom;
+    nn.with_options(opts)
 }
 
 impl<T: Real> ServeEngine<T> {
@@ -326,22 +371,9 @@ impl<T: Real> ServeEngine<T> {
         }
     }
 
-    /// Switches the candidate-generation tier (builder form).
-    pub fn with_index_mode(mut self, index: IndexMode) -> Self {
-        self.config.index = index;
-        self
-    }
-
     /// Replaces the cache with one of an explicit byte budget.
     pub fn with_cache_budget(mut self, budget_bytes: usize) -> Self {
         self.cache = PreparedCache::new(budget_bytes);
-        self
-    }
-
-    /// Attaches SLO-driven admission control (token buckets + degrade/
-    /// shed watermarks) to subsequent replays.
-    pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
-        self.config.admission = Some(admission);
         self
     }
 
@@ -357,11 +389,6 @@ impl<T: Real> ServeEngine<T> {
     /// [`ServeReport::slo`], and record burn signals in the registry.
     pub fn set_slo(&mut self, dataset: usize, budget: SloBudget) {
         self.slos.insert(dataset, budget);
-    }
-
-    /// The engine's cache statistics so far.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// The metrics registry accumulated over every replay so far.
@@ -386,535 +413,7 @@ impl<T: Real> ServeEngine<T> {
         fitted: &[NearestNeighbors<T>],
         requests: &[Request<T>],
     ) -> Result<ServeReport<T>, KernelError> {
-        let stats_before = self.cache.stats();
-        let mut order: Vec<&Request<T>> = requests.iter().collect();
-        order.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
-
-        let admission = self.config.admission;
-        let mut st = ReplayState {
-            open: (0..fitted.len())
-                .map(|_| OpenBatch {
-                    requests: Vec::new(),
-                    degraded: false,
-                })
-                .collect(),
-            responses: Vec::new(),
-            rejected: Vec::new(),
-            inflight: Vec::new(),
-            device_free_at: 0.0,
-            batches: 0,
-            busy_seconds: 0.0,
-            traces: RequestTraces::new(),
-            retries: 0,
-            degrades: 0,
-            faults: 0,
-            shard_launches: 0,
-            prepares: 0,
-            buckets: admission
-                .map(|cfg| vec![TokenBucket::new(&cfg); fitted.len()])
-                .unwrap_or_default(),
-            degraded_fit: (0..fitted.len()).map(|_| None).collect(),
-            degraded_requests: 0,
-            degraded_batches: 0,
-            ann_searches: 0,
-            ann_probes: 0,
-            ann_shortlist_rows: 0,
-            ann_fits: 0,
-            ann_degraded_nprobe: 0,
-        };
-        let mut next = 0usize;
-
-        loop {
-            // The earliest forced dispatch: an open batch whose oldest
-            // request hits its wait deadline. Ties break by dataset id.
-            let deadline = st
-                .open
-                .iter()
-                .enumerate()
-                .filter_map(|(d, b)| {
-                    b.requests
-                        .first()
-                        .map(|r| (r.arrival_s + self.config.max_wait_s, d))
-                })
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let arrival = order.get(next).map(|r| r.arrival_s);
-
-            match (deadline, arrival) {
-                (Some((t, d)), Some(at)) if t <= at => {
-                    self.dispatch(fitted, &mut st, d, t)?;
-                }
-                (_, Some(at)) => {
-                    let r = order[next];
-                    next += 1;
-                    if r.dataset >= fitted.len() {
-                        return Err(KernelError::ShapeMismatch {
-                            a_cols: r.dataset,
-                            b_cols: fitted.len(),
-                        });
-                    }
-                    st.inflight.retain(|&(done, _)| done > at);
-                    let backlog: usize = st.open.iter().map(|b| b.requests.len()).sum::<usize>()
-                        + st.inflight.iter().map(|&(_, n)| n).sum::<usize>();
-                    st.traces.begin_request(r.id, r.dataset, r.arrival_s);
-                    let d = r.dataset;
-                    let decision = match admission {
-                        Some(cfg) => st.buckets[d].admit(&cfg, at, backlog, self.config.max_queue),
-                        None if backlog >= self.config.max_queue => {
-                            AdmissionDecision::Shed(ShedReason::QueueFull)
-                        }
-                        None => AdmissionDecision::Admit,
-                    };
-                    match decision {
-                        AdmissionDecision::Shed(reason) => {
-                            st.rejected.push(Rejection { id: r.id, reason });
-                            st.traces.reject_request(r.id, at, backlog, reason);
-                            continue;
-                        }
-                        AdmissionDecision::Degrade => st.open[d].degraded = true,
-                        AdmissionDecision::Admit => {}
-                    }
-                    st.open[d].requests.push(r.clone());
-                    if st.open[d].requests.len() >= self.config.max_batch {
-                        self.dispatch(fitted, &mut st, d, at)?;
-                    }
-                }
-                (Some((t, d)), None) => {
-                    self.dispatch(fitted, &mut st, d, t)?;
-                }
-                (None, None) => break,
-            }
-        }
-
-        st.responses.sort_by(|a, b| {
-            a.completion_s
-                .total_cmp(&b.completion_s)
-                .then(a.id.cmp(&b.id))
-        });
-        let first_arrival = order.first().map(|r| r.arrival_s).unwrap_or(0.0);
-        let makespan_s = st
-            .responses
-            .iter()
-            .map(|r| r.completion_s)
-            .fold(0.0f64, f64::max)
-            - first_arrival;
-        let after = self.cache.stats();
-        let mut report = ServeReport {
-            responses: st.responses,
-            rejected: st.rejected,
-            batches: st.batches,
-            busy_seconds: st.busy_seconds,
-            makespan_s: makespan_s.max(0.0),
-            cache: CacheStats {
-                hits: after.hits - stats_before.hits,
-                misses: after.misses - stats_before.misses,
-                evictions: after.evictions - stats_before.evictions,
-                eviction_probes: after.eviction_probes - stats_before.eviction_probes,
-            },
-            spans: st.traces.into_spans(),
-            slo: Vec::new(),
-            degraded_requests: st.degraded_requests,
-            degraded_batches: st.degraded_batches,
-        };
-        let counts = ReplayCounts {
-            retries: st.retries,
-            degrades: st.degrades,
-            faults: st.faults,
-            shard_launches: st.shard_launches,
-            prepares: st.prepares,
-            ann_searches: st.ann_searches,
-            ann_probes: st.ann_probes,
-            ann_shortlist_rows: st.ann_shortlist_rows,
-            ann_fits: st.ann_fits,
-            ann_degraded_nprobe: st.ann_degraded_nprobe,
-        };
-        self.record_replay(&mut report, &counts);
-        Ok(report)
-    }
-
-    /// Folds one replay's outcome into the engine's registry and
-    /// assesses configured SLOs (filling [`ServeReport::slo`]).
-    fn record_replay(&mut self, report: &mut ServeReport<T>, extra: &ReplayCounts) {
-        let m = &mut self.metrics;
-        let served = report.responses.len() as u64;
-        m.inc(
-            "serve.requests_arrived_total",
-            served + report.rejected.len() as u64,
-        );
-        m.inc("serve.requests_served_total", served);
-        m.inc(
-            "serve.requests_rejected_total",
-            report.rejected.len() as u64,
-        );
-        for (reason, n) in report.shed_counts() {
-            m.inc(&format!("serve.shed_{}_total", reason.name()), n as u64);
-        }
-        m.inc("serve.degraded_requests_total", report.degraded_requests);
-        m.inc("serve.degraded_batches_total", report.degraded_batches);
-        m.inc("serve.batches_total", report.batches as u64);
-        m.inc("serve.cache_hits_total", report.cache.hits);
-        m.inc("serve.cache_misses_total", report.cache.misses);
-        m.inc("serve.cache_evictions_total", report.cache.evictions);
-        m.inc("serve.retries_total", extra.retries);
-        m.inc("serve.degrades_total", extra.degrades);
-        m.inc("serve.faults_absorbed_total", extra.faults);
-        m.inc("serve.shard_launches_total", extra.shard_launches);
-        m.inc("serve.prepares_total", extra.prepares);
-
-        // `ann.*` only exists in IVF mode, so exact-mode snapshots are
-        // byte-identical to pre-IVF builds.
-        if extra.ann_searches > 0 {
-            m.inc("ann.searches_total", extra.ann_searches);
-            m.inc("ann.probes_total", extra.ann_probes);
-            m.inc("ann.shortlist_rows_total", extra.ann_shortlist_rows);
-            m.inc("ann.fits_total", extra.ann_fits);
-            m.inc("ann.degraded_nprobe_total", extra.ann_degraded_nprobe);
-            if let IndexMode::Ivf { nprobe, .. } = self.config.index {
-                m.set_gauge("ann.nprobe", nprobe.max(1) as f64);
-            }
-        }
-
-        let occupancy = if report.batches > 0 && self.config.max_batch > 0 {
-            served as f64 / (report.batches as f64 * self.config.max_batch as f64)
-        } else {
-            0.0
-        };
-        m.set_gauge("serve.batch_occupancy", occupancy);
-        m.set_gauge("serve.qps", report.qps());
-        m.set_gauge("serve.busy_seconds", report.busy_seconds);
-        m.set_gauge("serve.makespan_s", report.makespan_s);
-        m.set_gauge(
-            "serve.cache_resident_bytes",
-            self.cache.resident_bytes() as f64,
-        );
-        m.set_gauge("serve.cache_budget_bytes", self.cache.budget_bytes() as f64);
-        m.set_gauge("serve.p50_latency_s", report.latency_percentile(50.0));
-        m.set_gauge("serve.p99_latency_s", report.latency_percentile(99.0));
-
-        // Histograms record in canonical (completion, id) order, so
-        // float sums are reproducible bit-for-bit.
-        for r in &report.responses {
-            m.observe("serve.latency_s", r.latency_s());
-            m.observe("serve.queue_wait_s", r.dispatch_s - r.arrival_s);
-            m.observe("serve.exec_s", r.completion_s - r.dispatch_s);
-            m.observe(&format!("serve.d{}.latency_s", r.dataset), r.latency_s());
-        }
-
-        for (&dataset, &budget) in &self.slos {
-            let pairs: Vec<(f64, f64)> = report
-                .responses
-                .iter()
-                .filter(|r| r.dataset == dataset)
-                .map(|r| (r.completion_s, r.latency_s()))
-                .collect();
-            let slo = assess(dataset, budget, &pairs);
-            slo.record(m);
-            report.slo.push(slo);
-        }
-    }
-
-    /// Returns the cached IVF artifact for `dataset` (fingerprint,
-    /// `nlist`, and pool size all matching), fitting and preparing one
-    /// on a miss. The returned flag says whether this call fitted, so
-    /// the dispatching batch can be charged the fit's simulated time.
-    fn ivf_lookup(
-        &mut self,
-        dataset: usize,
-        nn: &NearestNeighbors<T>,
-        nlist: usize,
-    ) -> Result<IvfArtifact<T>, KernelError> {
-        let index = nn.index().expect("fit() the estimator before serving");
-        let fp = fingerprint(index);
-        let nlist_eff = if nlist == 0 {
-            (index.rows() as f64).sqrt().ceil() as usize
-        } else {
-            nlist
-        }
-        .max(1);
-        if let Some(e) = self.ivf.get(&dataset) {
-            if e.fingerprint == fp && e.nlist == nlist_eff && e.devices == self.multi.len() {
-                return Ok((Arc::clone(&e.index), Arc::clone(&e.prepared), 0.0, false));
-            }
-        }
-        let params = IvfParams {
-            nlist: nlist_eff,
-            ..IvfParams::default()
-        };
-        let ivf = Arc::new(IvfIndex::fit(nn, params)?);
-        let prepared = Arc::new(ivf.prepare(&self.multi));
-        let fit_seconds = ivf.fit_sim_seconds();
-        self.ivf.insert(
-            dataset,
-            IvfEntry {
-                fingerprint: fp,
-                nlist: nlist_eff,
-                devices: self.multi.len(),
-                index: Arc::clone(&ivf),
-                prepared: Arc::clone(&prepared),
-            },
-        );
-        Ok((ivf, prepared, fit_seconds, true))
-    }
-
-    fn dispatch(
-        &mut self,
-        fitted: &[NearestNeighbors<T>],
-        st: &mut ReplayState<T>,
-        dataset: usize,
-        close_s: f64,
-    ) -> Result<(), KernelError> {
-        let taken = std::mem::take(&mut st.open[dataset].requests);
-        let degraded = std::mem::replace(&mut st.open[dataset].degraded, false);
-        if taken.is_empty() {
-            return Ok(());
-        }
-        let nn = &fitted[dataset];
-        let cols = nn.index().expect("fitted").cols();
-        let rows: Vec<&CsrMatrix<T>> = taken.iter().map(|r| &r.row).collect();
-        let batch_query = vstack(&rows, cols);
-
-        let batch_id = st.batches;
-        for req in &taken {
-            st.traces.push_event(
-                req.id,
-                close_s,
-                SpanEvent::BatchAdmit {
-                    batch: batch_id,
-                    size: taken.len(),
-                },
-            );
-        }
-
-        let is_ivf = matches!(self.config.index, IndexMode::Ivf { .. });
-        // Degraded batches run through a lazily-built clone of the
-        // estimator forced onto the bloom-filter smem representation —
-        // the low-footprint end of the Hybrid→Hash→Bloom→NaiveCsr
-        // cascade. Same fitted index, same prepared shards, and every
-        // strategy produces bit-identical distances (DESIGN §11), so
-        // degrading trades occupancy headroom, never answer bytes.
-        // (IVF batches degrade differently — by lowering `nprobe`,
-        // handled in the IVF arm below.)
-        if degraded {
-            st.degraded_batches += 1;
-            st.degraded_requests += taken.len() as u64;
-            if !is_ivf {
-                if st.degraded_fit[dataset].is_none() {
-                    let mut opts = *nn.pairwise_options();
-                    opts.smem_mode = SmemMode::Bloom;
-                    st.degraded_fit[dataset] = Some(nn.clone().with_options(opts));
-                }
-                for req in &taken {
-                    st.traces.push_event(
-                        req.id,
-                        close_s,
-                        SpanEvent::AdmissionDegrade {
-                            strategy: "smem=Bloom".to_string(),
-                        },
-                    );
-                }
-            }
-        }
-
-        let start_s = close_s.max(st.device_free_at);
-        let mut prep_s = 0.0;
-        let result = match self.config.index {
-            IndexMode::Exact => {
-                let exec_nn = if degraded {
-                    st.degraded_fit[dataset].as_ref().expect("built above")
-                } else {
-                    nn
-                };
-                if self.config.per_query_prepare {
-                    // Baseline mode: pay uploads + norms on every batch
-                    // (no cache involved, so no cache span events
-                    // either).
-                    st.prepares += 1;
-                    exec_nn.kneighbors_sharded(&self.multi, &batch_query, self.config.k)?
-                } else {
-                    let (shards, outcome) = self.cache.lookup(nn, &self.multi)?;
-                    for req in &taken {
-                        if outcome.hit {
-                            st.traces.push_event(req.id, close_s, SpanEvent::CacheHit);
-                        } else {
-                            st.traces.push_event(
-                                req.id,
-                                close_s,
-                                SpanEvent::CacheMiss {
-                                    evictions: outcome.evictions,
-                                },
-                            );
-                            st.traces.push_event(
-                                req.id,
-                                start_s,
-                                SpanEvent::Prepare {
-                                    seconds: outcome.warm_seconds,
-                                },
-                            );
-                        }
-                    }
-                    if !outcome.hit {
-                        st.prepares += 1;
-                    }
-                    prep_s = outcome.warm_seconds;
-                    exec_nn.kneighbors_prepared(&shards, &batch_query, self.config.k)?
-                }
-            }
-            IndexMode::Ivf { nlist, nprobe } => {
-                // The fitted IVF artifact is cached per dataset; the
-                // first batch to touch a dataset pays the k-means fit
-                // the same way the first exact batch pays norm warming.
-                let (ivf, prepared, fit_seconds, fitted_now) =
-                    self.ivf_lookup(dataset, nn, nlist)?;
-                for req in &taken {
-                    if fitted_now {
-                        st.traces.push_event(
-                            req.id,
-                            close_s,
-                            SpanEvent::CacheMiss { evictions: 0 },
-                        );
-                        st.traces.push_event(
-                            req.id,
-                            start_s,
-                            SpanEvent::Prepare {
-                                seconds: fit_seconds,
-                            },
-                        );
-                    } else {
-                        st.traces.push_event(req.id, close_s, SpanEvent::CacheHit);
-                    }
-                }
-                if fitted_now {
-                    st.prepares += 1;
-                    st.ann_fits += 1;
-                    prep_s += fit_seconds;
-                }
-                // Degrade cascade, IVF edition: under admission
-                // pressure the batch probes half as many posting lists
-                // — visible in `ann.*` counters and the span stream,
-                // recovered the moment pressure lifts.
-                let nprobe_eff = if degraded {
-                    st.ann_degraded_nprobe += 1;
-                    let lowered = (nprobe.max(1) / 2).max(1);
-                    for req in &taken {
-                        st.traces.push_event(
-                            req.id,
-                            close_s,
-                            SpanEvent::AdmissionDegrade {
-                                strategy: format!("nprobe={lowered}"),
-                            },
-                        );
-                    }
-                    lowered
-                } else {
-                    nprobe.max(1)
-                };
-                st.ann_searches += 1;
-                if nprobe_eff >= ivf.nlist() {
-                    // Full probe degenerates to the exact tier: the
-                    // same `PreparedShards` artifact and execution core
-                    // `IndexMode::Exact` serves with, so the response
-                    // bytes equal the exact oracle's by construction
-                    // (DESIGN §15) — gathered posting-list slabs could
-                    // only reproduce them to re-association precision.
-                    let rows = batch_query.rows();
-                    st.ann_probes += (rows * ivf.nlist()) as u64;
-                    st.ann_shortlist_rows += (rows * ivf.index_rows()) as u64;
-                    let (shards, outcome) = self.cache.lookup(nn, &self.multi)?;
-                    if !outcome.hit {
-                        st.prepares += 1;
-                    }
-                    prep_s += outcome.warm_seconds;
-                    nn.kneighbors_prepared(&shards, &batch_query, self.config.k)?
-                } else {
-                    let ans =
-                        ivf.search_prepared(&prepared, &batch_query, self.config.k, nprobe_eff)?;
-                    st.ann_probes += ans.stats.probes as u64;
-                    st.ann_shortlist_rows += ans.stats.shortlist_rows as u64;
-                    ans.knn
-                }
-            }
-        };
-        let exec_seconds = prep_s + result.sim_seconds;
-
-        for (slot, secs) in result.per_device_seconds.iter().enumerate() {
-            st.shard_launches += 1;
-            for req in &taken {
-                st.traces.push_event(
-                    req.id,
-                    start_s,
-                    SpanEvent::ShardLaunch {
-                        shard: slot,
-                        device_slot: slot,
-                        seconds: *secs,
-                    },
-                );
-            }
-        }
-
-        let max_attempts = result
-            .resilience
-            .iter()
-            .map(|r| r.attempts)
-            .max()
-            .unwrap_or(1);
-        let batch_faults: usize = result
-            .resilience
-            .iter()
-            .map(|r| r.faults_absorbed.len())
-            .sum();
-        let downgraded = result.resilience.iter().find(|r| r.downgraded);
-        st.retries += result
-            .resilience
-            .iter()
-            .map(|r| r.attempts.saturating_sub(1) as u64)
-            .sum::<u64>();
-        st.degrades += result.resilience.iter().filter(|r| r.downgraded).count() as u64;
-        st.faults += batch_faults as u64;
-        if max_attempts > 1 || batch_faults > 0 {
-            for req in &taken {
-                st.traces.push_event(
-                    req.id,
-                    start_s,
-                    SpanEvent::Retry {
-                        attempts: max_attempts,
-                        faults: batch_faults,
-                    },
-                );
-            }
-        }
-        if let Some(r) = downgraded {
-            let strategy = format!("{:?}", r.final_strategy);
-            for req in &taken {
-                st.traces.push_event(
-                    req.id,
-                    start_s,
-                    SpanEvent::Degrade {
-                        strategy: strategy.clone(),
-                    },
-                );
-            }
-        }
-
-        let completion_s = start_s + exec_seconds;
-        st.device_free_at = completion_s;
-        st.busy_seconds += exec_seconds;
-        st.batches += 1;
-        st.inflight.push((completion_s, taken.len()));
-
-        for (i, req) in taken.into_iter().enumerate() {
-            st.traces.push_event(req.id, completion_s, SpanEvent::Merge);
-            st.traces
-                .finish_request(req.id, completion_s, completion_s - req.arrival_s);
-            st.responses.push(Response {
-                id: req.id,
-                dataset,
-                indices: result.indices[i].clone(),
-                distances: result.distances[i].clone(),
-                arrival_s: req.arrival_s,
-                dispatch_s: start_s,
-                completion_s,
-            });
-        }
-        Ok(())
+        self.serve(&mut Source::Fitted(fitted), &[], requests)
     }
 
     /// Replays a merged stream of WAL writes and query requests against
@@ -962,47 +461,16 @@ impl<T: Real> ServeEngine<T> {
             matches!(self.config.index, IndexMode::Exact),
             "mutable ingest serves the exact tier only"
         );
-        let stats_before = self.cache.stats();
-        let mut order: Vec<&Request<T>> = requests.iter().collect();
-        order.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
         let mut wseq: Vec<&TimedRecord<T>> = writes.iter().collect();
         wseq.sort_by(|a, b| {
             a.at_s
                 .total_cmp(&b.at_s)
                 .then(a.record.seq.cmp(&b.record.seq))
         });
-
-        let admission = self.config.admission;
-        let mut st = ReplayState {
-            open: vec![OpenBatch {
-                requests: Vec::new(),
-                degraded: false,
-            }],
-            responses: Vec::new(),
-            rejected: Vec::new(),
-            inflight: Vec::new(),
-            device_free_at: 0.0,
-            batches: 0,
-            busy_seconds: 0.0,
-            traces: RequestTraces::new(),
-            retries: 0,
-            degrades: 0,
-            faults: 0,
-            shard_launches: 0,
-            prepares: 0,
-            buckets: admission
-                .map(|cfg| vec![TokenBucket::new(&cfg)])
-                .unwrap_or_default(),
-            degraded_fit: vec![None],
-            degraded_requests: 0,
-            degraded_batches: 0,
-            ann_searches: 0,
-            ann_probes: 0,
-            ann_shortlist_rows: 0,
-            ann_fits: 0,
-            ann_degraded_nprobe: 0,
-        };
-        let mut ing = IngestState {
+        let mut ing = Ingest {
+            proto,
+            dataset,
+            compact_threshold,
             pending: None,
             base_fit: None,
             wal: WalCounts::default(),
@@ -1011,70 +479,90 @@ impl<T: Real> ServeEngine<T> {
             compactions: Vec::new(),
             fresh_scans: 0,
         };
-        let mut nq = 0usize;
-        let mut nw = 0usize;
+        let serve = self.serve(&mut Source::Mutable(&mut ing), &wseq, requests)?;
+        self.record_ingest(&ing);
+        // A compaction still in flight at stream end stays pending: the
+        // report's started/landed counts record the difference.
+        Ok(IngestReport {
+            serve,
+            wal: ing.wal,
+            wal_errors: ing.wal_errors,
+            compactions_started: ing.compactions_started,
+            compactions: ing.compactions,
+            final_generation: ing.dataset.generation(),
+        })
+    }
+
+    /// The one discrete-event loop behind [`Self::replay`] and
+    /// [`Self::replay_ingest`] (`writes` is empty for fitted sources).
+    /// The next event is the earliest of an open batch's wait deadline
+    /// (ties by dataset id), a write, and an arrival; equal times
+    /// resolve deadline → write → arrival, so a same-instant write
+    /// still flushes the batch of earlier arrivals before mutating the
+    /// dataset, and an arrival at a deadline joins the next batch.
+    fn serve(
+        &mut self,
+        src: &mut Source<'_, '_, T>,
+        writes: &[&TimedRecord<T>],
+        requests: &[Request<T>],
+    ) -> Result<ServeReport<T>, KernelError> {
+        let stats_before = self.cache.stats();
+        let mut order: Vec<&Request<T>> = requests.iter().collect();
+        order.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
+
+        let datasets = match src {
+            Source::Fitted(fitted) => fitted.len(),
+            Source::Mutable(_) => 1,
+        };
+        let admission = self.config.admission;
+        let mut st = ReplayState::new(datasets, admission.as_ref());
+        let (mut nq, mut nw) = (0usize, 0usize);
+        let not_after = |t: f64, other: Option<f64>| other.is_none_or(|o| t <= o);
 
         loop {
-            let deadline = st.open[0]
-                .requests
-                .first()
-                .map(|r| r.arrival_s + self.config.max_wait_s);
-            let write = wseq.get(nw).map(|w| w.at_s);
+            let deadline = st
+                .open
+                .iter()
+                .enumerate()
+                .filter_map(|(d, b)| {
+                    b.requests
+                        .first()
+                        .map(|r| (r.arrival_s + self.config.max_wait_s, d))
+                })
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let write = writes.get(nw).map(|w| w.at_s);
             let arrival = order.get(nq).map(|r| r.arrival_s);
 
-            // Earliest event wins; ties resolve deadline → write →
-            // query, so a same-instant write still flushes the batch
-            // of earlier arrivals before mutating state.
-            let due_deadline = deadline
-                .is_some_and(|t| write.is_none_or(|w| t <= w) && arrival.is_none_or(|a| t <= a));
-            let due_write = !due_deadline && write.is_some_and(|w| arrival.is_none_or(|a| w <= a));
-
-            if due_deadline {
-                let t = deadline.expect("checked above");
-                self.dispatch_ingest(proto, dataset, &mut st, &mut ing, t)?;
-            } else if due_write {
-                let w = wseq[nw];
+            if let Some((t, d)) =
+                deadline.filter(|&(t, _)| not_after(t, write) && not_after(t, arrival))
+            {
+                self.dispatch(src, &mut st, d, t)?;
+            } else if let Some(at) = write.filter(|&w| not_after(w, arrival)) {
+                let w = writes[nw];
                 nw += 1;
                 // Read-your-writes boundary: queries already admitted
-                // are answered against pre-write state.
-                self.dispatch_ingest(proto, dataset, &mut st, &mut ing, w.at_s)?;
-                Self::land_ready_compaction(dataset, &mut ing, w.at_s);
-                ing.wal.appended += 1;
-                match dataset.apply(&w.record) {
-                    Ok(AppliedOp::Inserted { .. }) => {
-                        ing.wal.applied += 1;
-                        ing.wal.inserts += 1;
-                    }
-                    Ok(AppliedOp::Deleted { .. }) => {
-                        ing.wal.applied += 1;
-                        ing.wal.deletes += 1;
-                    }
-                    Err(e) => {
-                        ing.wal.rejected += 1;
-                        ing.wal_errors.push((w.record.seq, e));
-                    }
-                }
-                if compact_threshold > 0
-                    && ing.pending.is_none()
-                    && dataset.pending_ops() >= compact_threshold
-                {
-                    self.start_compaction(proto, dataset, &mut ing, w.at_s)?;
+                // are answered against pre-write state (the flush also
+                // lands a ready compaction).
+                self.dispatch(src, &mut st, 0, at)?;
+                if let Source::Mutable(ing) = src {
+                    self.apply_write(ing, w)?;
                 }
             } else if let Some(at) = arrival {
                 let r = order[nq];
                 nq += 1;
-                if r.dataset != 0 {
+                if r.dataset >= datasets {
                     return Err(KernelError::ShapeMismatch {
                         a_cols: r.dataset,
-                        b_cols: 1,
+                        b_cols: datasets,
                     });
                 }
                 st.inflight.retain(|&(done, _)| done > at);
-                let backlog: usize =
-                    st.open[0].requests.len() + st.inflight.iter().map(|&(_, n)| n).sum::<usize>();
-                st.traces.begin_request(r.id, 0, r.arrival_s);
+                let backlog: usize = st.open.iter().map(|b| b.requests.len()).sum::<usize>()
+                    + st.inflight.iter().map(|&(_, n)| n).sum::<usize>();
+                st.traces.begin_request(r.id, r.dataset, r.arrival_s);
+                let d = r.dataset;
                 let decision = match admission {
-                    Some(cfg) => st.buckets[0].admit(&cfg, at, backlog, self.config.max_queue),
+                    Some(cfg) => st.buckets[d].admit(&cfg, at, backlog, self.config.max_queue),
                     None if backlog >= self.config.max_queue => {
                         AdmissionDecision::Shed(ShedReason::QueueFull)
                     }
@@ -1086,19 +574,17 @@ impl<T: Real> ServeEngine<T> {
                         st.traces.reject_request(r.id, at, backlog, reason);
                         continue;
                     }
-                    AdmissionDecision::Degrade => st.open[0].degraded = true,
+                    AdmissionDecision::Degrade => st.open[d].degraded = true,
                     AdmissionDecision::Admit => {}
                 }
-                st.open[0].requests.push(r.clone());
-                if st.open[0].requests.len() >= self.config.max_batch {
-                    self.dispatch_ingest(proto, dataset, &mut st, &mut ing, at)?;
+                st.open[d].requests.push(r.clone());
+                if st.open[d].requests.len() >= self.config.max_batch {
+                    self.dispatch(src, &mut st, d, at)?;
                 }
             } else {
                 break;
             }
         }
-        // A compaction still in flight at stream end stays pending: the
-        // report's started/landed counts record the difference.
 
         st.responses.sort_by(|a, b| {
             a.completion_s
@@ -1113,9 +599,9 @@ impl<T: Real> ServeEngine<T> {
             .fold(0.0f64, f64::max)
             - first_arrival;
         let after = self.cache.stats();
-        let mut serve = ServeReport {
-            responses: st.responses,
-            rejected: st.rejected,
+        let mut report = ServeReport {
+            responses: std::mem::take(&mut st.responses),
+            rejected: std::mem::take(&mut st.rejected),
             batches: st.batches,
             busy_seconds: st.busy_seconds,
             makespan_s: makespan_s.max(0.0),
@@ -1125,55 +611,110 @@ impl<T: Real> ServeEngine<T> {
                 evictions: after.evictions - stats_before.evictions,
                 eviction_probes: after.eviction_probes - stats_before.eviction_probes,
             },
-            spans: st.traces.into_spans(),
+            spans: std::mem::take(&mut st.traces).into_spans(),
             slo: Vec::new(),
             degraded_requests: st.degraded_requests,
             degraded_batches: st.degraded_batches,
         };
-        let counts = ReplayCounts {
-            retries: st.retries,
-            degrades: st.degrades,
-            faults: st.faults,
-            shard_launches: st.shard_launches,
-            prepares: st.prepares,
-            ann_searches: 0,
-            ann_probes: 0,
-            ann_shortlist_rows: 0,
-            ann_fits: 0,
-            ann_degraded_nprobe: 0,
-        };
-        self.record_replay(&mut serve, &counts);
-        let report = IngestReport {
-            serve,
-            wal: ing.wal,
-            wal_errors: ing.wal_errors,
-            compactions_started: ing.compactions_started,
-            compactions: ing.compactions,
-            final_generation: dataset.generation(),
-        };
-        self.record_ingest(&report, dataset, ing.fresh_scans);
+        self.record_replay(&st, &mut report);
         Ok(report)
+    }
+
+    /// Folds one replay's outcome into the engine's registry and
+    /// assesses configured SLOs (filling [`ServeReport::slo`]).
+    fn record_replay(&mut self, st: &ReplayState<T>, report: &mut ServeReport<T>) {
+        let m = &mut self.metrics;
+        let served = report.responses.len() as u64;
+        m.inc(
+            "serve.requests_arrived_total",
+            served + report.rejected.len() as u64,
+        );
+        m.inc("serve.requests_served_total", served);
+        m.inc(
+            "serve.requests_rejected_total",
+            report.rejected.len() as u64,
+        );
+        for (reason, n) in report.shed_counts() {
+            m.inc(&format!("serve.shed_{}_total", reason.name()), n as u64);
+        }
+        m.inc("serve.degraded_requests_total", report.degraded_requests);
+        m.inc("serve.degraded_batches_total", report.degraded_batches);
+        m.inc("serve.batches_total", report.batches as u64);
+        m.inc("serve.cache_hits_total", report.cache.hits);
+        m.inc("serve.cache_misses_total", report.cache.misses);
+        m.inc("serve.cache_evictions_total", report.cache.evictions);
+        m.inc("serve.retries_total", st.retries);
+        m.inc("serve.degrades_total", st.degrades);
+        m.inc("serve.faults_absorbed_total", st.faults);
+        m.inc("serve.shard_launches_total", st.shard_launches);
+        m.inc("serve.prepares_total", st.prepares);
+
+        // `ann.*` only exists in IVF mode, so exact-mode snapshots are
+        // byte-identical to pre-IVF builds.
+        if st.ann_searches > 0 {
+            m.inc("ann.searches_total", st.ann_searches);
+            m.inc("ann.probes_total", st.ann_probes);
+            m.inc("ann.shortlist_rows_total", st.ann_shortlist_rows);
+            m.inc("ann.fits_total", st.ann_fits);
+            m.inc("ann.degraded_nprobe_total", st.ann_degraded_nprobe);
+            if let IndexMode::Ivf { nprobe, .. } = self.config.index {
+                m.set_gauge("ann.nprobe", nprobe.max(1) as f64);
+            }
+        }
+
+        let occupancy = if report.batches > 0 && self.config.max_batch > 0 {
+            served as f64 / (report.batches as f64 * self.config.max_batch as f64)
+        } else {
+            0.0
+        };
+        m.set_gauge("serve.batch_occupancy", occupancy);
+        m.set_gauge("serve.qps", report.qps());
+        m.set_gauge("serve.busy_seconds", report.busy_seconds);
+        m.set_gauge("serve.makespan_s", report.makespan_s);
+        m.set_gauge(
+            "serve.cache_resident_bytes",
+            self.cache.resident_bytes() as f64,
+        );
+        m.set_gauge("serve.cache_budget_bytes", self.cache.budget_bytes() as f64);
+        m.set_gauge("serve.p50_latency_s", report.latency_percentile(50.0));
+        m.set_gauge("serve.p99_latency_s", report.latency_percentile(99.0));
+
+        // Histograms record in canonical (completion, id) order, so
+        // float sums are reproducible bit-for-bit.
+        for r in &report.responses {
+            m.observe("serve.latency_s", r.latency_s());
+            m.observe("serve.queue_wait_s", r.dispatch_s - r.arrival_s);
+            m.observe("serve.exec_s", r.completion_s - r.dispatch_s);
+            m.observe(&format!("serve.d{}.latency_s", r.dataset), r.latency_s());
+        }
+
+        for (&dataset, &budget) in &self.slos {
+            let pairs: Vec<(f64, f64)> = report
+                .responses
+                .iter()
+                .filter(|r| r.dataset == dataset)
+                .map(|r| (r.completion_s, r.latency_s()))
+                .collect();
+            let slo = assess(dataset, budget, &pairs);
+            slo.record(m);
+            report.slo.push(slo);
+        }
     }
 
     /// Folds one ingest replay's `wal.*` / `compact.*` signals into the
     /// registry. Emitted only by ingest replays, so immutable-serving
     /// snapshots are byte-identical to pre-WAL builds.
-    fn record_ingest(
-        &mut self,
-        report: &IngestReport<T>,
-        dataset: &MutableDataset<T>,
-        fresh_scans: u64,
-    ) {
+    fn record_ingest(&mut self, ing: &Ingest<'_, T>) {
         let m = &mut self.metrics;
-        m.inc("wal.records_appended_total", report.wal.appended);
-        m.inc("wal.records_applied_total", report.wal.applied);
-        m.inc("wal.records_rejected_total", report.wal.rejected);
-        m.inc("wal.inserts_total", report.wal.inserts);
-        m.inc("wal.deletes_total", report.wal.deletes);
-        m.inc("wal.fresh_scans_total", fresh_scans);
-        m.inc("compact.started_total", report.compactions_started);
-        m.inc("compact.completed_total", report.compactions.len() as u64);
-        for c in &report.compactions {
+        m.inc("wal.records_appended_total", ing.wal.appended);
+        m.inc("wal.records_applied_total", ing.wal.applied);
+        m.inc("wal.records_rejected_total", ing.wal.rejected);
+        m.inc("wal.inserts_total", ing.wal.inserts);
+        m.inc("wal.deletes_total", ing.wal.deletes);
+        m.inc("wal.fresh_scans_total", ing.fresh_scans);
+        m.inc("compact.started_total", ing.compactions_started);
+        m.inc("compact.completed_total", ing.compactions.len() as u64);
+        for c in &ing.compactions {
             m.inc("compact.rows_total", c.rows as u64);
             m.inc(
                 "compact.tombstones_cleared_total",
@@ -1182,10 +723,42 @@ impl<T: Real> ServeEngine<T> {
             m.inc("compact.folded_fresh_total", c.folded_fresh as u64);
             m.observe("compact.seconds", c.seconds);
         }
-        m.set_gauge("wal.fresh_rows", dataset.fresh_rows() as f64);
-        m.set_gauge("wal.tombstones", dataset.tombstone_count() as f64);
-        m.set_gauge("wal.live_rows", dataset.live_rows() as f64);
-        m.set_gauge("compact.generation", dataset.generation() as f64);
+        m.set_gauge("wal.fresh_rows", ing.dataset.fresh_rows() as f64);
+        m.set_gauge("wal.tombstones", ing.dataset.tombstone_count() as f64);
+        m.set_gauge("wal.live_rows", ing.dataset.live_rows() as f64);
+        m.set_gauge("compact.generation", ing.dataset.generation() as f64);
+    }
+
+    /// Applies one WAL write (the caller has already flushed the open
+    /// batch) and starts a background compaction once the dataset's
+    /// pending deltas reach the threshold.
+    fn apply_write(
+        &mut self,
+        ing: &mut Ingest<'_, T>,
+        w: &TimedRecord<T>,
+    ) -> Result<(), KernelError> {
+        ing.wal.appended += 1;
+        match ing.dataset.apply(&w.record) {
+            Ok(AppliedOp::Inserted { .. }) => {
+                ing.wal.applied += 1;
+                ing.wal.inserts += 1;
+            }
+            Ok(AppliedOp::Deleted { .. }) => {
+                ing.wal.applied += 1;
+                ing.wal.deletes += 1;
+            }
+            Err(e) => {
+                ing.wal.rejected += 1;
+                ing.wal_errors.push((w.record.seq, e));
+            }
+        }
+        if ing.compact_threshold > 0
+            && ing.pending.is_none()
+            && ing.dataset.pending_ops() >= ing.compact_threshold
+        {
+            self.start_compaction(ing, w.at_s)?;
+        }
+        Ok(())
     }
 
     /// Snapshots the dataset and pre-warms the next generation's shards
@@ -1193,16 +766,10 @@ impl<T: Real> ServeEngine<T> {
     /// is the compaction's duration — spent on the maintenance lane,
     /// not the serving lane — and the swap lands at the first event on
     /// or after `started + seconds`.
-    fn start_compaction(
-        &mut self,
-        proto: &NearestNeighbors<T>,
-        dataset: &MutableDataset<T>,
-        ing: &mut IngestState<T>,
-        t: f64,
-    ) -> Result<(), KernelError> {
-        let job = dataset.begin_compaction();
+    fn start_compaction(&mut self, ing: &mut Ingest<'_, T>, t: f64) -> Result<(), KernelError> {
+        let job = ing.dataset.begin_compaction();
         let (nn, seconds) = if job.matrix.rows() > 0 {
-            let nn = proto.clone().fit(job.matrix.clone());
+            let nn = ing.proto.clone().fit(job.matrix.clone());
             let (_, outcome) = self
                 .cache
                 .lookup_generation(&nn, &self.multi, job.generation)?;
@@ -1222,68 +789,61 @@ impl<T: Real> ServeEngine<T> {
         Ok(())
     }
 
-    /// Lands the pending compaction if its ready time has passed.
-    fn land_ready_compaction(dataset: &mut MutableDataset<T>, ing: &mut IngestState<T>, t: f64) {
-        let ready = ing.pending.as_ref().is_some_and(|p| p.ready_s <= t);
-        if !ready {
-            return;
-        }
-        let p = ing.pending.take().expect("checked above");
-        let generation = p.job.generation;
-        let outcome = dataset.finish_compaction(p.job);
-        ing.base_fit = p.nn.map(|nn| (generation, nn));
-        ing.compactions.push(CompactionRecord {
-            generation,
-            started_s: p.started_s,
-            ready_s: p.ready_s,
-            seconds: p.seconds,
-            rows: outcome.rows,
-            cleared_tombstones: outcome.cleared_tombstones,
-            folded_fresh: outcome.folded_fresh,
-        });
-    }
-
-    /// Closes and executes the open batch against the mutable dataset:
-    /// base arm through the generation-keyed cache, fresh arm as a
-    /// brute-force scan, tombstone masking and `cmp_dist_idx` merge
-    /// into live-rank coordinates.
-    fn dispatch_ingest(
+    /// Closes `dataset`'s open batch at `close_s` and executes it: one
+    /// arm for a fitted dataset (exact tier or IVF), or a base arm plus
+    /// a fresh-segment scan, tombstone-masked and merged into live-rank
+    /// coordinates, for a mutable one. Charges the device lane, records
+    /// shard/retry/degrade accounting and spans, and emits responses.
+    fn dispatch(
         &mut self,
-        proto: &NearestNeighbors<T>,
-        dataset: &mut MutableDataset<T>,
+        src: &mut Source<'_, '_, T>,
         st: &mut ReplayState<T>,
-        ing: &mut IngestState<T>,
+        dataset: usize,
         close_s: f64,
     ) -> Result<(), KernelError> {
-        // Serve against the newest landed generation first.
-        Self::land_ready_compaction(dataset, ing, close_s);
-        let taken = std::mem::take(&mut st.open[0].requests);
-        let degraded = std::mem::replace(&mut st.open[0].degraded, false);
+        if let Source::Mutable(ing) = src {
+            // Serve against the newest landed generation first.
+            ing.land_ready_compaction(close_s);
+        }
+        let taken = std::mem::take(&mut st.open[dataset].requests);
+        let degraded = std::mem::replace(&mut st.open[dataset].degraded, false);
         if taken.is_empty() {
             return Ok(());
         }
+        let cols = match src {
+            Source::Fitted(fitted) => fitted[dataset].index().expect("fitted").cols(),
+            Source::Mutable(ing) => ing.dataset.cols(),
+        };
         let rows: Vec<&CsrMatrix<T>> = taken.iter().map(|r| &r.row).collect();
-        let batch_query = vstack(&rows, dataset.cols());
-        let k = self.config.k;
-        let plan = dataset.rank_plan();
+        let batch = Batch {
+            requests: &taken,
+            query: vstack(&rows, cols),
+            dataset,
+            close_s,
+            start_s: close_s.max(st.device_free_at),
+        };
+        batch.emit(
+            &mut st.traces,
+            close_s,
+            SpanEvent::BatchAdmit {
+                batch: st.batches,
+                size: taken.len(),
+            },
+        );
 
-        let batch_id = st.batches;
-        for req in &taken {
-            st.traces.push_event(
-                req.id,
-                close_s,
-                SpanEvent::BatchAdmit {
-                    batch: batch_id,
-                    size: taken.len(),
-                },
-            );
-        }
+        // Degraded exact batches run through the bloom-filter clone of
+        // the base estimator (`base_arm`); IVF batches degrade by
+        // lowering `nprobe` instead (`ivf_arm`).
+        let ivf_mode = match self.config.index {
+            IndexMode::Ivf { nlist, nprobe } => Some((nlist, nprobe)),
+            IndexMode::Exact => None,
+        };
         if degraded {
             st.degraded_batches += 1;
             st.degraded_requests += taken.len() as u64;
-            for req in &taken {
-                st.traces.push_event(
-                    req.id,
+            if ivf_mode.is_none() {
+                batch.emit(
+                    &mut st.traces,
                     close_s,
                     SpanEvent::AdmissionDegrade {
                         strategy: "smem=Bloom".to_string(),
@@ -1291,170 +851,131 @@ impl<T: Real> ServeEngine<T> {
                 );
             }
         }
-        let degrade_opts = |nn: &NearestNeighbors<T>| {
-            let mut opts = *nn.pairwise_options();
-            opts.smem_mode = SmemMode::Bloom;
-            nn.clone().with_options(opts)
-        };
 
-        let start_s = close_s.max(st.device_free_at);
+        let k = self.config.k;
         let mut prep_s = 0.0;
-
-        // Base arm: over-fetch k + dead so tombstone masking can never
-        // starve the merge, through the generation-keyed cache.
-        let base_result = if dataset.base().rows() > 0 && k > 0 {
-            let refit = !matches!(&ing.base_fit, Some((g, _)) if *g == dataset.generation());
-            if refit {
-                ing.base_fit = Some((
-                    dataset.generation(),
-                    proto.clone().fit(dataset.base().clone()),
-                ));
-            }
-            let (_, base_nn) = ing.base_fit.as_ref().expect("fitted above");
-            let k_base = (k + plan.base_dead).min(dataset.base().rows());
-            let exec_nn = if degraded {
-                degrade_opts(base_nn)
-            } else {
-                base_nn.clone()
-            };
-            let result = if self.config.per_query_prepare {
-                st.prepares += 1;
-                exec_nn.kneighbors_sharded(&self.multi, &batch_query, k_base)?
-            } else {
-                let (shards, outcome) =
-                    self.cache
-                        .lookup_generation(base_nn, &self.multi, dataset.generation())?;
-                for req in &taken {
-                    if outcome.hit {
-                        st.traces.push_event(req.id, close_s, SpanEvent::CacheHit);
-                    } else {
-                        st.traces.push_event(
-                            req.id,
-                            close_s,
-                            SpanEvent::CacheMiss {
-                                evictions: outcome.evictions,
-                            },
-                        );
-                        st.traces.push_event(
-                            req.id,
-                            start_s,
-                            SpanEvent::Prepare {
-                                seconds: outcome.warm_seconds,
-                            },
-                        );
+        let mut generation = None;
+        let (mut arms, merged) = match src {
+            Source::Fitted(fitted) => {
+                let nn = &fitted[dataset];
+                let (arm, prep) = match ivf_mode {
+                    None => self.base_arm(st, &batch, nn, 0, k, degraded)?,
+                    Some((nlist, nprobe)) => {
+                        self.ivf_arm(st, &batch, nn, nlist, nprobe, degraded)?
                     }
-                }
-                if !outcome.hit {
-                    st.prepares += 1;
-                }
-                prep_s += outcome.warm_seconds;
-                exec_nn.kneighbors_prepared(&shards, &batch_query, k_base)?
-            };
-            Some(result)
-        } else {
-            None
-        };
-
-        // Fresh arm: brute-force scan, re-uploaded every batch — that
-        // is the cost compaction exists to bound.
-        let fresh_result = if dataset.fresh_rows() > 0 && k > 0 {
-            ing.fresh_scans += 1;
-            let fresh_nn = {
-                let fitted = proto.clone().fit(dataset.fresh_matrix());
-                if degraded {
-                    degrade_opts(&fitted)
-                } else {
-                    fitted
-                }
-            };
-            let k_fresh = (k + plan.fresh_dead).min(dataset.fresh_rows());
-            for req in &taken {
-                st.traces.push_event(
-                    req.id,
-                    close_s,
-                    SpanEvent::FreshScan {
-                        rows: dataset.fresh_rows(),
-                        tombstoned: plan.fresh_dead,
-                    },
-                );
+                };
+                prep_s = prep;
+                (vec![arm], None)
             }
-            Some(fresh_nn.kneighbors_sharded(&self.multi, &batch_query, k_fresh)?)
-        } else {
-            None
+            Source::Mutable(ing) => {
+                let ds = &*ing.dataset;
+                let plan = ds.rank_plan();
+                generation = Some(ds.generation());
+                // Base arm: over-fetch k + dead so tombstone masking can
+                // never starve the merge, through the generation-keyed
+                // cache.
+                let base = if ds.base().rows() > 0 && k > 0 {
+                    if !matches!(&ing.base_fit, Some((g, _)) if *g == ds.generation()) {
+                        let nn = ing.proto.clone().fit(ds.base().clone());
+                        ing.base_fit = Some((ds.generation(), nn));
+                    }
+                    let (_, base_nn) = ing.base_fit.as_ref().expect("fitted above");
+                    let k_base = (k + plan.base_dead).min(ds.base().rows());
+                    let (arm, prep) =
+                        self.base_arm(st, &batch, base_nn, ds.generation(), k_base, degraded)?;
+                    prep_s = prep;
+                    Some(arm)
+                } else {
+                    None
+                };
+                // Fresh arm: brute-force scan, re-uploaded every batch —
+                // that is the cost compaction exists to bound.
+                let fresh = if ds.fresh_rows() > 0 && k > 0 {
+                    ing.fresh_scans += 1;
+                    let mut fresh_nn = ing.proto.clone().fit(ds.fresh_matrix());
+                    if degraded {
+                        fresh_nn = bloom(fresh_nn);
+                    }
+                    let k_fresh = (k + plan.fresh_dead).min(ds.fresh_rows());
+                    batch.emit(
+                        &mut st.traces,
+                        close_s,
+                        SpanEvent::FreshScan {
+                            rows: ds.fresh_rows(),
+                            tombstoned: plan.fresh_dead,
+                        },
+                    );
+                    Some(fresh_nn.kneighbors_sharded(&self.multi, &batch.query, k_fresh)?)
+                } else {
+                    None
+                };
+                let merged = merge_arms(
+                    k,
+                    &plan,
+                    base.as_ref()
+                        .map(|r| (r.indices.as_slice(), r.distances.as_slice())),
+                    fresh
+                        .as_ref()
+                        .map(|r| (r.indices.as_slice(), r.distances.as_slice())),
+                    taken.len(),
+                );
+                (base.into_iter().chain(fresh).collect(), Some(merged))
+            }
         };
 
+        let start_s = batch.start_s;
         let mut exec_seconds = prep_s;
-        for result in [&base_result, &fresh_result].into_iter().flatten() {
+        for result in &arms {
             exec_seconds += result.sim_seconds;
             for (slot, secs) in result.per_device_seconds.iter().enumerate() {
                 st.shard_launches += 1;
-                for req in &taken {
-                    st.traces.push_event(
-                        req.id,
-                        start_s,
-                        SpanEvent::ShardLaunch {
-                            shard: slot,
-                            device_slot: slot,
-                            seconds: *secs,
-                        },
-                    );
-                }
+                batch.emit(
+                    &mut st.traces,
+                    start_s,
+                    SpanEvent::ShardLaunch {
+                        shard: slot,
+                        device_slot: slot,
+                        seconds: *secs,
+                    },
+                );
             }
-            let max_attempts = result
-                .resilience
-                .iter()
-                .map(|r| r.attempts)
-                .max()
-                .unwrap_or(1);
-            let batch_faults: usize = result
-                .resilience
-                .iter()
-                .map(|r| r.faults_absorbed.len())
-                .sum();
-            st.retries += result
-                .resilience
+            let resilience = &result.resilience;
+            let max_attempts = resilience.iter().map(|r| r.attempts).max().unwrap_or(1);
+            let batch_faults: usize = resilience.iter().map(|r| r.faults_absorbed.len()).sum();
+            st.retries += resilience
                 .iter()
                 .map(|r| r.attempts.saturating_sub(1) as u64)
                 .sum::<u64>();
-            st.degrades += result.resilience.iter().filter(|r| r.downgraded).count() as u64;
+            st.degrades += resilience.iter().filter(|r| r.downgraded).count() as u64;
             st.faults += batch_faults as u64;
             if max_attempts > 1 || batch_faults > 0 {
-                for req in &taken {
-                    st.traces.push_event(
-                        req.id,
-                        start_s,
-                        SpanEvent::Retry {
-                            attempts: max_attempts,
-                            faults: batch_faults,
-                        },
-                    );
-                }
+                batch.emit(
+                    &mut st.traces,
+                    start_s,
+                    SpanEvent::Retry {
+                        attempts: max_attempts,
+                        faults: batch_faults,
+                    },
+                );
             }
-            if let Some(r) = result.resilience.iter().find(|r| r.downgraded) {
-                let strategy = format!("{:?}", r.final_strategy);
-                for req in &taken {
-                    st.traces.push_event(
-                        req.id,
-                        start_s,
-                        SpanEvent::Degrade {
-                            strategy: strategy.clone(),
-                        },
-                    );
-                }
+            if let Some(r) = resilience.iter().find(|r| r.downgraded) {
+                batch.emit(
+                    &mut st.traces,
+                    start_s,
+                    SpanEvent::Degrade {
+                        strategy: format!("{:?}", r.final_strategy),
+                    },
+                );
             }
         }
-
-        let (indices, distances) = merge_arms(
-            k,
-            &plan,
-            base_result
-                .as_ref()
-                .map(|r| (r.indices.as_slice(), r.distances.as_slice())),
-            fresh_result
-                .as_ref()
-                .map(|r| (r.indices.as_slice(), r.distances.as_slice())),
-            taken.len(),
-        );
+        let (indices, distances) = match merged {
+            Some(answer) => answer,
+            // A fitted batch has exactly one arm.
+            None => arms
+                .pop()
+                .map(|r| (r.indices, r.distances))
+                .expect("one arm"),
+        };
 
         let completion_s = start_s + exec_seconds;
         st.device_free_at = completion_s;
@@ -1462,28 +983,176 @@ impl<T: Real> ServeEngine<T> {
         st.batches += 1;
         st.inflight.push((completion_s, taken.len()));
 
-        for (i, req) in taken.into_iter().enumerate() {
-            st.traces.push_event(
-                req.id,
-                completion_s,
-                SpanEvent::SegmentMerge {
-                    generation: dataset.generation(),
-                },
-            );
+        for ((req, indices), distances) in taken.iter().zip(indices).zip(distances) {
+            if let Some(generation) = generation {
+                st.traces
+                    .push_event(req.id, completion_s, SpanEvent::SegmentMerge { generation });
+            }
             st.traces.push_event(req.id, completion_s, SpanEvent::Merge);
             st.traces
                 .finish_request(req.id, completion_s, completion_s - req.arrival_s);
             st.responses.push(Response {
                 id: req.id,
-                dataset: 0,
-                indices: indices[i].clone(),
-                distances: distances[i].clone(),
+                dataset,
+                indices,
+                distances,
                 arrival_s: req.arrival_s,
                 dispatch_s: start_s,
                 completion_s,
             });
         }
         Ok(())
+    }
+
+    /// Runs a batch against a prepared base index — the exact tier, the
+    /// IVF full probe, and a mutable dataset's base segment all serve
+    /// through here. Under [`ServeConfig::per_query_prepare`] the batch
+    /// re-prepares the index from scratch (no cache, so no cache
+    /// spans); otherwise it looks `nn` up under `generation` in the
+    /// prepared cache, emits `CacheHit` or `CacheMiss` + `Prepare`, and
+    /// returns the miss's warm seconds beside the result. `bloomed`
+    /// runs the batch through the dataset's degraded-mode clone, built
+    /// once per (dataset, generation): same prepared shards, same bytes.
+    fn base_arm(
+        &mut self,
+        st: &mut ReplayState<T>,
+        batch: &Batch<'_, T>,
+        nn: &NearestNeighbors<T>,
+        generation: u64,
+        k: usize,
+        bloomed: bool,
+    ) -> Result<(KnnResult<T>, f64), KernelError> {
+        let exec_nn = if bloomed {
+            let slot = &mut st.degraded_fit[batch.dataset];
+            if !matches!(slot, Some((g, _)) if *g == generation) {
+                *slot = Some((generation, bloom(nn.clone())));
+            }
+            &slot.as_ref().expect("built above").1
+        } else {
+            nn
+        };
+        if self.config.per_query_prepare {
+            st.prepares += 1;
+            let result = exec_nn.kneighbors_sharded(&self.multi, &batch.query, k)?;
+            return Ok((result, 0.0));
+        }
+        let (shards, outcome) = self.cache.lookup_generation(nn, &self.multi, generation)?;
+        if outcome.hit {
+            batch.emit(&mut st.traces, batch.close_s, SpanEvent::CacheHit);
+        } else {
+            st.prepares += 1;
+            batch.emit(
+                &mut st.traces,
+                batch.close_s,
+                SpanEvent::CacheMiss {
+                    evictions: outcome.evictions,
+                },
+            );
+            batch.emit(
+                &mut st.traces,
+                batch.start_s,
+                SpanEvent::Prepare {
+                    seconds: outcome.warm_seconds,
+                },
+            );
+        }
+        let result = exec_nn.kneighbors_prepared(&shards, &batch.query, k)?;
+        Ok((result, outcome.warm_seconds))
+    }
+
+    /// The IVF tier's batch body: looks up (or fits, charging the fit
+    /// as a prepare) the dataset's IVF artifact, halves `nprobe` for a
+    /// degraded batch, and probes — or, at full probe, serves through
+    /// [`Self::base_arm`], the exact tier's artifact and execution
+    /// core, so the bytes equal the exact oracle's by construction
+    /// (DESIGN §15). Returns the result and its prepare seconds.
+    fn ivf_arm(
+        &mut self,
+        st: &mut ReplayState<T>,
+        batch: &Batch<'_, T>,
+        nn: &NearestNeighbors<T>,
+        nlist: usize,
+        nprobe: usize,
+        degraded: bool,
+    ) -> Result<(KnnResult<T>, f64), KernelError> {
+        // The first batch to touch a dataset (or to see it refitted or
+        // resharded) pays the k-means fit, the same way the first exact
+        // batch pays norm warming.
+        let index = nn.index().expect("fit() the estimator before serving");
+        let nlist = match nlist {
+            0 => (index.rows() as f64).sqrt().ceil() as usize,
+            n => n,
+        };
+        let key = (fingerprint(index), nlist.max(1), self.multi.len());
+        let mut prep_s = 0.0;
+        if self.ivf.get(&batch.dataset).is_some_and(|e| e.key == key) {
+            batch.emit(&mut st.traces, batch.close_s, SpanEvent::CacheHit);
+        } else {
+            let params = IvfParams {
+                nlist: key.1,
+                ..IvfParams::default()
+            };
+            let index = IvfIndex::fit(nn, params)?;
+            let prepared = index.prepare(&self.multi);
+            let fit_seconds = index.fit_sim_seconds();
+            st.prepares += 1;
+            st.ann_fits += 1;
+            prep_s += fit_seconds;
+            batch.emit(
+                &mut st.traces,
+                batch.close_s,
+                SpanEvent::CacheMiss { evictions: 0 },
+            );
+            batch.emit(
+                &mut st.traces,
+                batch.start_s,
+                SpanEvent::Prepare {
+                    seconds: fit_seconds,
+                },
+            );
+            let entry = IvfEntry {
+                key,
+                index,
+                prepared,
+            };
+            self.ivf.insert(batch.dataset, entry);
+        }
+        // Degrade cascade, IVF edition: under admission pressure the
+        // batch probes half as many posting lists — visible in `ann.*`
+        // counters and the span stream, recovered the moment pressure
+        // lifts.
+        let nprobe_eff = if degraded {
+            st.ann_degraded_nprobe += 1;
+            let lowered = (nprobe.max(1) / 2).max(1);
+            batch.emit(
+                &mut st.traces,
+                batch.close_s,
+                SpanEvent::AdmissionDegrade {
+                    strategy: format!("nprobe={lowered}"),
+                },
+            );
+            lowered
+        } else {
+            nprobe.max(1)
+        };
+        st.ann_searches += 1;
+        let ivf = &self.ivf[&batch.dataset];
+        if nprobe_eff >= ivf.index.nlist() {
+            // Full probe: gathered posting-list slabs could only
+            // reproduce the exact answer to re-association precision.
+            let rows = batch.query.rows();
+            st.ann_probes += (rows * ivf.index.nlist()) as u64;
+            st.ann_shortlist_rows += (rows * ivf.index.index_rows()) as u64;
+            let (result, warm_s) = self.base_arm(st, batch, nn, 0, self.config.k, false)?;
+            return Ok((result, prep_s + warm_s));
+        }
+        let k = self.config.k;
+        let ans = ivf
+            .index
+            .search_prepared(&ivf.prepared, &batch.query, k, nprobe_eff)?;
+        st.ann_probes += ans.stats.probes as u64;
+        st.ann_shortlist_rows += ans.stats.shortlist_rows as u64;
+        Ok((ans.knn, prep_s))
     }
 }
 
@@ -1569,8 +1238,13 @@ struct PendingCompaction<T> {
     ready_s: f64,
 }
 
-/// Mutable-dataset state threaded through one ingest replay.
-struct IngestState<T> {
+/// A mutable dataset and its ingest bookkeeping, threaded through one
+/// [`ServeEngine::replay_ingest`].
+struct Ingest<'d, T> {
+    /// Metric / device / kernel options for every fit of the dataset.
+    proto: &'d NearestNeighbors<T>,
+    dataset: &'d mut MutableDataset<T>,
+    compact_threshold: usize,
     pending: Option<PendingCompaction<T>>,
     /// The fitted estimator for the *current* base generation.
     base_fit: Option<(u64, NearestNeighbors<T>)>,
@@ -1581,18 +1255,26 @@ struct IngestState<T> {
     fresh_scans: u64,
 }
 
-/// Counters a replay accumulates outside the report itself.
-struct ReplayCounts {
-    retries: u64,
-    degrades: u64,
-    faults: u64,
-    shard_launches: u64,
-    prepares: u64,
-    ann_searches: u64,
-    ann_probes: u64,
-    ann_shortlist_rows: u64,
-    ann_fits: u64,
-    ann_degraded_nprobe: u64,
+impl<T: Real> Ingest<'_, T> {
+    /// Lands the pending compaction if its ready time has passed.
+    fn land_ready_compaction(&mut self, t: f64) {
+        if !self.pending.as_ref().is_some_and(|p| p.ready_s <= t) {
+            return;
+        }
+        let p = self.pending.take().expect("checked above");
+        let generation = p.job.generation;
+        let outcome = self.dataset.finish_compaction(p.job);
+        self.base_fit = p.nn.map(|nn| (generation, nn));
+        self.compactions.push(CompactionRecord {
+            generation,
+            started_s: p.started_s,
+            ready_s: p.ready_s,
+            seconds: p.seconds,
+            rows: outcome.rows,
+            cleared_tombstones: outcome.cleared_tombstones,
+            folded_fresh: outcome.folded_fresh,
+        });
+    }
 }
 
 /// Builds a fixed-gap replay stream over the rows of `query`: request

@@ -26,7 +26,7 @@
 //! bucket counts and returns the containing bucket's upper edge, so the
 //! two always agree to within one bucket width (≤ [`HIST_GROWTH`]×).
 
-use gpu_sim::json_escape;
+use gpu_sim::{json_escape, json_number};
 use std::collections::BTreeMap;
 
 /// Number of finite log-spaced histogram buckets (excluding the
@@ -309,17 +309,6 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<HistogramSnapshot>,
 }
 
-/// Formats an `f64` as a JSON number (shortest round-trip form), the
-/// same convention `bench.v1` uses.
-///
-/// # Panics
-///
-/// Panics on non-finite values.
-fn fmt_number(v: f64) -> String {
-    assert!(v.is_finite(), "non-finite value {v} in metrics snapshot");
-    format!("{v:?}")
-}
-
 impl MetricsSnapshot {
     /// Renders the snapshot as a `metrics.v1` JSON document:
     ///
@@ -351,7 +340,7 @@ impl MetricsSnapshot {
         let gauges: Vec<String> = self
             .gauges
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), fmt_number(*v)))
+            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_number(*v)))
             .collect();
         let hists: Vec<String> = self
             .histograms
@@ -361,7 +350,7 @@ impl MetricsSnapshot {
                     .buckets
                     .iter()
                     .map(|(i, le, c)| {
-                        format!("{{\"i\":{i},\"le\":{},\"count\":{c}}}", fmt_number(*le))
+                        format!("{{\"i\":{i},\"le\":{},\"count\":{c}}}", json_number(*le))
                     })
                     .collect();
                 format!(
@@ -369,10 +358,10 @@ impl MetricsSnapshot {
                      \"p50\":{},\"p99\":{},\"buckets\":[{}]}}",
                     json_escape(&h.name),
                     h.count,
-                    fmt_number(h.sum),
+                    json_number(h.sum),
                     h.overflow,
-                    fmt_number(h.p50),
-                    fmt_number(h.p99),
+                    json_number(h.p50),
+                    json_number(h.p99),
                     buckets.join(",")
                 )
             })
@@ -405,7 +394,7 @@ impl MetricsSnapshot {
         }
         for (k, v) in &self.gauges {
             let n = prom_name(k);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", fmt_number(*v)));
+            out.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", json_number(*v)));
         }
         for h in &self.histograms {
             let n = prom_name(&h.name);
@@ -413,10 +402,13 @@ impl MetricsSnapshot {
             let mut cum = 0u64;
             for (_, le, c) in &h.buckets {
                 cum += c;
-                out.push_str(&format!("{n}_bucket{{le=\"{}\"}} {cum}\n", fmt_number(*le)));
+                out.push_str(&format!(
+                    "{n}_bucket{{le=\"{}\"}} {cum}\n",
+                    json_number(*le)
+                ));
             }
             out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{n}_sum {}\n", fmt_number(h.sum)));
+            out.push_str(&format!("{n}_sum {}\n", json_number(h.sum)));
             out.push_str(&format!("{n}_count {}\n", h.count));
         }
         out

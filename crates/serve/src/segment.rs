@@ -128,12 +128,6 @@ impl<T: Real> MutableDataset<T> {
         }
     }
 
-    /// An empty dataset of the given width (everything arrives via the
-    /// WAL).
-    pub fn empty(cols: usize) -> Self {
-        Self::new(CsrMatrix::zeros(0, cols))
-    }
-
     /// Dataset width.
     pub fn cols(&self) -> usize {
         self.cols

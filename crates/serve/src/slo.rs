@@ -54,16 +54,6 @@ impl SloBudget {
         self.error_budget = error_budget;
         self
     }
-
-    /// Overrides the sliding-window length.
-    pub fn with_window(mut self, window_s: f64) -> Self {
-        assert!(
-            window_s > 0.0 && window_s.is_finite(),
-            "SLO window must be positive and finite"
-        );
-        self.window_s = window_s;
-        self
-    }
 }
 
 /// Burn accounting for one sliding window.

@@ -11,7 +11,10 @@ use kernels::{PairwiseOptions, ResiliencePolicy, Strategy};
 use neighbors::{MultiDevice, NearestNeighbors};
 use proptest::prelude::*;
 use semiring::Distance;
-use serve::{MutableDataset, Request, ServeConfig, ServeEngine, TimedRecord, Wal, WalRecord};
+use serve::{
+    AdmissionConfig, MutableDataset, Request, ServeConfig, ServeEngine, ServeReport, SpanEvent,
+    TimedRecord, Wal, WalRecord,
+};
 use sparse::{CsrMatrix, Idx};
 
 fn dataset(rows: usize, salt: u64) -> CsrMatrix<f64> {
@@ -425,6 +428,102 @@ fn hybrid_default_is_deterministic_and_agrees_to_retiling_precision() {
                 "query {q} neighbor {idx}: hybrid must agree to re-tiling precision"
             );
         }
+    }
+}
+
+/// `replay_ingest` over a base with no writes is `replay` over the
+/// fitted base: both entry points share one event loop and one batch
+/// body, so responses, timing, spans (apart from the mutable path's
+/// `SegmentMerge`) and every `serve.*` counter and gauge agree exactly
+/// — with cached prepares, with admission degrading every batch onto
+/// the bloom-filter clone, and with per-batch re-prepares.
+#[test]
+fn ingest_without_writes_is_replay_over_the_fitted_base() {
+    let base = dataset(12, 0);
+    let queries = dataset(14, 5);
+    let multi = MultiDevice::replicate(&Device::volta(), 2);
+    let proto = NearestNeighbors::new(Device::volta(), Distance::Euclidean);
+    let fitted = proto.clone().fit(base.clone());
+    let reqs = requests(&queries, 1e-3, 12e-6);
+    let plain = ServeConfig {
+        k: 4,
+        max_batch: 3,
+        max_wait_s: 30e-6,
+        ..ServeConfig::default()
+    };
+    let variants = [
+        ("cached", plain),
+        (
+            "degraded",
+            ServeConfig {
+                admission: Some(AdmissionConfig::default().with_watermarks(0, usize::MAX)),
+                ..plain
+            },
+        ),
+        (
+            "per-query-prepare",
+            ServeConfig {
+                per_query_prepare: true,
+                ..plain
+            },
+        ),
+    ];
+    // Everything a replay reports, as comparable bits.
+    let bits = |r: &ServeReport<f64>| {
+        let responses: Vec<_> = r
+            .responses
+            .iter()
+            .map(|x| {
+                let dist: Vec<u64> = x.distances.iter().map(|d| d.to_bits()).collect();
+                let times = (x.dispatch_s.to_bits(), x.completion_s.to_bits());
+                (x.id, x.dataset, x.indices.clone(), dist, times)
+            })
+            .collect();
+        let busy = r.busy_seconds.to_bits();
+        let degraded = (r.degraded_batches, r.degraded_requests);
+        (responses, r.batches, busy, degraded)
+    };
+    let serve_metrics = |engine: &ServeEngine<f64>| {
+        let snap = engine.metrics().snapshot("fold");
+        let serve = |name: &String| name.starts_with("serve.");
+        let counters: Vec<_> = snap
+            .counters
+            .into_iter()
+            .filter(|(n, _)| serve(n))
+            .collect();
+        let gauges: Vec<_> = snap
+            .gauges
+            .into_iter()
+            .filter(|(n, _)| serve(n))
+            .map(|(n, v)| (n, v.to_bits()))
+            .collect();
+        assert!(!counters.is_empty() && !gauges.is_empty());
+        (counters, gauges)
+    };
+    for (ctx, cfg) in variants {
+        let mut immutable = ServeEngine::new(multi.clone(), cfg);
+        let want = immutable
+            .replay(std::slice::from_ref(&fitted), &reqs)
+            .expect("replay");
+        let mut mutable = ServeEngine::new(multi.clone(), cfg);
+        let mut ds = MutableDataset::new(base.clone());
+        let got = mutable
+            .replay_ingest(&proto, &mut ds, &[], &reqs, 0)
+            .expect("ingest")
+            .serve;
+        assert_eq!(want.responses.len(), reqs.len(), "{ctx}");
+        assert!(want.batches > 1, "{ctx}: several batches");
+        if ctx == "degraded" {
+            assert_eq!(want.degraded_batches, want.batches as u64, "{ctx}");
+        }
+        assert_eq!(bits(&got), bits(&want), "{ctx}");
+        let mut spans = got.spans;
+        for span in &mut spans {
+            span.events
+                .retain(|e| !matches!(e.event, SpanEvent::SegmentMerge { .. }));
+        }
+        assert_eq!(spans, want.spans, "{ctx}: spans");
+        assert_eq!(serve_metrics(&mutable), serve_metrics(&immutable), "{ctx}");
     }
 }
 

@@ -9,6 +9,7 @@ use neighbors::{IvfIndex, IvfParams, KnnResult, MultiDevice, NearestNeighbors};
 use semiring::Distance;
 use serve::{
     replay_rows, AdmissionConfig, IndexMode, Request, ServeConfig, ServeEngine, ServeReport,
+    SpanEvent,
 };
 use sparse::CsrMatrix;
 
@@ -332,6 +333,57 @@ fn ivf_full_probe_serving_matches_exact_oracle() {
         .replay(std::slice::from_ref(&nn), &replay_rows(&m, 15e-6))
         .expect("replay");
     assert_eq!(engine.metrics().counter("ann.fits_total"), 1);
+}
+
+/// A cold IVF full probe pays two prepares — the k-means fit and the
+/// exact shards' upload + norm warming — and both show up as `Prepare`
+/// span events, so the first batch's execution time is exactly its
+/// prepares plus its slowest shard, with nothing left unexplained.
+#[test]
+fn ivf_full_probe_spans_explain_the_cold_batch() {
+    let m = dataset(20, 1);
+    let multi = MultiDevice::replicate(&Device::volta(), 2);
+    let nn = NearestNeighbors::new(Device::volta(), Distance::Euclidean).fit(m.clone());
+    let cfg = ServeConfig {
+        k: 4,
+        max_batch: 5,
+        max_wait_s: 40e-6,
+        index: IndexMode::Ivf {
+            nlist: 5,
+            nprobe: 5,
+        },
+        ..ServeConfig::default()
+    };
+    let mut engine = ServeEngine::new(multi, cfg);
+    let prepares_before = engine.metrics().counter("serve.prepares_total");
+    let report = engine
+        .replay(std::slice::from_ref(&nn), &replay_rows(&m, 15e-6))
+        .expect("replay");
+    let first = &report.responses[0];
+    let span = report
+        .spans
+        .iter()
+        .find(|s| s.request_id == first.id)
+        .expect("span of the first reply");
+    let (mut prepares, mut prepare_s, mut slowest_shard) = (0u64, 0.0, 0.0f64);
+    for e in &span.events {
+        match e.event {
+            SpanEvent::Prepare { seconds } => {
+                prepares += 1;
+                prepare_s += seconds;
+            }
+            SpanEvent::ShardLaunch { seconds, .. } => slowest_shard = slowest_shard.max(seconds),
+            _ => {}
+        }
+    }
+    let exec_s = first.completion_s - first.dispatch_s;
+    let explained = prepare_s + slowest_shard;
+    assert!(
+        (explained - exec_s).abs() <= 1e-12 * exec_s,
+        "spans explain {explained} s of a {exec_s} s batch"
+    );
+    let rise = engine.metrics().counter("serve.prepares_total") - prepares_before;
+    assert_eq!(prepares, rise, "one Prepare event per prepare");
 }
 
 /// Partial probes shrink the shortlist but never invent distances:

@@ -34,7 +34,6 @@
 #![deny(missing_docs)]
 
 pub mod batch;
-pub mod bsr;
 pub mod builder;
 pub mod convert;
 pub mod coo;
@@ -48,7 +47,6 @@ pub mod real;
 pub mod stats;
 
 pub use batch::RowBatches;
-pub use bsr::BsrMatrix;
 pub use builder::CsrBuilder;
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;

@@ -6,7 +6,7 @@
 //! `unranged-phase`, `panic-path`, and `dropped-span` rules become
 //! deny: pre-existing findings ride, anything new fails CI. Mirrors the `compare_bench` baseline workflow:
 //! `--write-baseline` refreshes the file (via
-//! `scripts/update_analyze_baseline.sh`), and the committed diff is
+//! `scripts/update_baselines.sh`), and the committed diff is
 //! reviewed like any other code change.
 //!
 //! Matching is a multiset over `(rule, file, fingerprint)` — the

@@ -16,7 +16,7 @@
 //! cargo run -p xtask --bin analyze -- --json target/analyze.json
 //! ```
 //!
-//! Baseline-refresh mode (via `scripts/update_analyze_baseline.sh`):
+//! Baseline-refresh mode (via `scripts/update_baselines.sh`):
 //!
 //! ```text
 //! cargo run -p xtask --bin analyze -- --write-baseline
@@ -121,7 +121,7 @@ fn main() -> ExitCode {
     for s in &stale {
         println!(
             "stale: baseline entry [{}] {} ({}) matches no current finding; \
-             refresh with scripts/update_analyze_baseline.sh and commit the diff",
+             refresh with scripts/update_baselines.sh and commit the diff",
             s.rule, s.file, s.fingerprint
         );
     }

@@ -8,7 +8,7 @@
 //! more than the tolerance — in either direction, since an unexplained
 //! *improvement* means the baseline is stale — fails the gate. A PR
 //! that intentionally changes performance refreshes the baseline with
-//! `scripts/update_bench_baseline.sh` and commits the diff.
+//! `scripts/update_baselines.sh` and commits the diff.
 //!
 //! Compare mode (the CI `perf-gate` job):
 //!
