@@ -105,17 +105,6 @@ impl CpuBruteForce {
     }
 }
 
-/// One-shot convenience wrapper over [`CpuBruteForce::pairwise`] with all
-/// available cores.
-pub fn cpu_pairwise<T: Real>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    distance: Distance,
-    params: &DistanceParams,
-) -> DenseMatrix<T> {
-    CpuBruteForce::default().pairwise(a, b, distance, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

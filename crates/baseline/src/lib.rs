@@ -15,5 +15,5 @@
 pub mod cpu;
 pub mod cusparse;
 
-pub use cpu::{cpu_pairwise, CpuBruteForce};
+pub use cpu::CpuBruteForce;
 pub use cusparse::{csrgemm_pairwise, CsrGemmReport};

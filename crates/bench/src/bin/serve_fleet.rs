@@ -204,8 +204,9 @@ fn main() {
                 .value("windows", r.windows.len() as f64)
                 .value("worst_burn", r.worst_burn()),
         );
-        bench::validate_metrics(&m.snapshot("serve_fleet").to_json())
-            .expect("fleet metrics snapshot validates");
+        // Rendering self-validates, so the fleet counters obey the
+        // metrics.v1 conservation laws at every load.
+        m.snapshot("serve_fleet").to_json();
     }
 
     // Chaos drill at 10×: a mid-run burst of transient launch faults.

@@ -21,11 +21,9 @@ pub mod report;
 pub mod runner;
 pub mod suite;
 
-pub use report::{
-    validate_chrome_trace, validate_latency_percentiles, validate_metrics, validate_report,
-    BenchReport, Json, MetricRow,
-};
-// Re-exported so sibling tooling (xtask's diag.v1 writer) escapes JSON
-// strings with the exact same rules as the bench.v1 writers.
-pub use gpu_sim::json_escape;
+pub use report::{validate_report, BenchReport, Json, MetricRow};
+// Re-exported so sibling tooling (xtask's schema gates and diag.v1
+// writer) reaches every schema's reader through this crate.
+pub use gpu_sim::{json_escape, validate_chrome_trace};
 pub use runner::{parse_path, parse_scale, parse_u64, try_parse_u64, BenchRow, Timed};
+pub use sparse_dist::{validate_metrics, MetricsSnapshot};

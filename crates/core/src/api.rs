@@ -27,7 +27,7 @@
 //! ```
 
 use gpu_sim::{Device, LaunchStats};
-use kernels::hybrid::{hybrid_inner_terms, SmemVecKind};
+use kernels::hybrid::hybrid_inner_terms;
 use kernels::{DeviceCsr, KernelError};
 use semiring::Semiring;
 use sparse::{CsrMatrix, DenseMatrix, Real};
@@ -55,23 +55,13 @@ impl<T> SemiringOutput<T> {
 #[derive(Debug, Clone)]
 pub struct SemiringRunner {
     device: Device,
-    forced_mode: Option<SmemVecKind>,
 }
 
 impl SemiringRunner {
     /// Creates a runner on the given device with automatic shared-memory
     /// mode selection.
     pub fn new(device: Device) -> Self {
-        Self {
-            device,
-            forced_mode: None,
-        }
-    }
-
-    /// Forces a shared-memory representation (dense / hash / bloom).
-    pub fn with_smem_mode(mut self, kind: SmemVecKind) -> Self {
-        self.forced_mode = Some(kind);
-        self
+        Self { device }
     }
 
     /// Runs the semiring over all row pairs: one pass for annihilating
@@ -80,8 +70,8 @@ impl SemiringRunner {
     ///
     /// # Errors
     ///
-    /// Returns an error on dimensionality mismatch or when the forced
-    /// shared-memory mode cannot represent the input.
+    /// Returns an error on dimensionality mismatch or when the kernel
+    /// fails (see [`KernelError`]).
     pub fn run<T: Real>(
         &self,
         a: &CsrMatrix<T>,
@@ -96,15 +86,8 @@ impl SemiringRunner {
         }
         let a_dev = DeviceCsr::upload(&self.device, a);
         let b_dev = DeviceCsr::upload(&self.device, b);
-        let (buf, launches) = hybrid_inner_terms(
-            &self.device,
-            a,
-            b,
-            &a_dev,
-            &b_dev,
-            semiring,
-            self.forced_mode,
-        )?;
+        let (buf, launches) =
+            hybrid_inner_terms(&self.device, a, b, &a_dev, &b_dev, semiring, None)?;
         Ok(SemiringOutput {
             inner_terms: DenseMatrix::from_vec(a.rows(), b.rows(), buf.to_vec()),
             launches,

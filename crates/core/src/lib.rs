@@ -49,12 +49,12 @@ pub use semiring::{Distance, DistanceParams, Family, Monoid, Semiring};
 pub use serve::metrics::{HIST_GROWTH, HIST_MIN};
 pub use serve::{
     chaos_drill, fingerprint, fingerprint_with_generation, nearest_rank, replay_rows,
-    request_chrome_trace, AdmissionConfig, CacheOutcome, CacheStats, ChaosPlan, CompactionRecord,
-    DrillOutcome, Fleet, FleetConfig, FleetReport, IndexMode, IngestReport, LogHistogram, Manifest,
-    MetricsRegistry, MetricsSnapshot, MutableDataset, PreparedCache, Rejection, Request,
-    RequestSpan, RequestTraces, Response, ScaleEvent, ServeConfig, ServeEngine, ServeReport,
-    ShedReason, SloBudget, SloReport, SpanEvent, TimedRecord, Wal, WalCounts, WalError, WalRecord,
-    WindowOutcome, Workload,
+    request_chrome_trace, validate_metrics, AdmissionConfig, CacheOutcome, CacheStats, ChaosPlan,
+    CompactionRecord, DrillOutcome, Fleet, FleetConfig, FleetReport, IndexMode, IngestReport,
+    LogHistogram, Manifest, MetricsRegistry, MetricsSnapshot, MutableDataset, PreparedCache,
+    Rejection, Request, RequestSpan, RequestTraces, Response, ScaleEvent, ServeConfig, ServeEngine,
+    ServeReport, ShedReason, SloBudget, SloReport, SpanEvent, TimedRecord, Wal, WalCounts,
+    WalError, WalRecord, WindowOutcome, Workload,
 };
 pub use validate::{validate_input, InputError};
 

@@ -44,6 +44,7 @@ pub mod counters;
 pub mod device;
 pub mod fault;
 pub mod global;
+pub mod json;
 pub mod murmur;
 pub mod prims;
 pub mod prof;
@@ -58,11 +59,9 @@ pub use counters::Counters;
 pub use device::{BlockCtx, Device, LaunchConfig, LaunchStats};
 pub use fault::FaultPlan;
 pub use global::GlobalBuffer;
+pub use json::{chrome_trace_envelope, json_escape, json_number, validate_chrome_trace, Json};
 pub use prims::{bitonic_sort_by_key, warp_binary_search};
-pub use prof::{
-    chrome_trace, chrome_trace_envelope, json_escape, json_number, LaunchProfile, RangeStats,
-    TraceSpan,
-};
+pub use prof::{chrome_trace, LaunchProfile, RangeStats, TraceSpan};
 pub use sanitizer::{CheckerKind, MemSpace, SanitizerMode, SanitizerReport, SimError};
 pub use shared::{SharedArray, SharedMem};
 pub use spec::{Arch, DeviceSpec, Occupancy};

@@ -34,6 +34,7 @@ use std::rc::Rc;
 use crate::cost::CostBreakdown;
 use crate::counters::Counters;
 use crate::device::LaunchStats;
+use crate::json::{chrome_trace_envelope, json_escape};
 
 /// Upper bound on retained [`TraceSpan`]s per launch. Aggregated
 /// [`RangeStats`] are always complete; only the per-instance timeline is
@@ -399,48 +400,6 @@ impl BlockProfiler {
     }
 }
 
-/// Escapes a string for embedding inside a JSON string literal (the
-/// workspace is offline and serde-free, so JSON is written by hand).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` as a JSON number in its shortest round-trip form —
-/// the one number convention every hand-written JSON document in the
-/// workspace (`metrics.v1`, `bench.v1`) shares.
-///
-/// # Panics
-///
-/// Panics on non-finite values: JSON has no representation for them,
-/// and a NaN in a report means its producer is broken.
-pub fn json_number(v: f64) -> String {
-    assert!(v.is_finite(), "non-finite value {v} in a JSON document");
-    format!("{v:?}")
-}
-
-/// Wraps pre-rendered `trace_event` objects in the chrome://tracing
-/// envelope. Shared by the kernel profiler's [`chrome_trace`] and
-/// downstream exporters (the serving layer's per-request trace), so
-/// every trace the workspace writes opens in Perfetto the same way.
-pub fn chrome_trace_envelope(events: &[String]) -> String {
-    format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
-        events.join(",")
-    )
-}
-
 /// Serializes a launch sequence's profiles as chrome://tracing
 /// `trace_event` JSON, loadable in Perfetto.
 ///
@@ -676,13 +635,5 @@ mod tests {
         });
         let json = chrome_trace(&[stats]);
         assert_eq!(json, "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}");
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\ny");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

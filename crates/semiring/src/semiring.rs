@@ -71,12 +71,6 @@ impl<T: Real> Semiring<T> {
         Self::annihilating(Monoid::plus(), Monoid::min())
     }
 
-    /// The `⊗` monoid.
-    #[inline]
-    pub fn product_monoid(&self) -> &Monoid<T> {
-        &self.product
-    }
-
     /// The `⊕` monoid.
     #[inline]
     pub fn reduce_monoid(&self) -> &Monoid<T> {

@@ -1167,7 +1167,7 @@ pub struct TimedRecord<T> {
 }
 
 /// WAL bookkeeping for one ingest replay. Conservation law (enforced
-/// by `bench::validate_metrics`): `appended = applied + rejected`, and
+/// by [`crate::validate_metrics`]): `appended = applied + rejected`, and
 /// `applied = inserts + deletes`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalCounts {

@@ -279,7 +279,7 @@ impl Fleet {
         let mut chaos_windows = 0u64;
         let mut next = 0usize;
         // Cumulative shed counts per typed reason at the close of each
-        // window — the monotone series `bench::validate_metrics` checks
+        // window — the monotone series `validate_metrics` checks
         // (a cumulative counter that ever decreased would mean a window
         // un-shed a request).
         let mut shed_cum = [0u64; ShedReason::ALL.len()];
@@ -429,7 +429,7 @@ impl Fleet {
         // Per-window cumulative shed series, namespaced by run ordinal
         // so several runs through one fleet never splice their windows
         // together. Zero-padded window tags make the registry's sorted
-        // key order equal window order; `bench::validate_metrics`
+        // key order equal window order; `validate_metrics`
         // asserts each series is monotone non-decreasing and that the
         // final cumulative values reconcile with
         // `serve.fleet.requests_shed_total`.

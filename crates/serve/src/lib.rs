@@ -67,7 +67,8 @@ pub use fleet::{
 };
 pub use load::{SplitMix64, Workload};
 pub use metrics::{
-    nearest_rank, percentile_sorted, LogHistogram, MetricsRegistry, MetricsSnapshot,
+    nearest_rank, percentile_sorted, validate_metrics, LogHistogram, MetricsRegistry,
+    MetricsSnapshot,
 };
 pub use segment::{
     merge_arms, AppliedOp, CompactionJob, CompactionOutcome, MutableDataset, RankPlan,

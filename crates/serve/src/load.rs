@@ -11,23 +11,12 @@
 //! replay, bench, and chaos drill that consumes it is reproducible
 //! byte-for-byte.
 //!
-//! Two loop disciplines (DESIGN §14):
-//!
-//! * **open loop** ([`Workload::generate`]): arrivals follow a
-//!   non-homogeneous Poisson process — rate `base_qps` modulated by a
-//!   sinusoidal diurnal factor — realized by thinning, plus optional
-//!   periodic bursts of simultaneous arrivals. Arrival times never
-//!   react to service times, which is exactly what makes open-loop load
-//!   the overload test: the generator keeps firing while the engine
-//!   drowns.
-//! * **closed loop** ([`Workload::generate_closed_loop`]): a fixed
-//!   client population paces itself — each client issues its next
-//!   request one think-time (exponential) plus one service-time
-//!   estimate after the previous one, bounding outstanding requests by
-//!   the population size. The service-time pacing uses a caller-supplied
-//!   estimate rather than feedback from the engine, keeping generation
-//!   a pure function of the seed (the determinism contract outranks
-//!   closed-loop exactness; DESIGN §14 records the approximation).
+//! Arrivals are open loop ([`Workload::generate`], DESIGN §14): a
+//! non-homogeneous Poisson process — rate `base_qps` modulated by a
+//! sinusoidal diurnal factor — realized by thinning, plus optional
+//! periodic bursts of simultaneous arrivals. Arrival times never react
+//! to service times, which is exactly what makes open-loop load the
+//! overload test: the generator keeps firing while the engine drowns.
 
 use crate::engine::Request;
 use sparse::{CsrMatrix, Real};
@@ -242,61 +231,6 @@ impl Workload {
             })
             .collect()
     }
-
-    /// Generates a **closed-loop** stream: `clients` clients each pace
-    /// themselves with exponential think time (mean `think_s`) plus a
-    /// fixed `service_est_s` per request, bounding outstanding load by
-    /// the population size. Burst/diurnal knobs are ignored (the client
-    /// population is the rate control); Zipf skew still picks datasets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clients == 0`, parameters are non-positive, or
-    /// `pools` is empty / has empty rows.
-    pub fn generate_closed_loop<T: Real>(
-        &self,
-        pools: &[CsrMatrix<T>],
-        clients: usize,
-        think_s: f64,
-        service_est_s: f64,
-    ) -> Vec<Request<T>> {
-        assert!(clients > 0, "closed loop needs at least one client");
-        assert!(
-            think_s > 0.0 && service_est_s >= 0.0,
-            "think time must be positive, service estimate non-negative"
-        );
-        assert!(!pools.is_empty(), "workload needs at least one dataset");
-        assert!(
-            pools.iter().all(|p| p.rows() > 0),
-            "every dataset pool needs at least one row"
-        );
-        let mut rng = SplitMix64::new(self.seed);
-        let cdf = self.zipf_cdf(pools.len());
-        let mut times: Vec<f64> = Vec::new();
-        for _ in 0..clients {
-            // Stagger client start times across one think interval.
-            let mut t = rng.exponential(1.0 / think_s);
-            while t < self.duration_s {
-                times.push(t);
-                t += service_est_s + rng.exponential(1.0 / think_s);
-            }
-        }
-        times.sort_by(f64::total_cmp);
-        times
-            .into_iter()
-            .enumerate()
-            .map(|(i, arrival_s)| {
-                let dataset = Self::draw_dataset(&cdf, rng.next_f64());
-                let row = rng.below(pools[dataset].rows());
-                Request {
-                    id: i as u64,
-                    dataset,
-                    arrival_s,
-                    row: pools[dataset].slice_rows(row..row + 1),
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -460,25 +394,6 @@ mod tests {
                     "row histogram bucket {c} strays from uniform {expect}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn closed_loop_bounds_outstanding_requests_by_population() {
-        let pools = [pool(4, 0)];
-        let w = Workload::steady(9, 1000.0, 0.1);
-        let clients = 4;
-        let service = 2e-3;
-        let reqs = w.generate_closed_loop(&pools, clients, 1e-3, service);
-        assert!(!reqs.is_empty());
-        // With pacing >= service_est, at most `clients` requests can sit
-        // inside any service_est-wide window.
-        for r in &reqs {
-            let inside = reqs
-                .iter()
-                .filter(|x| x.arrival_s >= r.arrival_s && x.arrival_s < r.arrival_s + service)
-                .count();
-            assert!(inside <= clients, "window holds {inside} > {clients}");
         }
     }
 }

@@ -14,8 +14,10 @@
 //!
 //! Export formats:
 //! * [`MetricsSnapshot::to_json`] — the self-describing `metrics.v1`
-//!   schema, mirroring `bench.v1`/`diag.v1`; validated by
-//!   `bench::validate_metrics` (and `xtask check_bench_json --metrics`).
+//!   schema, mirroring `bench.v1`/`diag.v1`. Its validating reader,
+//!   [`MetricsSnapshot::parse`] (and [`validate_metrics`], which
+//!   `xtask check_bench_json --metrics` runs), lives here beside the
+//!   histogram layout it checks bucket edges against.
 //! * [`MetricsSnapshot::to_prometheus`] — a Prometheus text-exposition
 //!   snapshot for eyeballs and scrape-shaped tooling.
 //!
@@ -26,7 +28,7 @@
 //! bucket counts and returns the containing bucket's upper edge, so the
 //! two always agree to within one bucket width (≤ [`HIST_GROWTH`]×).
 
-use gpu_sim::{json_escape, json_number};
+use gpu_sim::{json_escape, json_number, Json};
 use std::collections::BTreeMap;
 
 /// Number of finite log-spaced histogram buckets (excluding the
@@ -326,12 +328,11 @@ impl MetricsSnapshot {
     ///
     /// # Panics
     ///
-    /// Panics when the snapshot violates its own schema (non-finite
+    /// Panics when the rendering fails [`validate_metrics`] (non-finite
     /// numbers, unsorted or duplicate names, bucket counts that do not
-    /// sum to the histogram count): a self-validating writer, like the
-    /// `bench.v1` reporter.
+    /// sum to the histogram count, broken serving-counter invariants):
+    /// a self-validating writer, like the `bench.v1` reporter.
     pub fn to_json(&self) -> String {
-        self.check();
         let counters: Vec<String> = self
             .counters
             .iter()
@@ -366,14 +367,69 @@ impl MetricsSnapshot {
                 )
             })
             .collect();
-        format!(
-            "{{\"schema\":\"metrics.v1\",\"name\":\"{}\",\"counters\":{{{}}},\
+        let text = format!(
+            "{{\"schema\":\"{SCHEMA}\",\"name\":\"{}\",\"counters\":{{{}}},\
              \"gauges\":{{{}}},\"histograms\":[{}]}}",
             json_escape(&self.name),
             counters.join(","),
             gauges.join(","),
             hists.join(",")
-        )
+        );
+        if let Err(e) = validate_metrics(&text) {
+            panic!(
+                "metrics snapshot {:?} failed self-validation: {e}",
+                self.name
+            );
+        }
+        text
+    }
+
+    /// Parses and validates a `metrics.v1` document: schema tag,
+    /// non-empty name, a `counters` object of non-negative integers, a
+    /// `gauges` object of finite numbers, and a `histograms` array
+    /// where every entry carries `name`/`count`/`sum`/`overflow`/`p50`/
+    /// `p99` plus a `buckets` array of `{i, le, count}` objects. Bucket
+    /// indices are integers in `0..=HIST_BUCKETS`, strictly increasing,
+    /// each `le` is exactly [`LogHistogram::upper_edge`] of its index
+    /// (the writer's shortest round-trip numbers read back bit for bit),
+    /// and the bucket counts plus overflow sum to `count`. Both object
+    /// key sets and the histogram names must be strictly sorted — the
+    /// writer is canonical, and canonical order is what makes snapshots
+    /// byte-comparable.
+    ///
+    /// On top of the per-field shape checks, serving-layer counters are
+    /// held to their cross-counter invariants (see
+    /// [`validate_serving_counters`]).
+    pub fn parse(text: &str) -> Result<MetricsSnapshot, String> {
+        let doc = Json::parse(text)?;
+        let name = doc.check_header(SCHEMA)?.to_string();
+        let counters = sorted_entries(doc.obj_field("counters")?, "counters", |k, v| {
+            v.as_u64()
+                .ok_or_else(|| format!("counter {k:?} is not a non-negative integer"))
+        })?;
+        validate_serving_counters(&counters.iter().map(|(k, v)| (k.as_str(), *v)).collect())?;
+        let gauges = sorted_entries(doc.obj_field("gauges")?, "gauges", |k, v| {
+            v.as_finite()
+                .ok_or_else(|| format!("gauge {k:?} is not a finite number"))
+        })?;
+        let mut histograms: Vec<HistogramSnapshot> = Vec::new();
+        for (i, h) in doc.arr_field("histograms")?.iter().enumerate() {
+            let hname = h
+                .str_field("name")
+                .map_err(|e| format!("histogram {i}: {e}"))?;
+            if histograms.last().is_some_and(|p| p.name.as_str() >= hname) {
+                return Err(format!("histograms not strictly sorted at {hname:?}"));
+            }
+            let hist = HistogramSnapshot::from_json(hname, h)
+                .map_err(|e| format!("histogram {hname:?}: {e}"))?;
+            histograms.push(hist);
+        }
+        Ok(MetricsSnapshot {
+            name,
+            counters,
+            gauges,
+            histograms,
+        })
     }
 
     /// Renders the snapshot in Prometheus text-exposition style.
@@ -413,43 +469,224 @@ impl MetricsSnapshot {
         }
         out
     }
+}
 
-    /// Structural self-checks shared by both renderers.
-    fn check(&self) {
-        assert!(!self.name.is_empty(), "metrics snapshot needs a name");
-        for w in self.counters.windows(2) {
-            assert!(w[0].0 < w[1].0, "counters must be strictly sorted");
+/// Schema tag of the document [`MetricsSnapshot::to_json`] writes.
+pub const SCHEMA: &str = "metrics.v1";
+
+/// Validates a `metrics.v1` document (see [`MetricsSnapshot::parse`]).
+pub fn validate_metrics(text: &str) -> Result<(), String> {
+    MetricsSnapshot::parse(text).map(drop)
+}
+
+/// Reads a JSON object whose keys must be strictly sorted, converting
+/// each value with `read`.
+fn sorted_entries<T>(
+    pairs: &[(String, Json)],
+    what: &str,
+    read: impl Fn(&str, &Json) -> Result<T, String>,
+) -> Result<Vec<(String, T)>, String> {
+    let mut out: Vec<(String, T)> = Vec::with_capacity(pairs.len());
+    for (k, v) in pairs {
+        if out.last().is_some_and(|(prev, _)| prev >= k) {
+            return Err(format!("{what} not strictly sorted at {k:?}"));
         }
-        for w in self.gauges.windows(2) {
-            assert!(w[0].0 < w[1].0, "gauges must be strictly sorted");
+        out.push((k.clone(), read(k, v)?));
+    }
+    Ok(out)
+}
+
+impl HistogramSnapshot {
+    /// Reads and checks one `histograms` entry named `name`.
+    fn from_json(name: &str, h: &Json) -> Result<HistogramSnapshot, String> {
+        let count = h.u64_field("count")?;
+        let overflow = h.u64_field("overflow")?;
+        let sum = h.num_field("sum")?;
+        let p50 = h.num_field("p50")?;
+        let p99 = h.num_field("p99")?;
+        if p50 > p99 {
+            return Err(format!("p50 {p50} exceeds p99 {p99}"));
         }
-        for (k, v) in &self.gauges {
-            assert!(v.is_finite(), "non-finite gauge {k} = {v}");
-        }
-        for h in &self.histograms {
-            assert!(h.sum.is_finite(), "non-finite sum in histogram {}", h.name);
-            let mut prev = f64::NEG_INFINITY;
-            let mut total = h.overflow;
-            for (_, le, c) in &h.buckets {
-                assert!(*le > prev, "bucket edges must increase in {}", h.name);
-                prev = *le;
-                total += c;
+        let mut buckets: Vec<(usize, f64, u64)> = Vec::new();
+        let mut total = u128::from(overflow);
+        for (j, b) in h.arr_field("buckets")?.iter().enumerate() {
+            let bucket = || -> Result<(usize, f64, u64), String> {
+                let i = b.u64_field("i")?;
+                if i > HIST_BUCKETS as u64 {
+                    return Err(format!("index {i} is past the last bucket {HIST_BUCKETS}"));
+                }
+                let i = i as usize;
+                let (le, edge) = (b.num_field("le")?, LogHistogram::upper_edge(i));
+                if le.to_bits() != edge.to_bits() {
+                    return Err(format!(
+                        "\"le\" {le} is not the upper edge {edge} of bucket {i}"
+                    ));
+                }
+                match b.u64_field("count")? {
+                    0 => Err("count is not a positive integer".to_string()),
+                    c => Ok((i, le, c)),
+                }
+            };
+            let (i, le, c) = bucket().map_err(|e| format!("bucket {j}: {e}"))?;
+            if buckets.last().is_some_and(|&(prev, _, _)| prev >= i) {
+                return Err(format!("bucket indices not increasing at {j}"));
             }
-            assert_eq!(
-                total, h.count,
-                "bucket counts must sum to count in {}",
-                h.name
-            );
-            assert!(
-                h.p50.is_finite() && h.p99.is_finite() && h.p50 <= h.p99,
-                "percentiles must be finite and ordered in {}",
-                h.name
-            );
+            total += u128::from(c);
+            buckets.push((i, le, c));
         }
-        for w in self.histograms.windows(2) {
-            assert!(w[0].name < w[1].name, "histograms must be strictly sorted");
+        if total != u128::from(count) {
+            return Err(format!("bucket counts sum to {total}, count says {count}"));
+        }
+        Ok(HistogramSnapshot {
+            name: name.to_string(),
+            count,
+            sum,
+            overflow,
+            p50,
+            p99,
+            buckets,
+        })
+    }
+}
+
+/// Cross-counter invariants for serving-layer `metrics.v1` documents
+/// (DESIGN §14). The engine and fleet counters are not independent:
+/// every arrival is either served or typed-shed, the typed shed
+/// reasons partition the rejected total, and only served requests can
+/// be degraded. Each check only fires when the counters involved are
+/// all present, so non-serving registries validate unchanged.
+fn validate_serving_counters(counts: &BTreeMap<&str, u64>) -> Result<(), String> {
+    let conservation = [
+        // (arrived, served, rejected) triples for the engine and fleet.
+        (
+            "serve.requests_arrived_total",
+            "serve.requests_served_total",
+            "serve.requests_rejected_total",
+        ),
+        (
+            "serve.fleet.requests_arrived_total",
+            "serve.fleet.requests_served_total",
+            "serve.fleet.requests_shed_total",
+        ),
+        // WAL ingest (DESIGN §16): every appended record is either
+        // applied or typed-rejected, and the applied records partition
+        // into inserts and deletes.
+        (
+            "wal.records_appended_total",
+            "wal.records_applied_total",
+            "wal.records_rejected_total",
+        ),
+        (
+            "wal.records_applied_total",
+            "wal.inserts_total",
+            "wal.deletes_total",
+        ),
+    ];
+    for (arrived, served, rejected) in conservation {
+        if let (Some(&a), Some(&s), Some(&r)) = (
+            counts.get(arrived),
+            counts.get(served),
+            counts.get(rejected),
+        ) {
+            let parts = u128::from(s) + u128::from(r);
+            if u128::from(a) != parts {
+                return Err(format!(
+                    "counter {arrived:?} is {a} but {served:?} + {rejected:?} is {parts}"
+                ));
+            }
         }
     }
+    if let Some(&rejected) = counts.get("serve.requests_rejected_total") {
+        let shed: u128 = counts
+            .iter()
+            .filter(|(k, _)| k.starts_with("serve.shed_") && k.ends_with("_total"))
+            .map(|(_, &v)| u128::from(v))
+            .sum();
+        if shed != u128::from(rejected) {
+            return Err(format!(
+                "serve.shed_*_total counters sum to {shed}, \
+                 \"serve.requests_rejected_total\" says {rejected}"
+            ));
+        }
+    }
+    let degrade_caps = [
+        (
+            "serve.degraded_requests_total",
+            "serve.requests_served_total",
+        ),
+        (
+            "serve.fleet.degraded_requests_total",
+            "serve.fleet.requests_served_total",
+        ),
+        (
+            "serve.fleet.chaos_windows_total",
+            "serve.fleet.windows_total",
+        ),
+        // Compaction (DESIGN §16): a compaction lands at most once per
+        // start, starts only on a WAL write, and the fresh segment is
+        // scanned at most once per served batch.
+        ("compact.completed_total", "compact.started_total"),
+        ("compact.started_total", "wal.records_appended_total"),
+        ("wal.fresh_scans_total", "serve.batches_total"),
+    ];
+    for (part, whole) in degrade_caps {
+        if let (Some(&p), Some(&w)) = (counts.get(part), counts.get(whole)) {
+            if p > w {
+                return Err(format!("counter {part:?} ({p}) exceeds {whole:?} ({w})"));
+            }
+        }
+    }
+    // Fleet per-window cumulative shed series:
+    // `serve.fleet.run<RRR>.w<WWWW>.shed_<reason>_total`. Each
+    // (run, reason) series must be monotone non-decreasing in window
+    // order — a cumulative counter that ever decreased would mean a
+    // window un-shed a request — and the final window's cumulative
+    // values, summed across runs and reasons, must reconcile with the
+    // all-runs `serve.fleet.requests_shed_total`.
+    let mut series: BTreeMap<(&str, &str), Vec<(&str, u64)>> = BTreeMap::new();
+    for (k, &v) in counts {
+        let Some(rest) = k.strip_prefix("serve.fleet.run") else {
+            continue;
+        };
+        let Some((run, rest)) = rest.split_once(".w") else {
+            continue;
+        };
+        let Some((window, rest)) = rest.split_once(".shed_") else {
+            continue;
+        };
+        let Some(reason) = rest.strip_suffix("_total") else {
+            continue;
+        };
+        // BTreeMap iteration is sorted and window tags are zero-padded,
+        // so each series arrives in window order.
+        series.entry((run, reason)).or_default().push((window, v));
+    }
+    for ((run, reason), points) in &series {
+        for pair in points.windows(2) {
+            let ((w0, v0), (w1, v1)) = (pair[0], pair[1]);
+            if v1 < v0 {
+                return Err(format!(
+                    "fleet shed series run{run} {reason:?} is not monotone: \
+                     w{w0} has {v0}, w{w1} has {v1}"
+                ));
+            }
+        }
+    }
+    if !series.is_empty() {
+        if let Some(&total) = counts.get("serve.fleet.requests_shed_total") {
+            let last_sum: u128 = series
+                .values()
+                .map(|points| points.last().map_or(0, |&(_, v)| u128::from(v)))
+                .sum();
+            if last_sum != u128::from(total) {
+                return Err(format!(
+                    "fleet shed series final cumulative values sum to {last_sum}, \
+                     \"serve.fleet.requests_shed_total\" says {total}"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -537,5 +774,238 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn negative_observation_panics() {
         LogHistogram::new().record(-1.0);
+    }
+
+    #[test]
+    fn metrics_validator_accepts_canonical_documents() {
+        let good = format!(
+            "{{\"schema\":\"metrics.v1\",\"name\":\"unit\",\
+            \"counters\":{{\"a_total\":2,\"b_total\":0}},\
+            \"gauges\":{{\"qps\":12.5}},\
+            \"histograms\":[{{\"name\":\"lat\",\"count\":3,\"sum\":0.5,\
+            \"overflow\":1,\"p50\":1e-7,\"p99\":2e-7,\
+            \"buckets\":[{{\"i\":0,\"le\":1e-7,\"count\":1}},\
+            {{\"i\":4,\"le\":{},\"count\":1}}]}}]}}",
+            json_number(LogHistogram::upper_edge(4))
+        );
+        validate_metrics(&good).expect("valid");
+    }
+
+    #[test]
+    fn parse_reads_back_what_to_json_wrote() {
+        let mut reg = MetricsRegistry::new();
+        reg.inc("serve.requests_arrived_total", 3);
+        reg.inc("serve.requests_served_total", 3);
+        reg.set_gauge("serve.qps", 125.5);
+        for v in [0.0, 2e-6, 3e-6, 1e9] {
+            reg.observe("serve.latency_s", v);
+        }
+        let snap = reg.snapshot("unit");
+        assert_eq!(MetricsSnapshot::parse(&snap.to_json()), Ok(snap));
+    }
+
+    #[test]
+    fn metrics_validator_enforces_serving_counter_invariants() {
+        // Conservation: arrived != served + rejected.
+        let unbalanced = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\"serve.requests_arrived_total\":10,\
+            \"serve.requests_rejected_total\":1,\
+            \"serve.requests_served_total\":8},\
+            \"gauges\":{},\"histograms\":[]}";
+        assert!(validate_metrics(unbalanced)
+            .unwrap_err()
+            .contains("serve.requests_arrived_total"));
+        // Typed shed reasons must partition the rejected total.
+        let shed_mismatch = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\"serve.requests_arrived_total\":10,\
+            \"serve.requests_rejected_total\":3,\
+            \"serve.requests_served_total\":7,\
+            \"serve.shed_queue_full_total\":1,\
+            \"serve.shed_rate_limit_total\":1},\
+            \"gauges\":{},\"histograms\":[]}";
+        assert!(validate_metrics(shed_mismatch)
+            .unwrap_err()
+            .contains("shed"));
+        // Only served requests can be degraded.
+        let over_degraded = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\"serve.degraded_requests_total\":9,\
+            \"serve.requests_served_total\":7},\
+            \"gauges\":{},\"histograms\":[]}";
+        assert!(validate_metrics(over_degraded)
+            .unwrap_err()
+            .contains("serve.degraded_requests_total"));
+        // Fleet: chaos windows are a subset of all windows.
+        let chaos_overflow = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\"serve.fleet.chaos_windows_total\":5,\
+            \"serve.fleet.windows_total\":4},\
+            \"gauges\":{},\"histograms\":[]}";
+        assert!(validate_metrics(chaos_overflow)
+            .unwrap_err()
+            .contains("serve.fleet.chaos_windows_total"));
+        // A consistent serving document still validates.
+        let consistent = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\"serve.degraded_requests_total\":2,\
+            \"serve.fleet.chaos_windows_total\":2,\
+            \"serve.fleet.windows_total\":4,\
+            \"serve.requests_arrived_total\":10,\
+            \"serve.requests_rejected_total\":3,\
+            \"serve.requests_served_total\":7,\
+            \"serve.shed_queue_full_total\":1,\
+            \"serve.shed_rate_limit_total\":2},\
+            \"gauges\":{},\"histograms\":[]}";
+        validate_metrics(consistent).expect("consistent serving counters");
+    }
+
+    #[test]
+    fn metrics_validator_enforces_wal_and_compaction_invariants() {
+        // Appended records must partition into applied + rejected.
+        let leaky_log = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\"wal.records_appended_total\":10,\
+            \"wal.records_applied_total\":8,\
+            \"wal.records_rejected_total\":1},\
+            \"gauges\":{},\"histograms\":[]}";
+        assert!(validate_metrics(leaky_log)
+            .unwrap_err()
+            .contains("wal.records_appended_total"));
+        // Applied records must partition into inserts + deletes.
+        let phantom_op = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\"wal.deletes_total\":2,\
+            \"wal.inserts_total\":5,\
+            \"wal.records_applied_total\":8},\
+            \"gauges\":{},\"histograms\":[]}";
+        assert!(validate_metrics(phantom_op)
+            .unwrap_err()
+            .contains("wal.records_applied_total"));
+        // A compaction cannot land more often than it started.
+        let ghost_compaction = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\"compact.completed_total\":3,\
+            \"compact.started_total\":2},\
+            \"gauges\":{},\"histograms\":[]}";
+        assert!(validate_metrics(ghost_compaction)
+            .unwrap_err()
+            .contains("compact.completed_total"));
+        // Compactions start on writes; fresh scans happen per batch.
+        let eager_compactor = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\"compact.started_total\":5,\
+            \"wal.records_appended_total\":4},\
+            \"gauges\":{},\"histograms\":[]}";
+        assert!(validate_metrics(eager_compactor)
+            .unwrap_err()
+            .contains("compact.started_total"));
+        let over_scanned = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\"serve.batches_total\":3,\
+            \"wal.fresh_scans_total\":4},\
+            \"gauges\":{},\"histograms\":[]}";
+        assert!(validate_metrics(over_scanned)
+            .unwrap_err()
+            .contains("wal.fresh_scans_total"));
+        // A consistent ingest document still validates.
+        let consistent = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\"compact.completed_total\":1,\
+            \"compact.started_total\":2,\
+            \"serve.batches_total\":6,\
+            \"wal.deletes_total\":3,\
+            \"wal.fresh_scans_total\":5,\
+            \"wal.inserts_total\":6,\
+            \"wal.records_appended_total\":10,\
+            \"wal.records_applied_total\":9,\
+            \"wal.records_rejected_total\":1},\
+            \"gauges\":{},\"histograms\":[]}";
+        validate_metrics(consistent).expect("consistent ingest counters");
+    }
+
+    #[test]
+    fn metrics_validator_enforces_fleet_shed_series_invariants() {
+        // A cumulative per-window series that ever decreases is broken.
+        let non_monotone = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\
+            \"serve.fleet.requests_shed_total\":2,\
+            \"serve.fleet.run000.w0000.shed_queue_full_total\":3,\
+            \"serve.fleet.run000.w0001.shed_queue_full_total\":2},\
+            \"gauges\":{},\"histograms\":[]}";
+        assert!(validate_metrics(non_monotone)
+            .unwrap_err()
+            .contains("not monotone"));
+        // Final cumulative values must reconcile with the shed total.
+        let unreconciled = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\
+            \"serve.fleet.requests_shed_total\":3,\
+            \"serve.fleet.run000.w0000.shed_queue_full_total\":1,\
+            \"serve.fleet.run000.w0001.shed_queue_full_total\":4},\
+            \"gauges\":{},\"histograms\":[]}";
+        assert!(validate_metrics(unreconciled)
+            .unwrap_err()
+            .contains("requests_shed_total"));
+        // Monotone series summing (across runs and reasons) to the
+        // total validate; runs with different window counts coexist.
+        let consistent = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\
+            \"serve.fleet.requests_shed_total\":7,\
+            \"serve.fleet.run000.w0000.shed_queue_full_total\":1,\
+            \"serve.fleet.run000.w0000.shed_rate_limit_total\":0,\
+            \"serve.fleet.run000.w0001.shed_queue_full_total\":2,\
+            \"serve.fleet.run000.w0001.shed_rate_limit_total\":2,\
+            \"serve.fleet.run001.w0000.shed_queue_full_total\":3},\
+            \"gauges\":{},\"histograms\":[]}";
+        validate_metrics(consistent).expect("consistent fleet shed series");
+    }
+
+    #[test]
+    fn metrics_validator_rejects_structural_breakage() {
+        let wrong_schema = "{\"schema\":\"bench.v1\",\"name\":\"x\",\
+            \"counters\":{},\"gauges\":{},\"histograms\":[]}";
+        assert!(validate_metrics(wrong_schema)
+            .unwrap_err()
+            .contains("schema"));
+        let unsorted = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\"b\":1,\"a\":1},\"gauges\":{},\"histograms\":[]}";
+        assert!(validate_metrics(unsorted).unwrap_err().contains("sorted"));
+        let fractional = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{\"a\":1.5},\"gauges\":{},\"histograms\":[]}";
+        assert!(validate_metrics(fractional)
+            .unwrap_err()
+            .contains("integer"));
+        let bad_sum = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{},\"gauges\":{},\
+            \"histograms\":[{\"name\":\"h\",\"count\":5,\"sum\":0.0,\
+            \"overflow\":0,\"p50\":0.0,\"p99\":0.0,\
+            \"buckets\":[{\"i\":0,\"le\":1e-7,\"count\":2}]}]}";
+        assert!(validate_metrics(bad_sum).unwrap_err().contains("sum to"));
+        let bad_edges = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{},\"gauges\":{},\
+            \"histograms\":[{\"name\":\"h\",\"count\":2,\"sum\":0.0,\
+            \"overflow\":0,\"p50\":0.0,\"p99\":0.0,\
+            \"buckets\":[{\"i\":0,\"le\":2e-7,\"count\":1},\
+            {\"i\":1,\"le\":1e-7,\"count\":1}]}]}";
+        assert!(validate_metrics(bad_edges)
+            .unwrap_err()
+            .contains("upper edge"));
+        let fractional_index = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{},\"gauges\":{},\
+            \"histograms\":[{\"name\":\"h\",\"count\":1,\"sum\":0.0,\
+            \"overflow\":0,\"p50\":0.0,\"p99\":0.0,\
+            \"buckets\":[{\"i\":0.5,\"le\":1e-7,\"count\":1}]}]}";
+        assert!(validate_metrics(fractional_index)
+            .unwrap_err()
+            .contains("\"i\" is not a non-negative integer"));
+        let foreign_edge = format!(
+            "{{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{{}},\"gauges\":{{}},\
+            \"histograms\":[{{\"name\":\"h\",\"count\":1,\"sum\":0.0,\
+            \"overflow\":0,\"p50\":0.0,\"p99\":0.0,\
+            \"buckets\":[{{\"i\":1,\"le\":{},\"count\":1}}]}}]}}",
+            json_number(LogHistogram::upper_edge(2))
+        );
+        assert!(validate_metrics(&foreign_edge)
+            .unwrap_err()
+            .contains("upper edge"));
+        let p_inverted = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
+            \"counters\":{},\"gauges\":{},\
+            \"histograms\":[{\"name\":\"h\",\"count\":1,\"sum\":0.0,\
+            \"overflow\":0,\"p50\":2.0,\"p99\":1.0,\
+            \"buckets\":[{\"i\":0,\"le\":1e-7,\"count\":1}]}]}";
+        assert!(validate_metrics(p_inverted)
+            .unwrap_err()
+            .contains("exceeds"));
     }
 }

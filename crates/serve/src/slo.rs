@@ -44,16 +44,6 @@ impl SloBudget {
             window_s: target_p99_s * 100.0,
         }
     }
-
-    /// Overrides the error budget.
-    pub fn with_error_budget(mut self, error_budget: f64) -> Self {
-        assert!(
-            error_budget > 0.0 && error_budget <= 1.0,
-            "error budget must be in (0, 1]"
-        );
-        self.error_budget = error_budget;
-        self
-    }
 }
 
 /// Burn accounting for one sliding window.
@@ -187,7 +177,10 @@ mod tests {
 
     #[test]
     fn burn_rates_follow_breach_fraction() {
-        let budget = SloBudget::p99(1e-3).with_error_budget(0.1);
+        let budget = SloBudget {
+            error_budget: 0.1,
+            ..SloBudget::p99(1e-3)
+        };
         // 10 responses, 2 over target.
         let responses: Vec<(f64, f64)> = (0..10)
             .map(|i| (i as f64 * 1e-3, if i < 2 { 2e-3 } else { 1e-4 }))

@@ -295,7 +295,7 @@ fn fleet_scales_up_under_burn_and_down_when_calm() {
         metrics.counter("serve.fleet.windows_total"),
         report.windows.len() as u64
     );
-    bench::validate_metrics(&metrics.snapshot("serve.fleet").to_json())
+    serve::validate_metrics(&metrics.snapshot("serve.fleet").to_json())
         .expect("fleet metrics validate");
 }
 

@@ -305,8 +305,8 @@ fn thrashing_faulty_replay_exposes_every_signal() {
     // Both export formats validate under the bench-side parsers (the
     // same code paths CI's check_bench_json runs).
     let snap = m.snapshot("serve");
-    bench::validate_metrics(&snap.to_json()).expect("metrics.v1 validates");
-    bench::validate_chrome_trace(&request_chrome_trace(&report.spans))
+    serve::validate_metrics(&snap.to_json()).expect("metrics.v1 validates");
+    gpu_sim::validate_chrome_trace(&request_chrome_trace(&report.spans))
         .expect("request trace validates");
     assert!(snap.to_prometheus().contains("serve_latency_s_bucket"));
 }
@@ -346,5 +346,5 @@ fn rejected_requests_get_terminal_rejection_spans() {
         engine.metrics().counter("serve.requests_rejected_total"),
         report.rejected.len() as u64
     );
-    bench::validate_chrome_trace(&request_chrome_trace(&report.spans)).expect("trace validates");
+    gpu_sim::validate_chrome_trace(&request_chrome_trace(&report.spans)).expect("trace validates");
 }

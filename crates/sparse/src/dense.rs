@@ -85,31 +85,10 @@ impl<T: Real> DenseMatrix<T> {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable view of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Flat row-major data.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// Mutable flat row-major data.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix, returning the flat data vector.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
     }
 
     /// Applies `f` to every element in place (the element-wise primitive

@@ -20,8 +20,7 @@
 use std::collections::BTreeMap;
 use std::fs;
 
-use super::diag::{validate_diag, DiagReport, Diagnostic};
-use bench::Json;
+use super::diag::{DiagReport, Diagnostic};
 
 /// One baseline entry's identity.
 type Key = (String, String, String); // (rule, file, fingerprint)
@@ -47,23 +46,10 @@ impl Baseline {
     /// Loads and validates a baseline file.
     pub fn load(path: &str) -> Result<Baseline, String> {
         let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        validate_diag(&text).map_err(|e| format!("{path}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        let report = DiagReport::parse(&text).map_err(|e| format!("{path}: {e}"))?;
         let mut counts = BTreeMap::new();
-        for f in doc
-            .get("findings")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-        {
-            let s = |key: &str| {
-                f.get(key)
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string()
-            };
-            *counts
-                .entry((s("rule"), s("file"), s("fingerprint")))
-                .or_insert(0) += 1;
+        for d in report.findings {
+            *counts.entry((d.rule, d.file, d.fingerprint)).or_insert(0) += 1;
         }
         Ok(Baseline { counts })
     }
@@ -74,7 +60,7 @@ impl Baseline {
     pub fn apply(&self, findings: &mut [Diagnostic]) -> Vec<StaleEntry> {
         let mut remaining = self.counts.clone();
         for d in findings.iter_mut() {
-            let key = (d.rule.to_string(), d.file.clone(), d.fingerprint.clone());
+            let key = (d.rule.clone(), d.file.clone(), d.fingerprint.clone());
             if let Some(n) = remaining.get_mut(&key) {
                 if *n > 0 {
                     *n -= 1;
@@ -125,7 +111,7 @@ mod tests {
 
     fn finding(rule: &'static str, file: &str, line_text: &str) -> Diagnostic {
         Diagnostic {
-            rule,
+            rule: rule.to_string(),
             severity: Severity::Deny,
             file: file.to_string(),
             line: 1,

@@ -1,11 +1,11 @@
 //! Typed diagnostics and the `diag.v1` report format.
 //!
-//! Mirrors `bench.v1` (`crates/bench/src/report.rs`): a hand-rolled
-//! writer (the workspace carries no serde), a validator built on the
-//! same dependency-free [`bench::Json`] parser, and a self-validating
-//! [`DiagReport::write`] that re-parses its own rendering before
-//! touching disk — the analyzer must not exit zero after emitting a
-//! document its CI consumers will reject.
+//! Mirrors `bench.v1` (`crates/bench/src/report.rs`): a hand-written
+//! writer, a validating reader ([`DiagReport::parse`], which the
+//! suppression baseline loads through and [`validate_diag`] wraps),
+//! and a self-validating [`DiagReport::write`] that re-parses its own
+//! rendering before touching disk — the analyzer must not exit zero
+//! after emitting a document its CI consumers will reject.
 //!
 //! Document shape:
 //!
@@ -60,10 +60,10 @@ impl Severity {
 }
 
 /// One analyzer finding.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// Rule name (kebab-case, e.g. `barrier-divergence`).
-    pub rule: &'static str,
+    pub rule: String,
     /// Gate behaviour.
     pub severity: Severity,
     /// Workspace-relative file path.
@@ -137,7 +137,7 @@ pub fn fingerprint(rule: &str, file: &str, line_text: &str) -> String {
 }
 
 /// A full `diag.v1` document ready to render.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct DiagReport {
     /// Document name (`analyze` for live runs, `analyze_baseline` for
     /// the committed suppression file).
@@ -175,7 +175,7 @@ impl DiagReport {
                 "\n  {{\"rule\":\"{}\",\"severity\":\"{}\",\"file\":\"{}\",\
                  \"line\":{},\"col\":{},\"message\":\"{}\",\"help\":\"{}\",\
                  \"fingerprint\":\"{}\",\"baselined\":{}}}",
-                json_escape(d.rule),
+                json_escape(&d.rule),
                 d.severity.as_str(),
                 json_escape(&d.file),
                 d.line,
@@ -217,101 +217,82 @@ impl DiagReport {
             panic!("cannot write diag report {path:?}: {e}");
         }
     }
-}
 
-/// Validates a `diag.v1` document: schema/name present, every finding
-/// fully typed (known severity, positive line/col, 16-hex fingerprint),
-/// and the summary arithmetic consistent with the findings array.
-pub fn validate_diag(text: &str) -> Result<(), String> {
-    let doc = Json::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing \"schema\"")?;
-    if schema != SCHEMA {
-        return Err(format!("schema {schema:?}, expected {SCHEMA:?}"));
-    }
-    let name = doc
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or("missing \"name\"")?;
-    if name.is_empty() {
-        return Err("empty \"name\"".to_string());
-    }
-    let findings = doc
-        .get("findings")
-        .and_then(Json::as_arr)
-        .ok_or("missing \"findings\" array")?;
-    let mut baselined = 0usize;
-    for (i, f) in findings.iter().enumerate() {
-        let field = |key: &str| -> Result<&Json, String> {
-            f.get(key).ok_or(format!("finding #{i}: missing {key:?}"))
-        };
-        let s = |key: &str| -> Result<&str, String> {
-            field(key)?
-                .as_str()
-                .ok_or(format!("finding #{i}: {key:?} must be a string"))
-        };
-        let n = |key: &str| -> Result<f64, String> {
-            field(key)?
-                .as_f64()
-                .ok_or(format!("finding #{i}: {key:?} must be a number"))
-        };
-        if s("rule")?.is_empty() {
-            return Err(format!("finding #{i}: empty \"rule\""));
-        }
-        let sev = s("severity")?;
-        if Severity::parse(sev).is_none() {
-            return Err(format!("finding #{i}: unknown severity {sev:?}"));
-        }
-        if s("file")?.is_empty() {
-            return Err(format!("finding #{i}: empty \"file\""));
-        }
-        for key in ["line", "col"] {
-            let v = n(key)?;
-            if v < 1.0 || v.fract() != 0.0 {
-                return Err(format!("finding #{i}: {key:?} must be a positive integer"));
+    /// Parses and validates a `diag.v1` document: schema/name present,
+    /// every finding fully typed, and the summary arithmetic consistent
+    /// with the findings array.
+    pub fn parse(text: &str) -> Result<DiagReport, String> {
+        let doc = Json::parse(text)?;
+        let name = doc.check_header(SCHEMA)?.to_string();
+        let findings: Vec<Diagnostic> = doc
+            .arr_field("findings")?
+            .iter()
+            .enumerate()
+            .map(|(i, f)| Diagnostic::from_json(f).map_err(|e| format!("finding #{i}: {e}")))
+            .collect::<Result<_, _>>()?;
+        let summary = doc.field("summary")?;
+        let count = |key: &str| summary.u64_field(key).map_err(|e| format!("summary: {e}"));
+        let total = findings.len() as u64;
+        let baselined = findings.iter().filter(|d| d.baselined).count() as u64;
+        for (key, want) in [
+            ("findings", total),
+            ("baselined", baselined),
+            ("fresh", total - baselined),
+        ] {
+            if count(key)? != want {
+                return Err(format!("summary {key:?} disagrees with the findings array"));
             }
         }
-        s("message")?;
-        s("help")?;
-        let fp = s("fingerprint")?;
-        if fp.len() != 16 || !fp.chars().all(|c| c.is_ascii_hexdigit()) {
-            return Err(format!(
-                "finding #{i}: fingerprint {fp:?} is not 16 hex digits"
-            ));
+        Ok(DiagReport {
+            name,
+            files_scanned: count("files_scanned")? as usize,
+            stale_baseline: count("stale_baseline")? as usize,
+            findings,
+        })
+    }
+}
+
+/// Validates a `diag.v1` document (see [`DiagReport::parse`]).
+pub fn validate_diag(text: &str) -> Result<(), String> {
+    DiagReport::parse(text).map(drop)
+}
+
+impl Diagnostic {
+    /// Reads one `findings` entry: known severity, non-empty rule and
+    /// file, positive line/col, 16-hex fingerprint, boolean `baselined`.
+    fn from_json(f: &Json) -> Result<Diagnostic, String> {
+        let nonempty = |key: &str| match f.str_field(key)? {
+            "" => Err(format!("empty {key:?}")),
+            s => Ok(s.to_string()),
+        };
+        let position = |key: &str| match f.u64_field(key)? {
+            0 => Err(format!("{key:?} must be a positive integer")),
+            v => u32::try_from(v).map_err(|_| format!("{key:?} {v} is out of range")),
+        };
+        let rule = nonempty("rule")?;
+        let sev = f.str_field("severity")?;
+        let severity = Severity::parse(sev).ok_or(format!("unknown severity {sev:?}"))?;
+        let file = nonempty("file")?;
+        let (line, col) = (position("line")?, position("col")?);
+        let message = f.str_field("message")?.to_string();
+        let help = f.str_field("help")?.to_string();
+        let fingerprint = f.str_field("fingerprint")?.to_string();
+        if fingerprint.len() != 16 || !fingerprint.chars().all(|c| c.is_ascii_hexdigit()) {
+            return Err(format!("fingerprint {fingerprint:?} is not 16 hex digits"));
         }
-        match f.get("baselined").and_then(Json::as_bool) {
-            Some(true) => baselined += 1,
-            Some(false) => {}
-            None => return Err(format!("finding #{i}: missing boolean \"baselined\"")),
-        }
+        let baselined = f.bool_field("baselined")?;
+        Ok(Diagnostic {
+            rule,
+            severity,
+            file,
+            line,
+            col,
+            message,
+            help,
+            fingerprint,
+            baselined,
+        })
     }
-    let summary = doc
-        .get("summary")
-        .and_then(Json::as_obj)
-        .ok_or("missing \"summary\" object")?;
-    let count = |key: &str| -> Result<usize, String> {
-        summary
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_f64())
-            .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-            .map(|v| v as usize)
-            .ok_or(format!("summary: {key:?} must be a non-negative integer"))
-    };
-    if count("findings")? != findings.len() {
-        return Err("summary \"findings\" disagrees with the findings array".to_string());
-    }
-    if count("baselined")? != baselined {
-        return Err("summary \"baselined\" disagrees with the findings array".to_string());
-    }
-    if count("fresh")? != findings.len() - baselined {
-        return Err("summary \"fresh\" disagrees with the findings array".to_string());
-    }
-    count("files_scanned")?;
-    count("stale_baseline")?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -324,7 +305,7 @@ mod tests {
             files_scanned: 3,
             stale_baseline: 0,
             findings: vec![Diagnostic {
-                rule: "uncosted-smem",
+                rule: "uncosted-smem".to_string(),
                 severity: Severity::Deny,
                 file: "crates/kernels/src/foo.rs".to_string(),
                 line: 12,
@@ -341,6 +322,7 @@ mod tests {
     fn render_round_trips_and_validates() {
         let text = sample().to_json();
         validate_diag(&text).expect("valid");
+        assert_eq!(DiagReport::parse(&text), Ok(sample()));
         let doc = Json::parse(&text).expect("parses");
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
         let findings = doc.get("findings").and_then(Json::as_arr).expect("arr");

@@ -114,9 +114,8 @@ pub fn analyze_root(root: &Path) -> Result<Analysis, String> {
             findings.extend(runner(&rel, &text));
         }
     }
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.col, a.rule).cmp(&(b.file.as_str(), b.line, b.col, b.rule))
-    });
+    findings
+        .sort_by(|a, b| (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule)));
     Ok(Analysis {
         files_scanned: files.len() + span_files.len(),
         findings,

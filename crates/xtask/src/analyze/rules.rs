@@ -171,7 +171,7 @@ pub fn run_rules(file: &str, text: &str) -> Vec<Diagnostic> {
     rule_stale_allow(&model, &suppressed, file, &lines, &mut out);
     rule_marker_hygiene(&model, file, &lines, &mut out);
 
-    out.sort_by_key(|d| (d.line, d.col, d.rule));
+    out.sort_by(|a, b| (a.line, a.col, &a.rule).cmp(&(b.line, b.col, &b.rule)));
     out
 }
 
@@ -242,7 +242,7 @@ fn diag_at(
 ) -> Diagnostic {
     let text = lines.get(line as usize - 1).copied().unwrap_or_default();
     Diagnostic {
-        rule,
+        rule: rule.to_string(),
         severity,
         file: file.to_string(),
         line,
@@ -611,8 +611,8 @@ mod tests {
         run_rules("test.rs", text)
     }
 
-    fn rules_of(diags: &[Diagnostic]) -> Vec<&'static str> {
-        diags.iter().map(|d| d.rule).collect()
+    fn rules_of(diags: &[Diagnostic]) -> Vec<&str> {
+        diags.iter().map(|d| d.rule.as_str()).collect()
     }
 
     // ---- ports of the lint_kernels unit tests -----------------------

@@ -2,10 +2,10 @@
 //!
 //! Every bench harness writes a `bench.v1` document when invoked with
 //! `--json <path>`, and `spdist --profile=<path>` writes a
-//! chrome://tracing trace. Both formats are hand-rolled (the workspace
-//! carries no serde), so this tool re-parses them with the same
-//! `bench::Json` parser the writers validate against and fails CI when
-//! a file drifts from the schema.
+//! chrome://tracing trace. Each format is hand-written (the workspace
+//! carries no serde), so this tool reads every file back through the
+//! same validating reader its writer checks itself with, and fails CI
+//! when a file drifts from its schema.
 //!
 //! Usage:
 //!
@@ -16,25 +16,23 @@
 //! ```
 //!
 //! Positional arguments are validated as `bench.v1` reports
-//! ([`bench::validate_report`], plus
-//! [`bench::validate_latency_percentiles`] for rows carrying
+//! ([`bench::BenchReport::parse`], plus
+//! [`bench::BenchReport::check_latency_percentiles`] for rows carrying
 //! `p<N>_latency_s` values — non-negative and monotone in the
 //! percentile); each `--trace <path>` is validated as a chrome-trace
 //! ([`bench::validate_chrome_trace`]); each `--diag <path>` is
 //! validated as a `diag.v1` analyzer report
-//! ([`xtask::analyze::diag::validate_diag`]); each `--metrics <path>`
+//! ([`xtask::analyze::diag::DiagReport::parse`]); each `--metrics <path>`
 //! is validated as a `metrics.v1` serving-telemetry snapshot
-//! ([`bench::validate_metrics`]). Exit status is
+//! ([`bench::MetricsSnapshot::parse`], from `serve::metrics`). Exit status is
 //! non-zero when any file fails to read, parse, or validate, or when no
 //! files were given at all (an empty CI glob is itself a regression).
 
 use std::fs;
 use std::process::ExitCode;
 
-use bench::{
-    validate_chrome_trace, validate_latency_percentiles, validate_metrics, validate_report, Json,
-};
-use xtask::analyze::diag::validate_diag;
+use bench::{validate_chrome_trace, BenchReport, MetricsSnapshot};
+use xtask::analyze::diag::DiagReport;
 
 enum Kind {
     Report,
@@ -99,65 +97,40 @@ fn main() -> ExitCode {
 
 fn check_file(path: &str, kind: &Kind) -> Result<String, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-    let json = Json::parse(&text)?;
     match kind {
         Kind::Report => {
-            validate_report(&text)?;
-            let latency_rows = validate_latency_percentiles(&text)?;
-            let name = json
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string();
-            let rows = json
-                .get("rows")
-                .and_then(Json::as_arr)
-                .map_or(0, <[Json]>::len);
+            let report = BenchReport::parse(&text)?;
+            let latency_rows = report.check_latency_percentiles()?;
             let latency = if latency_rows > 0 {
                 format!(" ({latency_rows} with ordered latency percentiles)")
             } else {
                 String::new()
             };
-            Ok(format!("bench.v1 report {name:?}, {rows} rows{latency}"))
+            Ok(format!(
+                "bench.v1 report {:?}, {} rows{latency}",
+                report.name,
+                report.rows.len()
+            ))
         }
         Kind::Trace => {
-            validate_chrome_trace(&text)?;
-            let events = json
-                .get("traceEvents")
-                .and_then(Json::as_arr)
-                .map_or(0, <[Json]>::len);
+            let events = validate_chrome_trace(&text)?;
             Ok(format!("chrome-trace, {events} events"))
         }
         Kind::Diag => {
-            validate_diag(&text)?;
-            let name = json
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string();
-            let findings = json
-                .get("findings")
-                .and_then(Json::as_arr)
-                .map_or(0, <[Json]>::len);
-            Ok(format!("diag.v1 report {name:?}, {findings} finding(s)"))
+            let report = DiagReport::parse(&text)?;
+            Ok(format!(
+                "diag.v1 report {:?}, {} finding(s)",
+                report.name,
+                report.findings.len()
+            ))
         }
         Kind::Metrics => {
-            validate_metrics(&text)?;
-            let name = json
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string();
-            let counters = json
-                .get("counters")
-                .and_then(Json::as_obj)
-                .map_or(0, <[(String, Json)]>::len);
-            let histograms = json
-                .get("histograms")
-                .and_then(Json::as_arr)
-                .map_or(0, <[Json]>::len);
+            let snap = MetricsSnapshot::parse(&text)?;
             Ok(format!(
-                "metrics.v1 snapshot {name:?}, {counters} counter(s), {histograms} histogram(s)"
+                "metrics.v1 snapshot {:?}, {} counter(s), {} histogram(s)",
+                snap.name,
+                snap.counters.len(),
+                snap.histograms.len()
             ))
         }
     }

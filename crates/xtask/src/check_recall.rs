@@ -36,7 +36,6 @@ use std::fs;
 use std::process::ExitCode;
 
 use bench::report::{BenchReport, MetricRow};
-use bench::{validate_report, Json};
 
 /// One swept operating point from an `ann_recall` bench.v1 document.
 struct Point {
@@ -52,46 +51,43 @@ fn key(dataset: &str, distance: &str, nprobe: u64) -> String {
     format!("{dataset}/{distance}/nprobe={nprobe}")
 }
 
-fn load_points(path: &str) -> Result<Vec<Point>, String> {
+/// Reads and validates a `bench.v1` document.
+fn load_report(path: &str) -> Result<BenchReport, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    validate_report(&text).map_err(|e| format!("{path}: {e}"))?;
-    let json = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    BenchReport::parse(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// The `(dataset, distance, nprobe)` labels identifying a row's
+/// operating point.
+fn operating_point(row: &MetricRow) -> Result<(&str, &str, u64), String> {
+    let (Some(dataset), Some(distance), Some(nprobe)) = (
+        row.find_label("dataset"),
+        row.find_label("distance"),
+        row.find_label("nprobe"),
+    ) else {
+        return Err("is missing its dataset/distance/nprobe labels".to_string());
+    };
+    let nprobe = nprobe
+        .parse()
+        .map_err(|_| format!("has non-integer nprobe {nprobe:?}"))?;
+    Ok((dataset, distance, nprobe))
+}
+
+fn load_points(path: &str) -> Result<Vec<Point>, String> {
     let mut points = Vec::new();
-    for (i, row) in json
-        .get("rows")
-        .and_then(Json::as_arr)
-        .unwrap_or_default()
-        .iter()
-        .enumerate()
-    {
-        let label = |k: &str| {
-            row.get("labels")
-                .and_then(|l| l.get(k))
-                .and_then(Json::as_str)
-                .map(str::to_string)
-        };
-        let value = |k: &str| {
-            row.get("values")
-                .and_then(|v| v.get(k))
-                .and_then(Json::as_f64)
-        };
-        let (Some(dataset), Some(distance), Some(nprobe)) =
-            (label("dataset"), label("distance"), label("nprobe"))
+    for (i, row) in load_report(path)?.rows.iter().enumerate() {
+        let (dataset, distance, nprobe) =
+            operating_point(row).map_err(|e| format!("{path}: row {i} {e}"))?;
+        let (Some(recall), Some(nlist)) = (row.find_value("recall_at_k"), row.find_value("nlist"))
         else {
-            return Err(format!("{path}: row {i} is missing ann_recall labels"));
-        };
-        let nprobe: u64 = nprobe
-            .parse()
-            .map_err(|_| format!("{path}: row {i} has non-integer nprobe {nprobe:?}"))?;
-        let (Some(recall), Some(nlist)) = (value("recall_at_k"), value("nlist")) else {
             return Err(format!("{path}: row {i} is missing recall_at_k / nlist"));
         };
         if !(0.0..=1.0).contains(&recall) {
             return Err(format!("{path}: row {i} recall {recall} outside [0, 1]"));
         }
         points.push(Point {
-            dataset,
-            distance,
+            dataset: dataset.to_string(),
+            distance: distance.to_string(),
             nprobe,
             nlist: nlist as u64,
             recall,
@@ -193,32 +189,13 @@ fn run() -> Result<bool, String> {
     }
 
     let floor_path = floor_path.ok_or("pass --floor <path> or --write-floor <path>")?;
-    let text =
-        fs::read_to_string(&floor_path).map_err(|e| format!("cannot read {floor_path}: {e}"))?;
-    validate_report(&text).map_err(|e| format!("{floor_path}: {e}"))?;
-    let json = Json::parse(&text).map_err(|e| format!("{floor_path}: {e}"))?;
     let mut floors: BTreeMap<String, f64> = BTreeMap::new();
-    for row in json.get("rows").and_then(Json::as_arr).unwrap_or_default() {
-        let label = |k: &str| {
-            row.get("labels")
-                .and_then(|l| l.get(k))
-                .and_then(Json::as_str)
+    for (i, row) in load_report(&floor_path)?.rows.iter().enumerate() {
+        let (dataset, distance, nprobe) =
+            operating_point(row).map_err(|e| format!("{floor_path}: row {i} {e}"))?;
+        let Some(recall) = row.find_value("recall_floor") else {
+            return Err(format!("{floor_path}: row {i} is missing recall_floor"));
         };
-        let (Some(dataset), Some(distance), Some(nprobe)) =
-            (label("dataset"), label("distance"), label("nprobe"))
-        else {
-            return Err(format!("{floor_path}: row is missing floor labels"));
-        };
-        let Some(recall) = row
-            .get("values")
-            .and_then(|v| v.get("recall_floor"))
-            .and_then(Json::as_f64)
-        else {
-            return Err(format!("{floor_path}: row is missing recall_floor"));
-        };
-        let nprobe: u64 = nprobe
-            .parse()
-            .map_err(|_| format!("{floor_path}: non-integer nprobe {nprobe:?}"))?;
         floors.insert(key(dataset, distance, nprobe), recall);
     }
     if floors.is_empty() {

@@ -37,110 +37,54 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::process::ExitCode;
 
-use bench::{validate_report, Json};
+use bench::{BenchReport, MetricRow};
 
-/// One metric row, flattened: sorted labels (including the injected
-/// `report` label) and its numeric values.
-struct Row {
-    labels: Vec<(String, String)>,
-    values: Vec<(String, f64)>,
-}
-
-impl Row {
-    /// Stable identity of the row: the full label set, serialized.
-    fn key(&self) -> String {
-        let parts: Vec<String> = self
-            .labels
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        parts.join(",")
-    }
+/// Stable identity of a row: its full (sorted) label set, serialized.
+fn key(row: &MetricRow) -> String {
+    let parts: Vec<String> = row.labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    parts.join(",")
 }
 
 /// Loads a `bench.v1` report and flattens its rows, tagging each with a
-/// `report=<name>` label (already present when re-reading a baseline).
-fn load_rows(path: &str) -> Result<Vec<Row>, String> {
+/// `report=<name>` label (already present when re-reading a baseline)
+/// and sorting labels and values by key.
+fn load_rows(path: &str) -> Result<Vec<MetricRow>, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    validate_report(&text).map_err(|e| format!("{path}: {e}"))?;
-    let json = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let name = json
-        .get("name")
-        .and_then(Json::as_str)
-        .unwrap_or_default()
-        .to_string();
-    let mut rows = Vec::new();
-    for row in json.get("rows").and_then(Json::as_arr).unwrap_or_default() {
-        let mut labels: Vec<(String, String)> = row
-            .get("labels")
-            .and_then(Json::as_obj)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_string())))
-            .collect();
-        if !labels.iter().any(|(k, _)| k == "report") {
-            labels.push(("report".to_string(), name.clone()));
+    let report = BenchReport::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let mut rows = report.rows;
+    for row in &mut rows {
+        if row.find_label("report").is_none() {
+            row.labels.push(("report".to_string(), report.name.clone()));
         }
-        labels.sort();
-        let mut values: Vec<(String, f64)> = row
-            .get("values")
-            .and_then(Json::as_obj)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f)))
-            .collect();
-        values.sort_by(|a, b| a.0.cmp(&b.0));
-        rows.push(Row { labels, values });
+        row.labels.sort();
+        row.values.sort_by(|a, b| a.0.cmp(&b.0));
     }
     Ok(rows)
 }
 
 /// Groups rows by identity key; within a key, order of occurrence is
 /// the tiebreak (harness emission order is deterministic).
-fn index_rows(rows: Vec<Row>) -> BTreeMap<String, Vec<Row>> {
-    let mut map: BTreeMap<String, Vec<Row>> = BTreeMap::new();
+fn index_rows(rows: Vec<MetricRow>) -> BTreeMap<String, Vec<MetricRow>> {
+    let mut map: BTreeMap<String, Vec<MetricRow>> = BTreeMap::new();
     for row in rows {
-        map.entry(row.key()).or_default().push(row);
+        map.entry(key(&row)).or_default().push(row);
     }
     map
 }
 
 fn write_baseline(out: &str, inputs: &[String]) -> Result<(), String> {
-    let mut rows = Vec::new();
+    let mut baseline = BenchReport::new("bench_baseline");
     for path in inputs {
-        rows.extend(load_rows(path)?);
+        baseline.rows.extend(load_rows(path)?);
     }
-    if rows.is_empty() {
+    if baseline.rows.is_empty() {
         return Err("refusing to write an empty baseline".to_string());
     }
-    // Re-emit as a bench.v1 document through the same escaping rules
-    // the writers use (labels/values are already parser-round-tripped).
-    let mut body = String::new();
-    body.push_str("{\"schema\":\"bench.v1\",\"name\":\"bench_baseline\",\"rows\":[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str("{\"labels\":{");
-        for (j, (k, v)) in row.labels.iter().enumerate() {
-            if j > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!("\"{k}\":\"{v}\""));
-        }
-        body.push_str("},\"values\":{");
-        for (j, (k, v)) in row.values.iter().enumerate() {
-            if j > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!("\"{k}\":{v:?}"));
-        }
-        body.push_str("}}");
-    }
-    body.push_str("]}\n");
-    validate_report(&body).map_err(|e| format!("generated baseline invalid: {e}"))?;
-    fs::write(out, &body).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("compare_bench: wrote baseline {out} ({} rows)", rows.len());
+    baseline.write(out);
+    println!(
+        "compare_bench: wrote baseline {out} ({} rows)",
+        baseline.rows.len()
+    );
     Ok(())
 }
 

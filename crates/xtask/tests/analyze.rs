@@ -17,8 +17,8 @@ use xtask::analyze::diag::{validate_diag, DiagReport, Diagnostic, Severity};
 use xtask::analyze::rules::{run_rules, run_span_rules, RULES};
 use xtask::analyze::{analyze_root, SCAN_ROOTS, SPAN_SCAN_ROOTS};
 
-fn rules_of(diags: &[Diagnostic]) -> Vec<&'static str> {
-    diags.iter().map(|d| d.rule).collect()
+fn rules_of(diags: &[Diagnostic]) -> Vec<&str> {
+    diags.iter().map(|d| d.rule.as_str()).collect()
 }
 
 // ---------------------------------------------------------------------
