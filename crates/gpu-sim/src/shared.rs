@@ -208,6 +208,60 @@ impl<T: Copy> SharedArray<T> {
         self.data.borrow_mut()[idx] = v;
     }
 
+    /// Scans down from `end` while `pred` holds, returning the lowest
+    /// `p` such that `pred` holds for every element of `p..end`, under
+    /// one storage borrow and **without** cost accounting (see
+    /// [`SharedArray::read`]).
+    ///
+    /// Exactly the element-wise loop
+    /// `while p > 0 && pred(arr.read(p - 1)) { p -= 1 }`: under an
+    /// enabled sanitizer it initchecks the same elements in the same
+    /// order, including the one that stops the scan.
+    pub fn scan_back_while(&self, end: usize, mut pred: impl FnMut(T) -> bool) -> usize {
+        let data = self.data.borrow();
+        let mut p = end;
+        while p > 0 {
+            if let Some(sh) = &self.shadow {
+                sh.host_read(p - 1);
+            }
+            if !pred(data[p - 1]) {
+                break;
+            }
+            p -= 1;
+        }
+        p
+    }
+
+    /// Shifts `pos..end - 1` up one slot to `pos + 1..end` (dropping the
+    /// old `end - 1`) and stores `v` at `pos`, under one storage borrow
+    /// and **without** cost accounting (see [`SharedArray::read`]).
+    ///
+    /// Exactly the element-wise loop
+    /// `for s in (pos + 1..end).rev() { arr.write(s, arr.read(s - 1)) }`
+    /// followed by `arr.write(pos, v)`: under an enabled sanitizer it
+    /// makes the same initchecks and initializations in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `pos < end <= self.len()`.
+    pub fn shift_insert(&self, pos: usize, end: usize, v: T) {
+        let mut data = self.data.borrow_mut();
+        assert!(
+            pos < end && end <= data.len(),
+            "shift_insert({pos}, {end}) out of bounds for length {}",
+            data.len()
+        );
+        if let Some(sh) = &self.shadow {
+            for s in (pos + 1..end).rev() {
+                sh.host_read(s - 1);
+                sh.host_write(s);
+            }
+            sh.host_write(pos);
+        }
+        data.copy_within(pos..end - 1, pos + 1);
+        data[pos] = v;
+    }
+
     /// Raw read-modify-write returning the previous value; cost and
     /// shadow accounting are the caller's job (used by
     /// [`crate::WarpCtx::smem_atomic`]).
@@ -273,6 +327,87 @@ mod tests {
         }
         // Only the first fault is kept.
         assert!(pool.take_fault().is_none());
+    }
+
+    use crate::sanitizer::{LaunchSanitizer, SanitizerMode};
+    use proptest::prelude::*;
+
+    /// A `u32` array under an enabled sanitizer of its own, so the
+    /// initcheck reports of two arrays can be compared whole.
+    fn sanitized(len: usize) -> (Rc<LaunchSanitizer>, SharedArray<u32>) {
+        let launch = Rc::new(LaunchSanitizer::new(SanitizerMode::Warn, "bulk"));
+        let block = Rc::new(BlockSanitizer::new(launch.clone(), 0, 1));
+        let arr = SharedMem::with_sanitizer(4 * len, block).alloc::<u32>(len);
+        (launch, arr)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The bulk helpers against the element-wise `read`/`write`
+        /// loops they replace, on partly initialized arrays: the same
+        /// scan results, the same contents after every op, and the same
+        /// initcheck reports in the same order.
+        #[test]
+        fn bulk_helpers_match_the_elementwise_loops(
+            len in 1usize..24,
+            // 8 leaves the element uninitialized.
+            init in proptest::collection::vec(0u32..9, 24),
+            ops in proptest::collection::vec((0u8..2, 0usize..64, 0usize..64, 0u32..8), 1..16),
+        ) {
+            let (bulk_san, bulk) = sanitized(len);
+            let (loop_san, elem) = sanitized(len);
+            for (i, &v) in init.iter().take(len).enumerate() {
+                if v < 8 {
+                    bulk.write(i, v);
+                    elem.write(i, v);
+                }
+            }
+            for &(scan, a, b, v) in &ops {
+                if scan == 1 {
+                    let end = a % (len + 1);
+                    let mut p = end;
+                    while p > 0 && v < elem.read(p - 1) {
+                        p -= 1;
+                    }
+                    prop_assert_eq!(bulk.scan_back_while(end, |x| v < x), p);
+                } else {
+                    let end = 1 + a % len;
+                    let pos = b % end;
+                    for s in (pos + 1..end).rev() {
+                        elem.write(s, elem.read(s - 1));
+                    }
+                    elem.write(pos, v);
+                    bulk.shift_insert(pos, end, v);
+                }
+                prop_assert_eq!(bulk.snapshot(), elem.snapshot());
+            }
+            prop_assert_eq!(bulk_san.take_reports(), loop_san.take_reports());
+            prop_assert_eq!(bulk_san.dropped(), loop_san.dropped());
+        }
+    }
+
+    #[test]
+    fn bulk_helpers_without_a_shadow() {
+        let pool = SharedMem::new(64);
+        let a = pool.alloc::<u32>(6);
+        for (i, v) in [1, 3, 3, 5, 7, 9].into_iter().enumerate() {
+            a.write(i, v);
+        }
+        // Ties stay put: the scan stops at the first element not above 3.
+        assert_eq!(a.scan_back_while(6, |x| 3 < x), 3);
+        assert_eq!(a.scan_back_while(6, |x| 0 < x), 0);
+        assert_eq!(a.scan_back_while(0, |_| true), 0);
+        a.shift_insert(3, 6, 4);
+        assert_eq!(a.snapshot(), [1, 3, 3, 4, 5, 7]);
+        a.shift_insert(5, 6, 8);
+        assert_eq!(a.snapshot(), [1, 3, 3, 4, 5, 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn shift_insert_rejects_an_empty_range() {
+        SharedMem::new(16).alloc::<u32>(4).shift_insert(2, 2, 0);
     }
 
     #[test]

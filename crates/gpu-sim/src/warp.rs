@@ -715,6 +715,23 @@ impl<'a> WarpCtx<'a> {
         // one replay, the doubled traffic real hardware shows for
         // double-precision shared-memory tiles. The replay count is the
         // most distinct words any one bank holds.
+        //
+        // Exact fast path: when every touched word lies in one window of
+        // `banks` consecutive words, each distinct word has a bank of
+        // its own (consecutive words cover each residue once), so the
+        // replay count is at most 1 and no tally is needed. Unit-stride
+        // 4-byte reads and broadcasts, the common shapes, all land here;
+        // a scattered access leaves the scan at its first outlying lane.
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        let in_window = idx.iter().flatten().all(|&i| {
+            let (first_word, span) = arr.word_span(i);
+            lo = lo.min(first_word);
+            hi = hi.max(first_word + span);
+            hi - lo <= banks
+        });
+        if in_window {
+            return;
+        }
         let mut words = Tally::<{ 2 * MAX_SMEM_WORDS * WARP_SIZE }>::new();
         let mut per_bank = Tally::<{ 2 * MAX_SMEM_WORDS * WARP_SIZE }>::new();
         let mut replay = 0u8;
@@ -889,6 +906,30 @@ mod tests {
         let idx_bc = lanes_from_fn(|_| Some(3usize));
         let (_, c2) = with_ctx(|ctx| ctx.smem_gather(&arr, &idx_bc));
         assert_eq!(c2.bank_conflict_extra, 0);
+    }
+
+    #[test]
+    fn conflict_free_window_ends_at_one_bank_width() {
+        // Lanes read words 1..=32, exactly one window of 32 banks:
+        // conflict-free. Lane 31 reading word 0 instead keeps every bank
+        // distinct; reading word 33 instead shares bank 1 with word 1
+        // and replays once.
+        let pool = SharedMem::new(4096);
+        let arr = pool.alloc::<f32>(64);
+        let charge = |f: fn(usize) -> usize| {
+            let idx = lanes_from_fn(|l| Some(f(l)));
+            with_ctx(|ctx| ctx.smem_gather(&arr, &idx))
+                .1
+                .bank_conflict_extra
+        };
+        assert_eq!(charge(|l| l + 1), 0);
+        assert_eq!(charge(|l| (l + 1) % 32), 0);
+        assert_eq!(charge(|l| if l == 31 { 33 } else { l + 1 }), 1);
+        // An f64 read of half a warp fills the window exactly.
+        let wide = pool.alloc::<f64>(32);
+        let idx = lanes_from_fn(|l| (l < 16).then_some(l));
+        let (_, c) = with_ctx(|ctx| ctx.smem_gather(&wide, &idx));
+        assert_eq!(c.bank_conflict_extra, 0);
     }
 
     #[test]

@@ -84,25 +84,13 @@ pub fn top_k_kernel<T: Real>(
                                     // Binary insertion position (ties → lower col
                                     // wins, i.e. existing equal entries stay put).
                                     // smem-lint: begin-allow(serialized-emulation): host-side emulation of one lane's insertion sort; the burst is costed in aggregate by the smem_gather probe + issue at the end of the loop body
-                                    let mut pos = len;
-                                    while pos > 0 && v < cand_val.read(pos - 1) {
-                                        pos -= 1;
-                                    }
-                                    if len == k {
-                                        // Shift out the current worst.
-                                        for s in ((pos + 1)..k).rev() {
-                                            cand_idx.write(s, cand_idx.read(s - 1));
-                                            cand_val.write(s, cand_val.read(s - 1));
-                                        }
-                                    } else {
-                                        for s in ((pos + 1)..=len).rev() {
-                                            cand_idx.write(s, cand_idx.read(s - 1));
-                                            cand_val.write(s, cand_val.read(s - 1));
-                                        }
+                                    let pos = cand_val.scan_back_while(len, |c| v < c);
+                                    // A full list shifts out its current worst.
+                                    if len < k {
                                         len += 1;
                                     }
-                                    cand_idx.write(pos, col);
-                                    cand_val.write(pos, v);
+                                    cand_idx.shift_insert(pos, len, col);
+                                    cand_val.shift_insert(pos, len, v);
                                     threshold = cand_val.read(len - 1);
                                     // Cost of one serialized insertion: a probe
                                     // plus the shifted stores.
@@ -173,8 +161,8 @@ pub fn top_k_kernel<T: Real>(
 mod tests {
     use super::*;
 
-    fn host_topk(row: &[f32], k: usize) -> Vec<(u32, f32)> {
-        let mut v: Vec<(u32, f32)> = row
+    fn host_topk<T: Real>(row: &[T], k: usize) -> Vec<(u32, T)> {
+        let mut v: Vec<(u32, T)> = row
             .iter()
             .copied()
             .enumerate()
@@ -272,5 +260,82 @@ mod tests {
             assert_eq!(idx[s], want[s].0, "slot {s}");
             assert_eq!(val[s], want[s].1, "slot {s}");
         }
+    }
+
+    /// Every counter of a launch, in declaration order.
+    fn counter_row(c: &gpu_sim::Counters) -> [u64; 11] {
+        [
+            c.issues,
+            c.divergence_extra,
+            c.global_transactions,
+            c.global_bytes,
+            c.global_bytes_requested,
+            c.global_bytes_unique,
+            c.smem_accesses,
+            c.bank_conflict_extra,
+            c.atomics,
+            c.atomic_conflict_extra,
+            c.barriers,
+        ]
+    }
+
+    /// Runs the kernel, checks every row against a host sort (ascending,
+    /// ties to the lower column, sentinel padding past `cols`) and
+    /// returns the launch's counters. A second launch under a failing
+    /// sanitizer must succeed with the same outputs and counters.
+    fn checked_counters<T: Real>(data: &[T], rows: usize, cols: usize, k: usize) -> [u64; 11] {
+        let run = |dev: Device| {
+            let buf = dev.buffer_from_slice(data);
+            let (idx, val, stats) = top_k_kernel(&dev, &buf, rows, cols, k).expect("launch");
+            (idx.to_vec(), val.to_vec(), counter_row(&stats.counters))
+        };
+        let (idx, val, counters) = run(Device::volta());
+        let sanitized = run(Device::volta().with_sanitizer(gpu_sim::SanitizerMode::Fail));
+        assert!(sanitized == (idx.clone(), val.clone(), counters), "k={k}");
+        for r in 0..rows {
+            let want = host_topk(&data[r * cols..(r + 1) * cols], k);
+            for s in 0..k {
+                let (wi, wv) = want.get(s).copied().unwrap_or((u32::MAX, T::INFINITY));
+                assert_eq!(idx[r * k + s], wi, "k={k} row {r} slot {s}");
+                assert_eq!(val[r * k + s], wv, "k={k} row {r} slot {s}");
+            }
+        }
+        counters
+    }
+
+    #[test]
+    fn outputs_and_counters_are_pinned() {
+        let (rows, cols) = (3, 150);
+        let wide: Vec<f64> = (0..rows * cols)
+            .map(|i| ((i * 2654435761usize) % 9973) as f64 / 7.0)
+            .collect();
+        let narrow: Vec<f32> = wide.iter().map(|&x| x as f32).collect();
+        // Three distinct values: almost every comparison is a tie.
+        let tied: Vec<f64> = (0..rows * cols).map(|i| ((i * 7) % 3) as f64).collect();
+        let short: Vec<f64> = (0..2 * 7).map(|i| ((i * 5) % 11) as f64).collect();
+        let got = [
+            checked_counters(&wide, rows, cols, 1),
+            checked_counters(&wide, rows, cols, 10),
+            checked_counters(&wide, rows, cols, 32),
+            checked_counters(&wide, rows, cols, 100),
+            checked_counters(&narrow, rows, cols, 10),
+            checked_counters(&narrow, rows, cols, 32),
+            checked_counters(&short, 2, 7, 10),
+            checked_counters(&tied, rows, cols, 10),
+            checked_counters(&tied, rows, cols, 100),
+        ];
+        // Rows follow `counter_row`'s field order.
+        let want: [[u64; 11]; 9] = [
+            [80, 5, 45, 5760, 3636, 4736, 18, 0, 0, 0, 0],
+            [283, 12, 46, 5888, 3960, 4864, 116, 0, 0, 0, 0],
+            [547, 10, 48, 6144, 4752, 5120, 248, 200, 0, 0, 0],
+            [917, 3, 84, 10752, 7200, 8192, 424, 376, 0, 0, 0],
+            [283, 12, 31, 3968, 2040, 2944, 116, 0, 0, 0, 0],
+            [547, 10, 31, 3968, 2568, 2944, 248, 0, 0, 0, 0],
+            [38, 2, 7, 896, 352, 896, 14, 0, 0, 0, 0],
+            [147, 0, 46, 5888, 3960, 4864, 54, 0, 0, 0, 0],
+            [867, 3, 84, 10752, 7200, 8192, 399, 351, 0, 0, 0],
+        ];
+        assert_eq!(got, want);
     }
 }

@@ -174,8 +174,27 @@ impl<T: Real> PreparedCache<T> {
         generation: u64,
     ) -> Result<(Arc<PreparedShards<T>>, CacheOutcome), KernelError> {
         let index = nn.index().expect("fit() the estimator before serving");
+        self.lookup_fingerprinted(nn, multi, fingerprint_with_generation(index, generation))
+    }
+
+    /// [`Self::lookup_generation`] with the key's fingerprint supplied
+    /// by the caller, who must have computed it as
+    /// [`fingerprint_with_generation`] of `nn`'s index. The request
+    /// engine memoises that value per (dataset, generation) — the
+    /// index cannot change within a generation — so a batch does not
+    /// re-hash the whole matrix.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel errors from the norm-warming launches.
+    pub(crate) fn lookup_fingerprinted(
+        &mut self,
+        nn: &NearestNeighbors<T>,
+        multi: &MultiDevice,
+        fingerprint: u64,
+    ) -> Result<(Arc<PreparedShards<T>>, CacheOutcome), KernelError> {
         let key = CacheKey {
-            fingerprint: fingerprint_with_generation(index, generation),
+            fingerprint,
             devices: multi.len(),
             index_batch_rows: nn.index_slab_rows(),
         };

@@ -33,7 +33,7 @@
 
 use crate::admission::{AdmissionConfig, AdmissionDecision, Rejection, ShedReason, TokenBucket};
 use crate::cache::{CacheStats, PreparedCache};
-use crate::fingerprint::fingerprint;
+use crate::fingerprint::fingerprint_with_generation;
 use crate::metrics::{percentile_sorted, MetricsRegistry};
 use crate::segment::{merge_arms, AppliedOp, CompactionJob, MutableDataset};
 use crate::slo::{assess, SloBudget, SloReport};
@@ -302,6 +302,12 @@ struct ReplayState<T> {
     /// estimator (same fitted index, bloom-filter smem; DESIGN §14),
     /// tagged with the base generation they were cloned from.
     degraded_fit: Vec<Option<(u64, NearestNeighbors<T>)>>,
+    /// [`fingerprint_with_generation`] of each (dataset, generation)
+    /// index looked up so far. An index cannot change within a
+    /// generation, so it is hashed once per replay and every later
+    /// batch (and the compaction that pre-warms it) reuses the value
+    /// for its cache key.
+    fingerprints: BTreeMap<(usize, u64), u64>,
     degraded_requests: u64,
     degraded_batches: u64,
     /// `ann.*` accounting (IVF mode only; all zero in exact mode).
@@ -322,6 +328,18 @@ impl<T: Real> ReplayState<T> {
             degraded_fit: (0..datasets).map(|_| None).collect(),
             ..Self::default()
         }
+    }
+
+    /// The memoised [`fingerprint_with_generation`] of `nn`'s index,
+    /// served as `dataset` at `generation`.
+    fn fingerprint(&mut self, dataset: usize, generation: u64, nn: &NearestNeighbors<T>) -> u64 {
+        *self
+            .fingerprints
+            .entry((dataset, generation))
+            .or_insert_with(|| {
+                let index = nn.index().expect("fit() the estimator before serving");
+                fingerprint_with_generation(index, generation)
+            })
     }
 }
 
@@ -545,7 +563,7 @@ impl<T: Real> ServeEngine<T> {
                 // lands a ready compaction).
                 self.dispatch(src, &mut st, 0, at)?;
                 if let Source::Mutable(ing) = src {
-                    self.apply_write(ing, w)?;
+                    self.apply_write(&mut st, ing, w)?;
                 }
             } else if let Some(at) = arrival {
                 let r = order[nq];
@@ -734,6 +752,7 @@ impl<T: Real> ServeEngine<T> {
     /// pending deltas reach the threshold.
     fn apply_write(
         &mut self,
+        st: &mut ReplayState<T>,
         ing: &mut Ingest<'_, T>,
         w: &TimedRecord<T>,
     ) -> Result<(), KernelError> {
@@ -756,7 +775,7 @@ impl<T: Real> ServeEngine<T> {
             && ing.pending.is_none()
             && ing.dataset.pending_ops() >= ing.compact_threshold
         {
-            self.start_compaction(ing, w.at_s)?;
+            self.start_compaction(st, ing, w.at_s)?;
         }
         Ok(())
     }
@@ -766,13 +785,19 @@ impl<T: Real> ServeEngine<T> {
     /// is the compaction's duration — spent on the maintenance lane,
     /// not the serving lane — and the swap lands at the first event on
     /// or after `started + seconds`.
-    fn start_compaction(&mut self, ing: &mut Ingest<'_, T>, t: f64) -> Result<(), KernelError> {
+    fn start_compaction(
+        &mut self,
+        st: &mut ReplayState<T>,
+        ing: &mut Ingest<'_, T>,
+        t: f64,
+    ) -> Result<(), KernelError> {
         let job = ing.dataset.begin_compaction();
         let (nn, seconds) = if job.matrix.rows() > 0 {
             let nn = ing.proto.clone().fit(job.matrix.clone());
-            let (_, outcome) = self
-                .cache
-                .lookup_generation(&nn, &self.multi, job.generation)?;
+            // Mutable replays serve dataset 0; the landed base is this
+            // same fit, so its batches reuse the memoised fingerprint.
+            let fp = st.fingerprint(0, job.generation, &nn);
+            let (_, outcome) = self.cache.lookup_fingerprinted(&nn, &self.multi, fp)?;
             (Some(nn), outcome.warm_seconds)
         } else {
             // Compacting to empty: nothing to upload or warm.
@@ -1022,6 +1047,10 @@ impl<T: Real> ServeEngine<T> {
         k: usize,
         bloomed: bool,
     ) -> Result<(KnnResult<T>, f64), KernelError> {
+        // The cache key's fingerprint, taken before `exec_nn` borrows
+        // `st`; a batch that re-prepares never hashes the index.
+        let fp =
+            (!self.config.per_query_prepare).then(|| st.fingerprint(batch.dataset, generation, nn));
         let exec_nn = if bloomed {
             let slot = &mut st.degraded_fit[batch.dataset];
             if !matches!(slot, Some((g, _)) if *g == generation) {
@@ -1031,12 +1060,12 @@ impl<T: Real> ServeEngine<T> {
         } else {
             nn
         };
-        if self.config.per_query_prepare {
+        let Some(fp) = fp else {
             st.prepares += 1;
             let result = exec_nn.kneighbors_sharded(&self.multi, &batch.query, k)?;
             return Ok((result, 0.0));
-        }
-        let (shards, outcome) = self.cache.lookup_generation(nn, &self.multi, generation)?;
+        };
+        let (shards, outcome) = self.cache.lookup_fingerprinted(nn, &self.multi, fp)?;
         if outcome.hit {
             batch.emit(&mut st.traces, batch.close_s, SpanEvent::CacheHit);
         } else {
@@ -1083,7 +1112,11 @@ impl<T: Real> ServeEngine<T> {
             0 => (index.rows() as f64).sqrt().ceil() as usize,
             n => n,
         };
-        let key = (fingerprint(index), nlist.max(1), self.multi.len());
+        let key = (
+            st.fingerprint(batch.dataset, 0, nn),
+            nlist.max(1),
+            self.multi.len(),
+        );
         let mut prep_s = 0.0;
         if self.ivf.get(&batch.dataset).is_some_and(|e| e.key == key) {
             batch.emit(&mut st.traces, batch.close_s, SpanEvent::CacheHit);
@@ -1289,4 +1322,176 @@ pub fn replay_rows<T: Real>(query: &CsrMatrix<T>, gap_s: f64) -> Vec<Request<T>>
             row: query.slice_rows(i..i + 1),
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fingerprint::HASHED;
+    use crate::wal::Wal;
+    use gpu_sim::Device;
+    use kernels::{PairwiseOptions, Strategy};
+    use semiring::Distance;
+
+    fn hashed() -> u64 {
+        HASHED.with(std::cell::Cell::get)
+    }
+
+    fn matrix(rows: usize, salt: usize) -> CsrMatrix<f64> {
+        let data: Vec<f64> = (0..rows * 8)
+            .map(|i| match (i * 7 + salt) % 5 {
+                0 | 1 => 0.0,
+                r => r as f64 + (i % 13) as f64 / 9.0,
+            })
+            .collect();
+        CsrMatrix::from_dense(rows, 8, &data)
+    }
+
+    fn proto() -> NearestNeighbors<f64> {
+        // Naive CSR scores a pair from its two rows alone, so a
+        // re-prepared index serves the same bits as a cached one.
+        let opts = PairwiseOptions {
+            strategy: Strategy::NaiveCsr,
+            ..PairwiseOptions::default()
+        };
+        NearestNeighbors::new(Device::volta(), Distance::Euclidean).with_options(opts)
+    }
+
+    fn requests(queries: &CsrMatrix<f64>, datasets: usize, gap_s: f64) -> Vec<Request<f64>> {
+        (0..queries.rows())
+            .map(|i| Request {
+                id: i as u64,
+                dataset: i % datasets,
+                arrival_s: i as f64 * gap_s,
+                row: queries.slice_rows(i..i + 1),
+            })
+            .collect()
+    }
+
+    /// Inserts every row of `rows` and deletes every third base row,
+    /// `gap_s` apart.
+    fn writes(rows: &CsrMatrix<f64>, gap_s: f64) -> Vec<TimedRecord<f64>> {
+        let mut wal = Wal::new(rows.cols());
+        for r in 0..rows.rows() {
+            let row = rows.slice_rows(r..r + 1);
+            wal.append_insert(row.indices(), row.values());
+            if r % 3 == 0 {
+                wal.append_delete(r as u64);
+            }
+        }
+        wal.records()
+            .iter()
+            .enumerate()
+            .map(|(i, record)| TimedRecord {
+                at_s: (i + 1) as f64 * gap_s,
+                record: record.clone(),
+            })
+            .collect()
+    }
+
+    fn answers(report: &ServeReport<f64>) -> Vec<(u64, Vec<usize>, Vec<u64>)> {
+        let mut out: Vec<_> = report
+            .responses
+            .iter()
+            .map(|r| {
+                let bits = r.distances.iter().map(|d| d.to_bits()).collect();
+                (r.id, r.indices.clone(), bits)
+            })
+            .collect();
+        out.sort_by_key(|a| a.0);
+        out
+    }
+
+    #[test]
+    fn ingest_fingerprints_each_generation_once() {
+        let multi = MultiDevice::replicate(&Device::volta(), 2);
+        let cfg = ServeConfig {
+            k: 3,
+            max_batch: 2,
+            max_wait_s: 20e-6,
+            ..ServeConfig::default()
+        };
+        let queries = matrix(40, 3);
+        let reqs = requests(&queries, 1, 30e-6);
+        let wal = writes(&matrix(12, 1), 70e-6);
+        let run = |cfg: ServeConfig| {
+            let mut ds = MutableDataset::new(matrix(12, 0));
+            let before = hashed();
+            let report = ServeEngine::new(multi.clone(), cfg)
+                .replay_ingest(&proto(), &mut ds, &wal, &reqs, 4)
+                .expect("ingest");
+            (report, hashed() - before)
+        };
+        let (report, hashes) = run(cfg);
+        assert!(report.compactions.len() >= 2, "{:?}", report.compactions);
+        // Generation 0, then one hash per compaction, at its pre-warm;
+        // the batches of the generation it lands reuse that value.
+        assert_eq!(hashes, 1 + report.compactions_started);
+        let cache = report.serve.cache;
+        // The same traffic as an engine that re-hashed on every lookup:
+        // one miss per generation, every other lookup a hit.
+        assert_eq!((cache.hits, cache.misses, cache.evictions), (39, 5, 0));
+        // A re-preparing engine never keys the cache on its batches, yet
+        // serves the same bytes.
+        let (fresh, _) = run(ServeConfig {
+            per_query_prepare: true,
+            ..cfg
+        });
+        assert_eq!(answers(&report.serve), answers(&fresh.serve));
+        assert_eq!(answers(&report.serve).len(), queries.rows());
+    }
+
+    #[test]
+    fn fitted_replays_fingerprint_each_dataset_once() {
+        let multi = MultiDevice::replicate(&Device::volta(), 2);
+        let fitted = [proto().fit(matrix(16, 0)), proto().fit(matrix(20, 4))];
+        let reqs = requests(&matrix(30, 2), 2, 15e-6);
+        for index in [
+            IndexMode::Exact,
+            IndexMode::Ivf {
+                nlist: 4,
+                nprobe: 4,
+            },
+        ] {
+            let cfg = ServeConfig {
+                k: 3,
+                max_batch: 2,
+                index,
+                ..ServeConfig::default()
+            };
+            let before = hashed();
+            let report = ServeEngine::new(multi.clone(), cfg)
+                .replay(&fitted, &reqs)
+                .expect("replay");
+            assert!(
+                report.batches >= 10,
+                "{index:?}: {} batches",
+                report.batches
+            );
+            assert_eq!(hashed() - before, 2, "{index:?}");
+        }
+    }
+
+    #[test]
+    fn equal_content_in_two_generations_gets_two_keys() {
+        let nn = proto().fit(matrix(6, 0));
+        let mut st = ReplayState::<f64>::new(1, None);
+        let before = hashed();
+        let (g1, g2) = (st.fingerprint(0, 1, &nn), st.fingerprint(0, 2, &nn));
+        assert_ne!(g1, g2);
+        assert_eq!(
+            g1,
+            fingerprint_with_generation(nn.index().expect("fitted"), 1)
+        );
+        assert_eq!(st.fingerprint(0, 1, &nn), g1);
+        assert_eq!(st.fingerprint(0, 2, &nn), g2);
+        assert_eq!(hashed() - before, 3, "two memo fills and the check");
+        let multi = MultiDevice::replicate(&Device::volta(), 2);
+        let mut cache = PreparedCache::new(usize::MAX);
+        for fp in [g1, g2] {
+            let (_, outcome) = cache.lookup_fingerprinted(&nn, &multi, fp).expect("ok");
+            assert!(!outcome.hit, "each generation is its own entry");
+        }
+        assert_eq!(cache.len(), 2);
+    }
 }

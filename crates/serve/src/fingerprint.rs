@@ -45,6 +45,13 @@ pub fn fingerprint<T: Real>(m: &CsrMatrix<T>) -> u64 {
     fingerprint_with_generation(m, 0)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Matrices this thread has fingerprinted, so tests can check that
+    /// the request engine hashes each (dataset, generation) only once.
+    pub(crate) static HASHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// [`fingerprint`] extended with a compaction-generation stamp.
 ///
 /// Mutable datasets (DESIGN §16) rewrite their base matrix on every
@@ -55,6 +62,8 @@ pub fn fingerprint<T: Real>(m: &CsrMatrix<T>) -> u64 {
 /// generation is folded in *after* the content bytes so immutable
 /// callers (generation 0) keep their existing keys.
 pub fn fingerprint_with_generation<T: Real>(m: &CsrMatrix<T>, generation: u64) -> u64 {
+    #[cfg(test)]
+    HASHED.with(|n| n.set(n.get() + 1));
     let mut h = Fnv1a::default();
     h.write_u64(m.rows() as u64);
     h.write_u64(m.cols() as u64);

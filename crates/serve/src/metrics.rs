@@ -43,6 +43,36 @@ pub const HIST_MIN: f64 = 1e-7;
 /// every simulated serving latency.
 pub const HIST_GROWTH: f64 = 1.189207115002721;
 
+/// Every finite bucket's upper edge, then the first edge past them:
+/// `EDGES[i] = HIST_MIN · HIST_GROWTH^i`, the power taken by
+/// square-and-multiply in the order of the runtime `powi` routine.
+///
+/// The writer, [`LogHistogram::percentile`] and [`validate_metrics`]
+/// all read this one table, so they cannot disagree about an edge's
+/// bits. Calling `powi` at each site could not promise that: the
+/// optimiser may fold a call whose exponent it can see to different
+/// bits than the library routine returns at run time.
+const EDGES: [f64; HIST_BUCKETS + 2] = {
+    let mut edges = [0.0; HIST_BUCKETS + 2];
+    let mut i = 0;
+    while i < edges.len() {
+        let (mut base, mut e, mut pow) = (HIST_GROWTH, i, 1.0);
+        loop {
+            if e & 1 == 1 {
+                pow *= base;
+            }
+            e /= 2;
+            if e == 0 {
+                break;
+            }
+            base *= base;
+        }
+        edges[i] = HIST_MIN * pow;
+        i += 1;
+    }
+    edges
+};
+
 /// The 1-based nearest-rank index for percentile `p` over `n` samples:
 /// `ceil(p/100 · n)` clamped to `[1, n]`. This is the one percentile
 /// definition shared by the stderr summary, the registry histograms,
@@ -119,9 +149,13 @@ impl LogHistogram {
 
     /// The upper edge of finite bucket `i` (`i == 0` is the underflow
     /// bucket edge, [`HIST_MIN`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i > HIST_BUCKETS`.
     pub fn upper_edge(i: usize) -> f64 {
-        debug_assert!(i <= HIST_BUCKETS);
-        HIST_MIN * HIST_GROWTH.powi(i as i32)
+        assert!(i <= HIST_BUCKETS, "bucket {i} is past the last bucket");
+        EDGES[i]
     }
 
     /// Index of the finite bucket containing `v`, or `None` for
@@ -196,7 +230,7 @@ impl LogHistogram {
                 return Self::upper_edge(i);
             }
         }
-        HIST_MIN * HIST_GROWTH.powi(HIST_BUCKETS as i32 + 1)
+        EDGES[HIST_BUCKETS + 1]
     }
 }
 
@@ -714,6 +748,22 @@ mod tests {
         let top = LogHistogram::upper_edge(HIST_BUCKETS);
         assert_eq!(LogHistogram::bucket_index(top), Some(HIST_BUCKETS));
         assert_eq!(LogHistogram::bucket_index(top * 1.01), None);
+    }
+
+    #[test]
+    fn bucket_edges_are_pinned_bit_for_bit() {
+        // Every edge equals the runtime `powi` result (the exponent
+        // hidden from the optimiser), in debug and release builds alike,
+        // and the whole table hashes to one pinned value.
+        let mut h = crate::fingerprint::Fnv1a::default();
+        for i in 0..=HIST_BUCKETS {
+            let runtime = HIST_MIN * HIST_GROWTH.powi(std::hint::black_box(i as i32));
+            let edge = LogHistogram::upper_edge(i);
+            assert_eq!(edge.to_bits(), runtime.to_bits(), "edge {i}");
+            h.write_u64(edge.to_bits());
+        }
+        assert_eq!(h.finish(), 0x82ba_b99b_3d70_d73e, "edge table digest");
+        assert_eq!(LogHistogram::upper_edge(0).to_bits(), HIST_MIN.to_bits());
     }
 
     #[test]

@@ -102,7 +102,15 @@ fn rule_for_prefix(prefix: &str) -> &'static str {
 }
 
 /// Raw `SharedArray` accessors that move data without charging cost.
-const UNCOSTED_CALLS: [&str; 5] = ["read", "write", "fill", "rmw", "with_mut"];
+const UNCOSTED_CALLS: [&str; 7] = [
+    "read",
+    "write",
+    "fill",
+    "rmw",
+    "with_mut",
+    "scan_back_while",
+    "shift_insert",
+];
 
 /// Panicking constructs that abort a simulated launch.
 const PANIC_CALLS: [&str; 3] = ["panic!", "expect", "unwrap"];
@@ -629,6 +637,21 @@ mod tests {
         let out = run(src);
         assert_eq!(rules_of(&out), ["uncosted-smem"; 3]);
         assert_eq!(out[1].line, 2);
+    }
+
+    #[test]
+    fn bulk_emulation_helpers_are_flagged_outside_an_allow_region() {
+        let bare = "let pos = cand_val.scan_back_while(len, |c| v < c);\n\
+                    cand_val.shift_insert(pos, len, v);\n";
+        let out = run(bare);
+        assert_eq!(rules_of(&out), ["uncosted-smem"; 2]);
+        assert!(out[0].message.contains("scan_back_while"));
+        assert!(out[1].message.contains("shift_insert"));
+        let allowed = format!(
+            "// smem-lint: begin-allow(serialized-emulation): costed by the probe below\n\
+             {bare}// smem-lint: end-allow\n"
+        );
+        assert!(run(&allowed).is_empty());
     }
 
     #[test]
