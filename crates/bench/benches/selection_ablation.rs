@@ -1,16 +1,18 @@
-//! Ablation: host-side vs device-side k-selection in the k-NN pipeline.
+//! Ablation: tiled device-side k-selection vs the fused
+//! distance+selection kernel in the k-NN pipeline.
 //!
 //! cuML performs the k-smallest selection on the GPU so the dense
-//! distance tile never crosses PCIe; the host path exists here as the
-//! validation oracle. This bench measures both pipelines end-to-end and
-//! prints the simulated-time split (distance kernels vs selection).
+//! distance tile never crosses PCIe; the fused kernel goes further and
+//! never materializes the tile at all. This bench measures both
+//! pipelines end-to-end and prints each one's simulated time and peak
+//! output memory.
 //!
 //! Run with: `cargo bench -p bench --bench selection_ablation`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::DatasetProfile;
 use gpu_sim::Device;
-use neighbors::{NearestNeighbors, Selection};
+use neighbors::NearestNeighbors;
 use semiring::Distance;
 use sparse::CsrMatrix;
 
@@ -33,13 +35,8 @@ fn bench_selection(c: &mut Criterion) {
         queries.rows(),
         index.rows()
     );
-    for (label, selection, fused) in [
-        ("device-select", Selection::Device, false),
-        ("host-select", Selection::Host, false),
-        ("fused", Selection::Device, true),
-    ] {
+    for (label, fused) in [("device-select", false), ("fused", true)] {
         let nn = NearestNeighbors::new(Device::volta(), Distance::Cosine)
-            .with_selection(selection)
             .with_fused(fused)
             .fit(index.clone());
         let r = nn.kneighbors(&queries, 10).expect("query ok");
@@ -50,7 +47,6 @@ fn bench_selection(c: &mut Criterion) {
         );
         group.bench_function(BenchmarkId::new("kneighbors", label), |b| {
             let nn = NearestNeighbors::new(Device::volta(), Distance::Cosine)
-                .with_selection(selection)
                 .with_fused(fused)
                 .fit(index.clone());
             b.iter(|| nn.kneighbors(&queries, 10).expect("query ok"))

@@ -35,7 +35,7 @@ use kernels::{PairwiseOptions, ResiliencePolicy};
 use neighbors::NearestNeighbors;
 use semiring::Distance;
 use sparse_dist::{
-    chaos_drill, AdmissionConfig, ChaosPlan, Fleet, FleetConfig, FleetReport, IndexMode, Selection,
+    chaos_drill, AdmissionConfig, ChaosPlan, Fleet, FleetConfig, FleetReport, IndexMode,
     ServeConfig, SloBudget, Workload,
 };
 
@@ -112,12 +112,10 @@ fn main() {
     let profile = DatasetProfile::movielens();
     let index = profile.scaled_with(scale, 0.04).generate(seed);
     let queries = query_slab(&index);
-    // Host-side selection + retries: the chaos drill's injected faults
-    // are only absorbable through the retry policy, which does not
-    // cover the device top-k kernel. Both the overload sweep and the
-    // drill use the same estimator, so all rows share one code path.
+    // Retries absorb the chaos drill's injected faults. Both the
+    // overload sweep and the drill use the same estimator, so all rows
+    // share one code path.
     let nn = NearestNeighbors::new(Device::volta(), Distance::Euclidean)
-        .with_selection(Selection::Host)
         .with_options(PairwiseOptions {
             resilience: Some(ResiliencePolicy::with_retries(8)),
             ..PairwiseOptions::default()

@@ -1115,18 +1115,12 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let max_wait_us: f64 = parse_num(args, "--max-wait-us", "200")?;
     let max_queue: usize = parse_num(args, "--max-queue", "1024")?;
 
-    let mut selection = sparse_dist::Selection::Device;
-    if args.switch("--chaos") {
-        // The chaos drill injects transient launch faults mid-run; they
-        // are only absorbable through the retry policy, which covers the
-        // distance kernels but not the device top-k kernel — force
-        // host-side selection and a retry budget so the drill measures
-        // degradation and recovery instead of dying on the first fault.
-        if options.resilience.is_none() {
-            options.resilience = Some(ResiliencePolicy::with_retries(8));
-            eprintln!("spdist: --chaos implies --resilience (retry budget 8)");
-        }
-        selection = sparse_dist::Selection::Host;
+    if args.switch("--chaos") && options.resilience.is_none() {
+        // The chaos drill injects transient launch faults mid-run; only
+        // a retry budget lets it measure degradation and recovery
+        // instead of dying on the first fault.
+        options.resilience = Some(ResiliencePolicy::with_retries(8));
+        eprintln!("spdist: --chaos implies --resilience (retry budget 8)");
     }
     let ivf_mode = match args.flag("--index") {
         Some("ivf") => true,
@@ -1141,7 +1135,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let (nlist, nprobe) = parse_ivf_knobs(args, ivf_mode)?;
     let nn = NearestNeighbors::new(device.clone(), distance)
         .with_params(params)
-        .with_selection(selection)
         .with_options(options)
         .fit(index.clone());
     let config = ServeConfig {

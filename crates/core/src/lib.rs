@@ -43,7 +43,7 @@ pub use kernels::{
 };
 pub use neighbors::{
     kneighbors_graph, GraphMode, IvfAnswer, IvfIndex, IvfParams, IvfPrepared, IvfQueryStats,
-    KnnResult, MultiDevice, NearestNeighbors, PreparedShards, Selection,
+    KnnResult, MultiDevice, NearestNeighbors, PreparedShards,
 };
 pub use semiring::{Distance, DistanceParams, Family, Monoid, Semiring};
 pub use serve::metrics::{HIST_GROWTH, HIST_MIN};

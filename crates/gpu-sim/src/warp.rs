@@ -638,27 +638,6 @@ impl<'a> WarpCtx<'a> {
         out
     }
 
-    /// Warp-wide **exclusive prefix sum** over the active lanes' values:
-    /// returns each lane's sum of preceding active values plus the warp
-    /// total — the primitive behind stream compaction (each lane learns
-    /// its output slot). Costs `log2(32) = 5` shuffle issues.
-    pub fn warp_exclusive_scan(
-        &mut self,
-        vals: &Lanes<u32>,
-        active: &Lanes<bool>,
-    ) -> (Lanes<u32>, u32) {
-        self.issue(5);
-        let mut out = [0u32; WARP_SIZE];
-        let mut acc = 0u32;
-        for l in 0..WARP_SIZE {
-            if active[l] {
-                out[l] = acc;
-                acc += vals[l];
-            }
-        }
-        (out, acc)
-    }
-
     fn charge_global<T>(&mut self, buf_id: u64, idx: &Lanes<Option<usize>>) {
         self.counters.issues += 1;
         self.watchdog_tick();
@@ -980,24 +959,6 @@ mod tests {
         let active = lanes_from_fn(|l| l % 2 == 0);
         let (sum, c) = with_ctx(|ctx| ctx.warp_reduce(&vals, &active, 0.0, |a, b| a + b));
         assert_eq!(sum, (0..32).filter(|l| l % 2 == 0).sum::<usize>() as f64);
-        assert_eq!(c.issues, 5);
-    }
-
-    #[test]
-    fn exclusive_scan_computes_offsets_and_total() {
-        let vals = lanes_from_fn(|l| (l % 3 == 0) as u32 + 1); // 2,1,1,2,...
-        let active = lanes_from_fn(|l| l != 5);
-        let ((offsets, total), c) = with_ctx(|ctx| ctx.warp_exclusive_scan(&vals, &active));
-        let mut acc = 0;
-        for l in 0..WARP_SIZE {
-            if active[l] {
-                assert_eq!(offsets[l], acc, "lane {l}");
-                acc += vals[l];
-            } else {
-                assert_eq!(offsets[l], 0);
-            }
-        }
-        assert_eq!(total, acc);
         assert_eq!(c.issues, 5);
     }
 

@@ -58,7 +58,6 @@ pub mod device_fmt;
 pub mod error;
 pub mod esc;
 pub mod expansion;
-pub mod filter;
 pub mod fused_knn;
 pub mod hybrid;
 pub mod naive;
@@ -70,9 +69,8 @@ pub mod strategy;
 
 pub use device_fmt::{DeviceCoo, DeviceCsr};
 pub use error::KernelError;
-pub use filter::{radius_filter_kernel, RadiusFilterOutput};
 pub use fused_knn::{fused_knn, FusedKnn};
-pub use resilience::{FallbackCascade, ResiliencePolicy, ResilienceReport};
+pub use resilience::{retry_transient, FallbackCascade, ResiliencePolicy, ResilienceReport};
 pub use select::top_k_kernel;
 pub use strategy::{
     pairwise_distances, pairwise_distances_device, pairwise_distances_prepared, DevicePairwise,

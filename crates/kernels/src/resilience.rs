@@ -40,7 +40,8 @@ pub enum FallbackCascade {
 /// [`crate::pairwise_distances_prepared`] and the batched k-NN driver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResiliencePolicy {
-    /// Transient-fault retries per cascade step.
+    /// Transient-fault retries per cascade step (and per k-NN selection
+    /// launch).
     pub retries: u32,
     /// Base of the simulated exponential backoff between retries, in
     /// simulated seconds (doubles per retry within a step; accumulated
@@ -76,10 +77,12 @@ impl ResiliencePolicy {
     }
 }
 
-/// Record of every decision the engine made for one pairwise call.
+/// Record of every decision the engine made for one pairwise call (in
+/// the k-NN driver, one tile: its distance plan and its selection launch).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResilienceReport {
-    /// Total launch attempts (1 when nothing went wrong).
+    /// Attempts the tile took: 1 when nothing went wrong, plus one per
+    /// retried launch (distance plan or selection) and per cascade step.
     pub attempts: u32,
     /// Human-readable description of every fault that was absorbed
     /// (retried or degraded past), in order.
@@ -132,6 +135,40 @@ pub(crate) fn classify(e: &KernelError) -> FaultClass {
         | KernelError::Launch(SimError::InvalidLaunchConfig(_))
         | KernelError::Launch(SimError::SanitizerFailure { .. }) => FaultClass::Fatal,
     }
+}
+
+/// Runs `launch`, re-issuing it after each transient fault while
+/// `policy.retries` allows. Every retry is recorded in `report`: one more
+/// attempt, a `retried: …` entry, and the step's doubling simulated
+/// backoff. Any other error, or a transient fault past the budget, is
+/// returned for the caller to classify.
+///
+/// This is the one retry loop: each cascade step of
+/// [`crate::pairwise_distances_prepared`], the k-NN driver's selection
+/// launch and its norm pre-warming all go through it.
+///
+/// # Errors
+///
+/// Returns the first non-retryable error, or the transient fault that
+/// exhausted the budget.
+pub fn retry_transient<R>(
+    policy: &ResiliencePolicy,
+    report: &mut ResilienceReport,
+    mut launch: impl FnMut() -> Result<R, KernelError>,
+) -> Result<R, KernelError> {
+    let mut backoff = policy.backoff_seconds;
+    for _ in 0..policy.retries {
+        match launch() {
+            Err(e) if classify(&e) == FaultClass::Retryable => {
+                report.attempts += 1;
+                report.backoff_seconds += backoff;
+                backoff *= 2.0;
+                report.faults_absorbed.push(format!("retried: {e}"));
+            }
+            outcome => return outcome,
+        }
+    }
+    launch()
 }
 
 /// The degradation chain for a requested plan: the plan itself first,

@@ -10,7 +10,7 @@ use crate::naive::naive_csr_kernel;
 use crate::naive_shared::naive_shared_kernel;
 use crate::norms::row_norms_kernel;
 use crate::resilience::{
-    cascade_candidates, classify, FaultClass, ResiliencePolicy, ResilienceReport,
+    cascade_candidates, classify, retry_transient, FaultClass, ResiliencePolicy, ResilienceReport,
 };
 use gpu_sim::{Device, GlobalBuffer, LaunchStats};
 use semiring::{Distance, DistanceParams, Family};
@@ -321,37 +321,26 @@ pub fn pairwise_distances_prepared<T: Real>(
     let mut report = ResilienceReport::new(opts.strategy, opts.smem_mode);
     let last = candidates.len() - 1;
     for (ci, &(strategy, smem)) in candidates.iter().enumerate() {
-        let mut retries_left = policy.retries;
-        let mut backoff = policy.backoff_seconds;
-        loop {
-            report.attempts += 1;
-            let outcome = attempt_pairwise(dev, a, &a_dev, b, distance, params, strategy, smem);
-            match outcome {
-                Ok(mut d) => {
-                    report.final_strategy = strategy;
-                    report.final_smem = smem;
-                    report.downgraded = ci > 0;
-                    d.resilience = Some(report);
-                    return Ok(d);
-                }
-                Err(e) => match classify(&e) {
-                    FaultClass::Retryable if retries_left > 0 => {
-                        retries_left -= 1;
-                        report.backoff_seconds += backoff;
-                        backoff *= 2.0;
-                        report.faults_absorbed.push(format!("retried: {e}"));
-                    }
-                    FaultClass::Degradable if ci < last => {
-                        report.faults_absorbed.push(format!(
-                            "degraded past {}/{:?}: {e}",
-                            strategy.name(),
-                            smem
-                        ));
-                        break;
-                    }
-                    _ => return Err(e),
-                },
+        report.attempts += 1;
+        let outcome = retry_transient(&policy, &mut report, || {
+            attempt_pairwise(dev, a, &a_dev, b, distance, params, strategy, smem)
+        });
+        match outcome {
+            Ok(mut d) => {
+                report.final_strategy = strategy;
+                report.final_smem = smem;
+                report.downgraded = ci > 0;
+                d.resilience = Some(report);
+                return Ok(d);
             }
+            Err(e) if ci < last && classify(&e) == FaultClass::Degradable => {
+                report.faults_absorbed.push(format!(
+                    "degraded past {}/{:?}: {e}",
+                    strategy.name(),
+                    smem
+                ));
+            }
+            Err(e) => return Err(e),
         }
     }
     unreachable!("the last cascade candidate returns or errors")

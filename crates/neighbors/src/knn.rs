@@ -1,9 +1,9 @@
 //! The brute-force `NearestNeighbors` estimator.
 
-use crate::topk::{cmp_dist_idx, top_k_smallest};
+use crate::topk::cmp_dist_idx;
 use gpu_sim::{Device, LaunchStats};
 use kernels::{
-    fused_knn, pairwise_distances_prepared, radius_filter_kernel, top_k_kernel, KernelError,
+    fused_knn, pairwise_distances_prepared, retry_transient, top_k_kernel, KernelError,
     MemoryFootprint, PairwiseOptions, PreparedIndex, ResilienceReport,
 };
 use semiring::{Distance, DistanceParams};
@@ -13,19 +13,6 @@ use std::sync::Arc;
 /// Default device-memory budget for one batch's dense output tile
 /// (256 MiB, comfortably under a V100's 16 GB alongside the inputs).
 const DEFAULT_BATCH_BYTES: usize = 256 * 1024 * 1024;
-
-/// Where the k-smallest selection runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Selection {
-    /// A faiss-style selection kernel on the device (cuML's
-    /// configuration; default). The dense tile never leaves device
-    /// memory.
-    #[default]
-    Device,
-    /// Copy the tile back and select on the host (useful for validating
-    /// the device kernel).
-    Host,
-}
 
 /// Result of a k-NN query.
 #[derive(Debug, Clone)]
@@ -42,7 +29,7 @@ pub struct KnnResult<T> {
     /// Peak per-batch device memory accounting.
     pub peak_memory: MemoryFootprint,
     /// Every kernel launch, in execution order (distance tiles,
-    /// selection/filter kernels, norm passes). Carries per-range
+    /// selection kernels, norm passes). Carries per-range
     /// profiles when the device profiler is enabled.
     pub launches: Vec<LaunchStats>,
     /// One resilience report per distance tile when the estimator runs
@@ -77,7 +64,6 @@ pub struct NearestNeighbors<T> {
     options: PairwiseOptions,
     batch_bytes: usize,
     index_batch_rows: Option<usize>,
-    selection: Selection,
     fused: bool,
     index: Option<CsrMatrix<T>>,
 }
@@ -92,7 +78,6 @@ impl<T: Real> NearestNeighbors<T> {
             options: PairwiseOptions::default(),
             batch_bytes: DEFAULT_BATCH_BYTES,
             index_batch_rows: None,
-            selection: Selection::default(),
             fused: false,
             index: None,
         }
@@ -124,16 +109,10 @@ impl<T: Real> NearestNeighbors<T> {
         self
     }
 
-    /// Chooses where the k-selection runs.
-    pub fn with_selection(mut self, selection: Selection) -> Self {
-        self.selection = selection;
-        self
-    }
-
     /// Uses the fused distance+selection kernel: the dense distance tile
     /// is never materialized, so device output memory is `m × k` instead
-    /// of `m × n`. Overrides the strategy/selection/index-batching
-    /// options; query rows must fit shared memory.
+    /// of `m × n`. Overrides the strategy and index-batching options;
+    /// query rows must fit shared memory.
     pub fn with_fused(mut self, fused: bool) -> Self {
         self.fused = fused;
         self
@@ -234,126 +213,6 @@ impl<T: Real> NearestNeighbors<T> {
         })
     }
 
-    /// Returns, for every query row, all index rows within `radius`
-    /// (inclusive), sorted ascending by distance — the
-    /// `radius_neighbors` counterpart of [`NearestNeighbors::kneighbors`]
-    /// used for ε-neighborhood graphs and DBSCAN-style clustering.
-    ///
-    /// # Errors
-    ///
-    /// Returns a kernel error on dimensionality mismatch or
-    /// unsatisfiable strategy requirements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the estimator has not been [`NearestNeighbors::fit`].
-    pub fn radius_neighbors(
-        &self,
-        query: &CsrMatrix<T>,
-        radius: T,
-    ) -> Result<KnnResult<T>, KernelError> {
-        let index = self
-            .index
-            .as_ref()
-            .expect("call fit() before radius_neighbors()");
-        let n = index.rows();
-        let slab_rows = self.index_batch_rows.unwrap_or(n.max(1));
-        let mut indices = Vec::with_capacity(query.rows());
-        let mut distances = Vec::with_capacity(query.rows());
-        let mut sim_seconds = 0.0;
-        let mut batches = 0;
-        let mut peak = MemoryFootprint::default();
-        let mut launches = Vec::new();
-        let mut resilience = Vec::new();
-
-        let mut prepared: Vec<(usize, PreparedIndex<T>)> = Vec::new();
-        let mut off = 0;
-        while off < n {
-            let end = (off + slab_rows).min(n);
-            prepared.push((
-                off,
-                PreparedIndex::new(&self.device, index.slice_rows(off..end)),
-            ));
-            off = end;
-        }
-
-        for q_range in RowBatches::for_matrix(query, slab_rows.min(n.max(1)), self.batch_bytes) {
-            let slab = query.slice_rows(q_range);
-            let mut pool: Vec<Vec<(usize, T)>> = vec![Vec::new(); slab.rows()];
-            for (off, islab) in &prepared {
-                let mut tile = pairwise_distances_prepared(
-                    &self.device,
-                    &slab,
-                    islab,
-                    self.distance,
-                    &self.params,
-                    &self.options,
-                )?;
-                sim_seconds += tile.sim_seconds();
-                batches += 1;
-                if let Some(r) = tile.resilience.take() {
-                    resilience.push(r);
-                }
-                peak.output_bytes = peak.output_bytes.max(tile.memory.output_bytes);
-                match self.selection {
-                    Selection::Device => {
-                        // Stream-compact on the device; only survivors
-                        // cross back to the host.
-                        let f = radius_filter_kernel(
-                            &self.device,
-                            &tile.buffer,
-                            tile.rows,
-                            tile.cols,
-                            radius,
-                        )?;
-                        sim_seconds += f.stats.sim_seconds();
-                        let counts = f.counts.to_vec();
-                        let idx = f.indices.to_vec();
-                        let val = f.values.to_vec();
-                        for (r, cand) in pool.iter_mut().enumerate() {
-                            for s in 0..counts[r] as usize {
-                                cand.push((
-                                    off + idx[r * tile.cols + s] as usize,
-                                    val[r * tile.cols + s],
-                                ));
-                            }
-                        }
-                        launches.push(f.stats);
-                    }
-                    Selection::Host => {
-                        let host = tile.buffer.to_vec();
-                        for (r, cand) in pool.iter_mut().enumerate() {
-                            for (c, &d) in
-                                host[r * tile.cols..(r + 1) * tile.cols].iter().enumerate()
-                            {
-                                if d <= radius {
-                                    cand.push((off + c, d));
-                                }
-                            }
-                        }
-                    }
-                }
-                launches.extend(tile.launches);
-            }
-            for mut cand in pool {
-                cand.sort_by(cmp_dist_idx);
-                indices.push(cand.iter().map(|&(i, _)| i).collect());
-                distances.push(cand.into_iter().map(|(_, d)| d).collect());
-            }
-        }
-        Ok(KnnResult {
-            indices,
-            distances,
-            sim_seconds,
-            batches,
-            peak_memory: peak,
-            launches,
-            resilience,
-            devices: 1,
-            per_device_seconds: vec![sim_seconds],
-        })
-    }
-
     /// Queries the `k` nearest index rows for every row of `query`.
     ///
     /// # Errors
@@ -416,7 +275,6 @@ impl<T: Real> NearestNeighbors<T> {
         let mut resilience = Vec::new();
 
         for q_range in RowBatches::for_matrix(query, slab_rows.min(n.max(1)), self.batch_bytes) {
-            let q0 = q_range.start;
             let slab = query.slice_rows(q_range);
             // Per-query candidate pools, merged across index slabs.
             let mut pool: Vec<Vec<(usize, T)>> = vec![Vec::new(); slab.rows()];
@@ -431,7 +289,17 @@ impl<T: Real> NearestNeighbors<T> {
                     &self.params,
                     &self.options,
                 )?;
+                // The selection launch retries transient faults under the
+                // tile's policy, recorded in the tile's own report.
+                let kk = k.min(tile.cols.max(1));
+                let select = || top_k_kernel(device, &tile.buffer, tile.rows, tile.cols, kk);
+                let (didx, dval, sel_stats) = match (&self.options.resilience, &mut tile.resilience)
+                {
+                    (Some(policy), Some(report)) => retry_transient(policy, report, select)?,
+                    _ => select()?,
+                };
                 sim_seconds += tile.sim_seconds();
+                sim_seconds += sel_stats.sim_seconds();
                 batches += 1;
                 if let Some(r) = tile.resilience.take() {
                     resilience.push(r);
@@ -440,36 +308,17 @@ impl<T: Real> NearestNeighbors<T> {
                 peak.output_bytes = peak.output_bytes.max(tile.memory.output_bytes);
                 peak.workspace_bytes = peak.workspace_bytes.max(tile.memory.workspace_bytes);
 
-                match self.selection {
-                    Selection::Device => {
-                        let kk = k.min(tile.cols.max(1));
-                        let (didx, dval, sel_stats) =
-                            top_k_kernel(device, &tile.buffer, tile.rows, tile.cols, kk)?;
-                        sim_seconds += sel_stats.sim_seconds();
-                        let didx = didx.to_vec();
-                        let dval = dval.to_vec();
-                        for (r, cand) in pool.iter_mut().enumerate() {
-                            for s in 0..kk {
-                                let ci = didx[r * kk + s];
-                                if ci != u32::MAX {
-                                    cand.push((off + ci as usize, dval[r * kk + s]));
-                                }
-                            }
-                        }
-                        launches.push(sel_stats);
-                    }
-                    Selection::Host => {
-                        let host = tile.buffer.to_vec();
-                        for (r, cand) in pool.iter_mut().enumerate() {
-                            let row = &host[r * tile.cols..(r + 1) * tile.cols];
-                            cand.extend(
-                                top_k_smallest(row, k)
-                                    .into_iter()
-                                    .map(|(i, d)| (off + i, d)),
-                            );
+                let didx = didx.to_vec();
+                let dval = dval.to_vec();
+                for (r, cand) in pool.iter_mut().enumerate() {
+                    for s in 0..kk {
+                        let ci = didx[r * kk + s];
+                        if ci != u32::MAX {
+                            cand.push((off + ci as usize, dval[r * kk + s]));
                         }
                     }
                 }
+                launches.push(sel_stats);
                 launches.extend(tile.launches);
             }
 
@@ -478,8 +327,7 @@ impl<T: Real> NearestNeighbors<T> {
             // matters here: a NaN candidate from one slab must not be
             // able to displace a finite candidate from another just
             // because of slab insertion order.
-            for (r, mut cand) in pool.into_iter().enumerate() {
-                let _ = q0 + r;
+            for mut cand in pool {
                 cand.sort_by(cmp_dist_idx);
                 cand.truncate(k);
                 indices.push(cand.iter().map(|&(i, _)| i).collect());
@@ -528,19 +376,15 @@ mod tests {
             Distance::Manhattan,
             Distance::Chebyshev,
         ] {
-            for selection in [Selection::Device, Selection::Host] {
-                let nn = NearestNeighbors::new(Device::volta(), d)
-                    .with_selection(selection)
-                    .fit(m.clone());
-                let got = nn.kneighbors(&m, 3).expect("query ok");
-                let want = CpuBruteForce::new(2).knn(&m, &m, 3, d, &params);
-                for (i, want_row) in want.iter().enumerate() {
-                    assert_eq!(
-                        got.indices[i],
-                        want_row.iter().map(|&(j, _)| j).collect::<Vec<_>>(),
-                        "{d} ({selection:?}) row {i}"
-                    );
-                }
+            let nn = NearestNeighbors::new(Device::volta(), d).fit(m.clone());
+            let got = nn.kneighbors(&m, 3).expect("query ok");
+            let want = CpuBruteForce::new(2).knn(&m, &m, 3, d, &params);
+            for (i, want_row) in want.iter().enumerate() {
+                assert_eq!(
+                    got.indices[i],
+                    want_row.iter().map(|&(j, _)| j).collect::<Vec<_>>(),
+                    "{d} row {i}"
+                );
             }
         }
     }
@@ -642,53 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn radius_neighbors_matches_filtered_brute_force() {
-        let m = dataset();
-        let params = DistanceParams::default();
-        let radius = 1.5;
-        let full = CpuBruteForce::new(2).pairwise(&m, &m, Distance::Euclidean, &params);
-        for selection in [Selection::Device, Selection::Host] {
-            let nn = NearestNeighbors::new(Device::volta(), Distance::Euclidean)
-                .with_selection(selection)
-                .fit(m.clone());
-            let got = nn.radius_neighbors(&m, radius).expect("ok");
-            for i in 0..m.rows() {
-                let mut want: Vec<(usize, f64)> = full
-                    .row(i)
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .filter(|&(_, d)| d <= radius)
-                    .collect();
-                want.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN").then(a.0.cmp(&b.0)));
-                assert_eq!(
-                    got.indices[i],
-                    want.iter().map(|&(j, _)| j).collect::<Vec<_>>(),
-                    "row {i}"
-                );
-                for (g, (_, w)) in got.distances[i].iter().zip(&want) {
-                    assert!((g - w).abs() < 1e-9);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn radius_neighbors_respects_index_batching() {
-        let m = dataset();
-        let whole = NearestNeighbors::new(Device::volta(), Distance::Manhattan)
-            .fit(m.clone())
-            .radius_neighbors(&m, 5.0)
-            .expect("ok");
-        let split = NearestNeighbors::new(Device::volta(), Distance::Manhattan)
-            .with_index_batch_rows(3)
-            .fit(m.clone())
-            .radius_neighbors(&m, 5.0)
-            .expect("ok");
-        assert_eq!(whole.indices, split.indices);
-    }
-
-    #[test]
     #[should_panic(expected = "call fit()")]
     fn unfitted_query_panics() {
         let nn = NearestNeighbors::<f32>::new(Device::volta(), Distance::Cosine);
@@ -734,20 +531,14 @@ mod tests {
     }
 
     #[test]
-    fn device_selection_adds_a_launch_but_same_results() {
+    fn selection_is_a_billed_device_launch() {
         let m = dataset();
-        let dev = NearestNeighbors::new(Device::volta(), Distance::Manhattan)
-            .with_selection(Selection::Device)
-            .fit(m.clone())
-            .kneighbors(&m, 3)
-            .expect("ok");
-        let host = NearestNeighbors::new(Device::volta(), Distance::Manhattan)
-            .with_selection(Selection::Host)
-            .fit(m.clone())
-            .kneighbors(&m, 3)
-            .expect("ok");
-        assert_eq!(dev.indices, host.indices);
-        // The device path spends simulated time on the selection kernel.
-        assert!(dev.sim_seconds > host.sim_seconds);
+        let nn = NearestNeighbors::new(Device::volta(), Distance::Manhattan).fit(m.clone());
+        let r = nn.kneighbors(&m, 3).expect("ok");
+        let select = r.launches.iter().filter(|l| l.name == "top_k_select");
+        assert_eq!(select.clone().count(), r.batches, "one selection per tile");
+        assert!(select.map(LaunchStats::sim_seconds).sum::<f64>() > 0.0);
+        let billed: f64 = r.launches.iter().map(LaunchStats::sim_seconds).sum();
+        assert!((billed - r.sim_seconds).abs() <= 1e-12 * billed);
     }
 }

@@ -40,7 +40,7 @@ pub mod topk;
 
 pub use graph::{kneighbors_graph, GraphMode};
 pub use ivf::{IvfAnswer, IvfIndex, IvfParams, IvfPrepared, IvfQueryStats, IvfShard};
-pub use knn::{KnnResult, NearestNeighbors, Selection};
+pub use knn::{KnnResult, NearestNeighbors};
 pub use multi::MultiDevice;
 pub use prepared::{PreparedShard, PreparedShards};
 pub use topk::{cmp_dist_idx, top_k_smallest};

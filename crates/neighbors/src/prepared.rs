@@ -22,7 +22,10 @@ use crate::knn::{KnnResult, NearestNeighbors};
 use crate::multi::MultiDevice;
 use crate::topk::cmp_dist_idx;
 use gpu_sim::Device;
-use kernels::{KernelError, MemoryFootprint, PreparedIndex};
+use kernels::{
+    retry_transient, KernelError, MemoryFootprint, PreparedIndex, ResiliencePolicy,
+    ResilienceReport,
+};
 use sparse::Real;
 use std::sync::Arc;
 
@@ -144,29 +147,20 @@ impl<T: Real> NearestNeighbors<T> {
     pub fn warm_shards(&self, shards: &PreparedShards<T>) -> Result<(f64, usize), KernelError> {
         // Transient faults on the warming launches honor the estimator's
         // resilience retry budget, the same absorption the norm launches
-        // get when they run lazily inside the tile cascade.
-        let retries = self
+        // get when they run lazily inside the tile cascade. Warming
+        // belongs to no tile, so its retry record is dropped.
+        let policy = self
             .pairwise_options()
             .resilience
-            .map(|p| p.retries)
-            .unwrap_or(0);
+            .unwrap_or(ResiliencePolicy::with_retries(0));
+        let mut absorbed = ResilienceReport::default();
         let mut seconds = 0.0;
         let mut launches = 0;
         for shard in &shards.shards {
             for &kind in self.metric().norms() {
-                let mut left = retries;
-                let stats = loop {
-                    match shard.index.norm(&shard.device, kind) {
-                        Ok((_, stats)) => break stats,
-                        Err(e @ KernelError::Launch(gpu_sim::SimError::TransientFault { .. }))
-                            if left > 0 =>
-                        {
-                            left -= 1;
-                            let _ = e;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                };
+                let (_, stats) = retry_transient(&policy, &mut absorbed, || {
+                    shard.index.norm(&shard.device, kind)
+                })?;
                 if let Some(stats) = stats {
                     seconds += stats.sim_seconds();
                     launches += 1;

@@ -54,15 +54,8 @@ fn k_zero_yields_empty_rows_everywhere() {
     let multi = MultiDevice::replicate(&Device::volta(), 5);
     for (label, r) in [
         (
-            "plain/device-sel",
+            "plain",
             NearestNeighbors::new(Device::volta(), Distance::Euclidean)
-                .fit(m.clone())
-                .kneighbors(&m, 0),
-        ),
-        (
-            "plain/host-sel",
-            NearestNeighbors::new(Device::volta(), Distance::Euclidean)
-                .with_selection(neighbors::Selection::Host)
                 .fit(m.clone())
                 .kneighbors(&m, 0),
         ),

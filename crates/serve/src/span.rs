@@ -263,7 +263,8 @@ impl RequestTraces {
 /// Layout: one *process* per dataset (pid = dataset id), one *thread*
 /// per request (tid = request id). Each served request renders a
 /// `request` span (arrival → reply) with nested `queued` and `execute`
-/// phases; rejected requests render a zero-width `rejected` marker.
+/// phases, plus a `retry` instant per retry event; rejected requests
+/// render a zero-width `rejected` marker.
 /// Timestamps are deterministic simulated microseconds.
 pub fn request_chrome_trace(spans: &[RequestSpan]) -> String {
     let mut events: Vec<String> = Vec::new();
@@ -314,6 +315,20 @@ pub fn request_chrome_trace(spans: &[RequestSpan]) -> String {
                         s.events.len()
                     ));
                 }
+                // Retries render as instants on the request's thread.
+                for e in &s.events {
+                    if let SpanEvent::Retry { attempts, faults } = e.event {
+                        events.push(format!(
+                            "{{\"name\":\"retry\",\"cat\":\"serve\",\"ph\":\"i\",\"s\":\"t\",\
+                             \"ts\":{:.4},\"pid\":{},\"tid\":{},\"args\":{{\"trace\":\"{}\",\
+                             \"attempts\":{attempts},\"faults\":{faults}}}}}",
+                            e.t_s * 1e6,
+                            s.dataset,
+                            s.request_id,
+                            trace
+                        ));
+                    }
+                }
             }
             last => {
                 let reason = match last {
@@ -349,6 +364,14 @@ mod tests {
                     shard: 0,
                     device_slot: 0,
                     seconds: 1e-6,
+                },
+            );
+            traces.push_event(
+                id,
+                2e-6,
+                SpanEvent::Retry {
+                    attempts: 2,
+                    faults: 1,
                 },
             );
             traces.push_event(id, 3e-6, SpanEvent::Merge);
@@ -395,5 +418,8 @@ mod tests {
         assert!(json.contains("\"name\":\"execute\""));
         assert!(json.contains("\"name\":\"rejected\""));
         assert!(json.contains("\"ph\":\"X\""));
+        assert!(json.contains("\"name\":\"retry\",\"cat\":\"serve\",\"ph\":\"i\""));
+        assert!(json.contains("\"attempts\":2,\"faults\":1"));
+        gpu_sim::validate_chrome_trace(&json).expect("valid chrome trace");
     }
 }

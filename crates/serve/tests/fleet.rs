@@ -38,11 +38,7 @@ fn resilient_fit(dev: &Device, m: CsrMatrix<f64>) -> NearestNeighbors<f64> {
         resilience: Some(ResiliencePolicy::with_retries(8)),
         ..PairwiseOptions::default()
     };
-    // Host-side selection: the device top-k kernel sits outside the
-    // resilience cascade, so chaos-injected faults on it would be fatal
-    // rather than absorbed (same caveat as the engine fault tests).
     NearestNeighbors::new(dev.clone(), Distance::Euclidean)
-        .with_selection(neighbors::Selection::Host)
         .with_options(opts)
         .fit(m)
 }

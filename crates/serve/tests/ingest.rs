@@ -232,9 +232,7 @@ fn compaction_chaos_and_host_threads_preserve_bytes() {
         ..PairwiseOptions::default()
     };
     let multi = MultiDevice::replicate(&faulty, 2);
-    let proto = NearestNeighbors::new(faulty.clone(), Distance::Euclidean)
-        .with_selection(neighbors::Selection::Host)
-        .with_options(opts);
+    let proto = NearestNeighbors::new(faulty.clone(), Distance::Euclidean).with_options(opts);
     let writes = timed(wal.records(), 0.0, 50e-6);
     // Queries trail the writes so every one sees the fully-applied log,
     // while compactions land mid-stream.

@@ -188,11 +188,9 @@ fn thrashing_faulty_replay_exposes_every_signal() {
     };
     let multi = MultiDevice::replicate(&faulty, 2);
     let nn_a = NearestNeighbors::new(faulty.clone(), Distance::Euclidean)
-        .with_selection(neighbors::Selection::Host)
         .with_options(opts)
         .fit(a.clone());
     let nn_b = NearestNeighbors::new(faulty.clone(), Distance::Euclidean)
-        .with_selection(neighbors::Selection::Host)
         .with_options(opts)
         .fit(b.clone());
     // Budget fits one prepared entry, so dataset switches evict; runs

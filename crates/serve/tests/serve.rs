@@ -199,20 +199,14 @@ fn absorbed_faults_do_not_change_answers() {
         resilience: Some(ResiliencePolicy::with_retries(8)),
         ..PairwiseOptions::default()
     };
-    // Host-side selection: the device top-k kernel sits outside the
-    // resilience cascade in the one-shot path too, so a fault injected
-    // into it is fatal for both paths rather than absorbed by either.
     let clean_multi = MultiDevice::replicate(&Device::volta(), 2);
-    let clean_nn = NearestNeighbors::new(Device::volta(), Distance::Euclidean)
-        .with_selection(neighbors::Selection::Host)
-        .fit(m.clone());
+    let clean_nn = NearestNeighbors::new(Device::volta(), Distance::Euclidean).fit(m.clone());
     let oneshot = clean_nn
         .kneighbors_sharded(&clean_multi, &m, 4)
         .expect("ok");
 
     let faulty_multi = MultiDevice::replicate(&faulty, 2);
     let faulty_nn = NearestNeighbors::new(faulty.clone(), Distance::Euclidean)
-        .with_selection(neighbors::Selection::Host)
         .with_options(opts)
         .fit(m.clone());
     let cfg = ServeConfig {

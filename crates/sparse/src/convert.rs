@@ -1,46 +1,12 @@
-//! Named conversion helpers between formats.
-//!
-//! The `From` impls on the format types are the canonical conversions;
-//! the free functions here exist for call sites where turbofishing a
-//! `From` is awkward (e.g. inside generic kernels) and to host the
-//! round-trip property tests.
-
-use crate::coo::CooMatrix;
-use crate::csc::CscMatrix;
-use crate::csr::CsrMatrix;
-use crate::dense::DenseMatrix;
-use crate::real::Real;
-
-/// Expands a CSR matrix into COO (adds the explicit row-index array the
-/// hybrid kernel's load balancing needs).
-pub fn csr_to_coo<T: Real>(m: &CsrMatrix<T>) -> CooMatrix<T> {
-    CooMatrix::from(m)
-}
-
-/// Compacts a row-major-sorted COO matrix back into CSR.
-pub fn coo_to_csr<T: Real>(m: &CooMatrix<T>) -> CsrMatrix<T> {
-    CsrMatrix::from(m)
-}
-
-/// Materializes the compressed-sparse-column form (the explicit transpose
-/// copy a `csrgemm()`-style baseline performs).
-pub fn csr_to_csc<T: Real>(m: &CsrMatrix<T>) -> CscMatrix<T> {
-    CscMatrix::from(m)
-}
-
-/// Scatters a CSR matrix into a dense row-major matrix.
-pub fn csr_to_dense<T: Real>(m: &CsrMatrix<T>) -> DenseMatrix<T> {
-    DenseMatrix::from(m)
-}
-
-/// Compresses a dense matrix into CSR, dropping exact zeros.
-pub fn dense_to_csr<T: Real>(m: &DenseMatrix<T>) -> CsrMatrix<T> {
-    CsrMatrix::from_dense(m.rows(), m.cols(), m.as_slice())
-}
+//! Round-trip property tests for the `From` conversions between the
+//! storage formats.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::coo::CooMatrix;
+    use crate::csc::CscMatrix;
+    use crate::csr::CsrMatrix;
+    use crate::dense::DenseMatrix;
     use proptest::prelude::*;
 
     /// Strategy producing an arbitrary CSR matrix with up to 12x12 shape
@@ -68,17 +34,18 @@ mod tests {
     proptest! {
         #[test]
         fn csr_coo_round_trip(m in arb_csr()) {
-            prop_assert_eq!(coo_to_csr(&csr_to_coo(&m)), m);
+            prop_assert_eq!(CsrMatrix::from(&CooMatrix::from(&m)), m);
         }
 
         #[test]
         fn csr_csc_round_trip(m in arb_csr()) {
-            prop_assert_eq!(CsrMatrix::from(&csr_to_csc(&m)), m);
+            prop_assert_eq!(CsrMatrix::from(&CscMatrix::from(&m)), m);
         }
 
         #[test]
         fn csr_dense_round_trip(m in arb_csr()) {
-            prop_assert_eq!(dense_to_csr(&csr_to_dense(&m)), m);
+            let d = DenseMatrix::from(&m);
+            prop_assert_eq!(CsrMatrix::from_dense(d.rows(), d.cols(), d.as_slice()), m);
         }
 
         #[test]
@@ -88,14 +55,14 @@ mod tests {
 
         #[test]
         fn nnz_preserved_by_all_conversions(m in arb_csr()) {
-            prop_assert_eq!(csr_to_coo(&m).nnz(), m.nnz());
-            prop_assert_eq!(csr_to_csc(&m).nnz(), m.nnz());
+            prop_assert_eq!(CooMatrix::from(&m).nnz(), m.nnz());
+            prop_assert_eq!(CscMatrix::from(&m).nnz(), m.nnz());
             prop_assert_eq!(m.transpose().nnz(), m.nnz());
         }
 
         #[test]
         fn coo_rows_are_sorted_row_major(m in arb_csr()) {
-            let coo = csr_to_coo(&m);
+            let coo = CooMatrix::from(&m);
             for w in coo.row_indices().windows(2) {
                 prop_assert!(w[0] <= w[1]);
             }

@@ -35,7 +35,8 @@
 
 pub mod batch;
 pub mod builder;
-pub mod convert;
+#[cfg(test)]
+mod convert;
 pub mod coo;
 pub mod csc;
 pub mod csr;

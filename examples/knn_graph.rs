@@ -13,8 +13,8 @@
 
 use datasets::DatasetProfile;
 use sparse_dist::{
-    kneighbors_graph, Device, Distance, GraphMode, NearestNeighbors, PairwiseOptions, Selection,
-    SmemMode, Strategy,
+    kneighbors_graph, Device, Distance, GraphMode, NearestNeighbors, PairwiseOptions, SmemMode,
+    Strategy,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,7 +34,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             smem_mode: SmemMode::Hash,
             resilience: None,
         })
-        .with_selection(Selection::Device) // faiss-style on-device top-k
         .with_index_batch_rows(256) // slab the index; merge per-slab top-k
         .fit(ratings.clone());
 

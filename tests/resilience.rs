@@ -15,8 +15,8 @@ use semiring::reference::dense_pairwise;
 use semiring::{Distance, DistanceParams};
 use sparse::CsrMatrix;
 use sparse_dist::{
-    Device, KernelError, NearestNeighbors, PairwiseOptions, ResiliencePolicy, ResilienceReport,
-    SanitizerMode, SimError, SmemMode, Strategy,
+    Device, KernelError, KnnResult, MultiDevice, NearestNeighbors, PairwiseOptions,
+    ResiliencePolicy, ResilienceReport, SanitizerMode, SimError, SmemMode, Strategy,
 };
 
 use gpu_sim::FaultPlan;
@@ -409,7 +409,9 @@ proptest! {
     /// Whenever the cascade succeeds under an injected fault mix, the
     /// distances are byte-identical to a fault-free run of whatever plan
     /// it landed on — and replaying the same seed reproduces both the
-    /// fault history and the bytes.
+    /// fault history and the bytes. The k-NN driver, plain and sharded,
+    /// keeps its fault-free answers too: its top-k selection launch
+    /// retries under the tile's policy like every cascade step.
     #[test]
     fn faulty_runs_match_fault_free_runs_bit_for_bit(
         m in arb_matrix(),
@@ -439,5 +441,34 @@ proptest! {
             prop_assert_eq!(r2.resilience.as_ref(), Some(&rep));
             prop_assert_eq!(r.distances.as_slice(), r2.distances.as_slice());
         }
+
+        let knn = |dev: &Device, resilience: Option<ResiliencePolicy>| {
+            let nn = NearestNeighbors::new(dev.clone(), Distance::Euclidean)
+                .with_options(PairwiseOptions { resilience, ..PairwiseOptions::default() })
+                .with_index_batch_rows(1)
+                .fit(m.clone());
+            let multi = MultiDevice::replicate(dev, 2);
+            [nn.kneighbors(&m, 3), nn.kneighbors_sharded(&multi, &m, 3)]
+                .map(|r| r.expect("retries absorb every transient fault"))
+        };
+        let answer = |r: &KnnResult<f64>| {
+            let bits: Vec<u64> = r.distances.concat().iter().map(|d| d.to_bits()).collect();
+            (r.indices.clone(), bits)
+        };
+        let clean = knn(&device(), None).map(|r| answer(&r));
+        // Walk fault seeds from `seed` until a schedule hits a selection
+        // launch, so every case exercises the selection retry.
+        let selection_retried = (seed..seed + 64).any(|s| {
+            let plan = FaultPlan::seeded(s).with_transient_launch_failures(250);
+            let runs = knn(&device().with_fault_plan(plan), Some(ResiliencePolicy::with_retries(8)));
+            for (r, want) in runs.iter().zip(&clean) {
+                assert_eq!(&answer(r), want);
+            }
+            runs.iter()
+                .flat_map(|r| &r.resilience)
+                .flat_map(|rep| &rep.faults_absorbed)
+                .any(|f| f.contains("top_k_select"))
+        });
+        prop_assert!(selection_retried, "no fault schedule hit a selection launch");
     }
 }
