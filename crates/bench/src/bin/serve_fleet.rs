@@ -86,15 +86,16 @@ fn fleet_config(k: usize) -> FleetConfig {
 }
 
 fn describe(mult: f64, r: &FleetReport<f32>, arrived: usize) -> String {
+    let served = &r.serve;
     format!(
         "{:>5.0}x {:>8} {:>8} {:>8} {:>9.3} {:>10.1} {:>10.1} {:>9} {:>7} {:>10.2}",
         mult,
         arrived,
-        r.responses.len(),
-        r.rejected.len(),
-        r.shed_fraction(),
-        r.latency_percentile(50.0) * 1e6,
-        r.latency_percentile(99.0) * 1e6,
+        served.responses.len(),
+        served.rejected.len(),
+        served.shed_fraction(),
+        served.latency_percentile(50.0) * 1e6,
+        served.latency_percentile(99.0) * 1e6,
         r.replicas_final,
         r.scale_events.iter().filter(|e| e.to > e.from).count(),
         r.worst_burn(),
@@ -153,16 +154,17 @@ fn main() {
         let r = fleet
             .run(std::slice::from_ref(&nn), &requests)
             .expect("fleet replay runs");
+        let served = &r.serve;
         println!("{}", describe(mult, &r, requests.len()));
 
         // Acceptance: no queue collapse — every arrival is accounted
         // for, and the admitted tail holds the envelope even at 100×.
         assert_eq!(
-            r.responses.len() + r.rejected.len(),
+            served.responses.len() + served.rejected.len(),
             requests.len(),
             "lost requests at {mult}x"
         );
-        let p99 = r.latency_percentile(99.0);
+        let p99 = served.latency_percentile(99.0);
         assert!(
             p99 <= P99_ENVELOPE_S,
             "admitted p99 {:.1} us blew the {:.1} us envelope at {mult}x",
@@ -170,11 +172,11 @@ fn main() {
             P99_ENVELOPE_S * 1e6
         );
         assert!(
-            r.shed_fraction() < 1.0,
+            served.shed_fraction() < 1.0,
             "controller shed everything at {mult}x"
         );
         if mult == 1.0 {
-            assert_eq!(r.shed_fraction(), 0.0, "1x load must be shed-free");
+            assert_eq!(served.shed_fraction(), 0.0, "1x load must be shed-free");
         }
 
         let m = fleet.metrics();
@@ -184,10 +186,10 @@ fn main() {
                 .label("mode", "overload")
                 .label("load", &format!("{mult:.0}x"))
                 .value("arrived", requests.len() as f64)
-                .value("served", r.responses.len() as f64)
-                .value("shed", r.rejected.len() as f64)
-                .value("shed_fraction", r.shed_fraction())
-                .value("p50_latency_s", r.latency_percentile(50.0))
+                .value("served", served.responses.len() as f64)
+                .value("shed", served.rejected.len() as f64)
+                .value("shed_fraction", served.shed_fraction())
+                .value("p50_latency_s", served.latency_percentile(50.0))
                 .value("p99_latency_s", p99)
                 .value("replicas_final", r.replicas_final as f64)
                 .value("scale_ups", m.counter("serve.fleet.scale_ups_total") as f64)
@@ -197,13 +199,13 @@ fn main() {
                 )
                 .value(
                     "degraded_requests",
-                    m.counter("serve.fleet.degraded_requests_total") as f64,
+                    m.counter("serve.degraded_requests_total") as f64,
                 )
                 .value("windows", r.windows.len() as f64)
                 .value("worst_burn", r.worst_burn()),
         );
-        // Rendering self-validates, so the fleet counters obey the
-        // metrics.v1 conservation laws at every load.
+        // Rendering self-validates, so the engine and fleet counters
+        // obey the metrics.v1 conservation laws at every load.
         m.snapshot("serve_fleet").to_json();
     }
 
@@ -259,8 +261,11 @@ fn main() {
             .value("divergent", outcome.divergent as f64)
             .value("recovery_window", recovery as f64)
             .value("windows_past_chaos", windows_past_chaos as f64)
-            .value("chaos_shed_fraction", outcome.chaos.shed_fraction())
-            .value("baseline_shed_fraction", outcome.baseline.shed_fraction()),
+            .value("chaos_shed_fraction", outcome.chaos.serve.shed_fraction())
+            .value(
+                "baseline_shed_fraction",
+                outcome.baseline.serve.shed_fraction(),
+            ),
     );
 
     println!(

@@ -111,9 +111,10 @@ use sparse::{read_matrix_market, write_matrix_market, CsrMatrix, DegreeStats};
 use sparse_dist::{
     chaos_drill, chrome_trace, fingerprint_with_generation, kneighbors_graph, replay_rows,
     request_chrome_trace, AdmissionConfig, ChaosPlan, Device, FaultPlan, Fleet, FleetConfig,
-    GraphMode, IndexMode, IvfIndex, IvfParams, LaunchStats, Manifest, MultiDevice, MutableDataset,
-    NearestNeighbors, PairwiseOptions, ResiliencePolicy, ResilienceReport, ServeConfig,
-    ServeEngine, ServeReport, SloBudget, SmemMode, Strategy, TimedRecord, Wal, Workload,
+    GraphMode, IndexMode, IvfIndex, IvfParams, LaunchStats, Manifest, MetricsRegistry, MultiDevice,
+    MutableDataset, NearestNeighbors, PairwiseOptions, ResiliencePolicy, ResilienceReport,
+    ServeConfig, ServeEngine, ServeReport, SloBudget, SmemMode, Strategy, TimedRecord, Wal,
+    Workload,
 };
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -946,6 +947,7 @@ fn cmd_serve_fleet<T: sparse::Real>(
     device: &Device,
     nn: NearestNeighbors<T>,
     config: ServeConfig,
+    slo: Option<SloBudget>,
     requests: &[sparse_dist::Request<T>],
 ) -> Result<(), CliError> {
     let (min, max) = spec
@@ -964,16 +966,7 @@ fn cmd_serve_fleet<T: sparse::Real>(
         serve: config,
         ..FleetConfig::default()
     };
-    let mut slos = Vec::new();
-    if let Some(us) = args.flag("--slo-p99-us") {
-        let us: f64 = us
-            .parse()
-            .map_err(|_| CliError::config(format!("bad --slo-p99-us {us}")))?;
-        if !(us > 0.0 && us.is_finite()) {
-            return Err(CliError::config(format!("bad --slo-p99-us {us}")));
-        }
-        slos.push((0usize, SloBudget::p99(us * 1e-6)));
-    }
+    let slos: Vec<(usize, SloBudget)> = slo.map(|budget| (0, budget)).into_iter().collect();
 
     if args.switch("--chaos") {
         let seed: u64 = parse_num(args, "--seed", "1")?;
@@ -996,8 +989,8 @@ fn cmd_serve_fleet<T: sparse::Real>(
              baseline shed {:.1}% vs chaos shed {:.1}%",
             outcome.common,
             outcome.divergent,
-            outcome.baseline.shed_fraction() * 100.0,
-            outcome.chaos.shed_fraction() * 100.0,
+            outcome.baseline.serve.shed_fraction() * 100.0,
+            outcome.chaos.serve.shed_fraction() * 100.0,
         );
         match outcome.recovery_window {
             Some(w) => {
@@ -1023,8 +1016,8 @@ fn cmd_serve_fleet<T: sparse::Real>(
                  runs two fleets; rerun without --chaos for a snapshot)"
             );
         }
-        write_request_trace(args, &outcome.chaos.spans)?;
-        return write_responses(args, &outcome.chaos.responses);
+        write_request_trace(args, &outcome.chaos.serve.spans)?;
+        return write_responses(args, &outcome.chaos.serve.responses);
     }
 
     let mut fleet = Fleet::new(device.clone(), fleet_config);
@@ -1034,16 +1027,17 @@ fn cmd_serve_fleet<T: sparse::Real>(
     let report = fleet
         .run(&[nn], requests)
         .map_err(|e| CliError::launch(format!("fleet serve failed: {e}")))?;
+    let served = &report.serve;
     eprintln!(
         "spdist: fleet served {}/{} request(s) over {} window(s), \
          shed {:.1}%, p50 {:.1} us / p99 {:.1} us, worst burn {:.2}, \
          {} replica(s) final",
-        report.responses.len(),
+        served.responses.len(),
         requests.len(),
         report.windows.len(),
-        report.shed_fraction() * 100.0,
-        report.latency_percentile(50.0) * 1e6,
-        report.latency_percentile(99.0) * 1e6,
+        served.shed_fraction() * 100.0,
+        served.latency_percentile(50.0) * 1e6,
+        served.latency_percentile(99.0) * 1e6,
         report.worst_burn(),
         report.replicas_final,
     );
@@ -1057,8 +1051,16 @@ fn cmd_serve_fleet<T: sparse::Real>(
             e.burn,
         );
     }
+    write_metrics(args, fleet.metrics(), "spdist_fleet")?;
+    write_request_trace(args, &served.spans)?;
+    write_responses(args, &served.responses)
+}
+
+/// Honors `--metrics[=path]`: a `metrics.v1` snapshot of `registry`
+/// to the file, or Prometheus text to stderr.
+fn write_metrics(args: &Args, registry: &MetricsRegistry, name: &str) -> Result<(), CliError> {
     if let Some(dest) = args.optional("--metrics") {
-        let snap = fleet.metrics().snapshot("spdist_fleet");
+        let snap = registry.snapshot(name);
         match dest {
             Some(path) => {
                 std::fs::write(path, snap.to_json())
@@ -1074,11 +1076,11 @@ fn cmd_serve_fleet<T: sparse::Real>(
             None => eprint!("{}", snap.to_prometheus()),
         }
     }
-    write_request_trace(args, &report.spans)?;
-    write_responses(args, &report.responses)
+    Ok(())
 }
 
-/// Honors `--trace-requests[=path]` for a fleet or drill run's spans.
+/// Honors `--trace-requests[=path]` for a serve, fleet or drill run's
+/// spans.
 fn write_request_trace(args: &Args, spans: &[sparse_dist::RequestSpan]) -> Result<(), CliError> {
     if let Some(dest) = args.optional("--trace-requests") {
         match dest {
@@ -1151,6 +1153,16 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         },
     };
     let requests = serve_requests(args, &queries)?;
+    let slo = args
+        .flag("--slo-p99-us")
+        .map(|us| {
+            us.parse::<f64>()
+                .ok()
+                .filter(|us| *us > 0.0 && us.is_finite())
+                .map(|us| SloBudget::p99(us * 1e-6))
+                .ok_or_else(|| CliError::config(format!("bad --slo-p99-us {us}")))
+        })
+        .transpose()?;
 
     if args.flag("--ingest").is_some() {
         if args.flag("--fleet").is_some() || args.switch("--chaos") {
@@ -1172,7 +1184,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     }
 
     if let Some(spec) = args.flag("--fleet") {
-        return cmd_serve_fleet(args, spec, &device, nn, config, &requests);
+        return cmd_serve_fleet(args, spec, &device, nn, config, slo, &requests);
     }
     if args.switch("--chaos") {
         return Err(CliError::config(
@@ -1188,14 +1200,8 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             .map_err(|_| CliError::config(format!("bad --cache-budget-mb {mb}")))?;
         engine = engine.with_cache_budget(mb * 1024 * 1024);
     }
-    if let Some(us) = args.flag("--slo-p99-us") {
-        let us: f64 = us
-            .parse()
-            .map_err(|_| CliError::config(format!("bad --slo-p99-us {us}")))?;
-        if !(us > 0.0 && us.is_finite()) {
-            return Err(CliError::config(format!("bad --slo-p99-us {us}")));
-        }
-        engine.set_slo(0, SloBudget::p99(us * 1e-6));
+    if let Some(budget) = slo {
+        engine.set_slo(0, budget);
     }
     let report = match args.flag("--ingest") {
         Some(wal_path) => serve_ingest_replay(args, wal_path, &mut engine, &nn, &index, &requests)?,
@@ -1270,46 +1276,8 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             m.counter("ann.degraded_nprobe_total"),
         );
     }
-    if let Some(dest) = args.optional("--metrics") {
-        let snap = engine.metrics().snapshot("spdist_serve");
-        match dest {
-            Some(path) => {
-                std::fs::write(path, snap.to_json())
-                    .map_err(|e| CliError::input(format!("cannot write {path}: {e}")))?;
-                eprintln!(
-                    "spdist: wrote metrics.v1 snapshot ({} counters, {} gauges, \
-                     {} histograms) to {path}",
-                    snap.counters.len(),
-                    snap.gauges.len(),
-                    snap.histograms.len()
-                );
-            }
-            None => eprint!("{}", snap.to_prometheus()),
-        }
-    }
-    if let Some(dest) = args.optional("--trace-requests") {
-        match dest {
-            Some(path) => {
-                std::fs::write(path, request_chrome_trace(&report.spans))
-                    .map_err(|e| CliError::input(format!("cannot write {path}: {e}")))?;
-                eprintln!(
-                    "spdist: wrote request trace with {} span(s) to {path} \
-                     (load in Perfetto / chrome://tracing)",
-                    report.spans.len()
-                );
-            }
-            None => {
-                let terminal = report.spans.iter().filter(|s| s.is_terminal()).count();
-                eprintln!(
-                    "spdist: traced {} request span(s), {} terminal \
-                     (pass --trace-requests=trace.json to export)",
-                    report.spans.len(),
-                    terminal
-                );
-            }
-        }
-    }
-
+    write_metrics(args, engine.metrics(), "spdist_serve")?;
+    write_request_trace(args, &report.spans)?;
     write_responses(args, &report.responses)
 }
 

@@ -130,6 +130,13 @@ impl<T: Real> PreparedCache<T> {
         self.stats
     }
 
+    /// Drops every entry and keeps the counters: the request engine's
+    /// device pool was swapped, and prepared shards pin their devices.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.resident = 0;
+    }
+
     /// Looks up (or prepares, on miss) the shard set for `nn`'s fitted
     /// index over `multi`. On a miss the index is sliced, uploaded, and
     /// its norms warmed; the returned [`CacheOutcome`] carries the

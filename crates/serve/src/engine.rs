@@ -34,6 +34,7 @@
 use crate::admission::{AdmissionConfig, AdmissionDecision, Rejection, ShedReason, TokenBucket};
 use crate::cache::{CacheStats, PreparedCache};
 use crate::fingerprint::fingerprint_with_generation;
+use crate::fleet::Autoscaler;
 use crate::metrics::{percentile_sorted, MetricsRegistry};
 use crate::segment::{merge_arms, AppliedOp, CompactionJob, MutableDataset};
 use crate::slo::{assess, SloBudget, SloReport};
@@ -247,7 +248,7 @@ pub struct ServeEngine<T> {
     multi: MultiDevice,
     cache: PreparedCache<T>,
     config: ServeConfig,
-    metrics: MetricsRegistry,
+    pub(crate) metrics: MetricsRegistry,
     slos: BTreeMap<usize, SloBudget>,
     /// Fitted IVF artifacts per dataset id (IVF mode only).
     ivf: BTreeMap<usize, IvfEntry<T>>,
@@ -431,7 +432,18 @@ impl<T: Real> ServeEngine<T> {
         fitted: &[NearestNeighbors<T>],
         requests: &[Request<T>],
     ) -> Result<ServeReport<T>, KernelError> {
-        self.serve(&mut Source::Fitted(fitted), &[], requests)
+        self.serve(&mut Source::Fitted(fitted), &[], requests, None)
+    }
+
+    /// [`Self::replay`] with a fleet autoscaler stepped at each of its
+    /// window boundaries (DESIGN §14).
+    pub(crate) fn replay_scaled(
+        &mut self,
+        fitted: &[NearestNeighbors<T>],
+        requests: &[Request<T>],
+        scaler: &mut Autoscaler,
+    ) -> Result<ServeReport<T>, KernelError> {
+        self.serve(&mut Source::Fitted(fitted), &[], requests, Some(scaler))
     }
 
     /// Replays a merged stream of WAL writes and query requests against
@@ -497,7 +509,7 @@ impl<T: Real> ServeEngine<T> {
             compactions: Vec::new(),
             fresh_scans: 0,
         };
-        let serve = self.serve(&mut Source::Mutable(&mut ing), &wseq, requests)?;
+        let serve = self.serve(&mut Source::Mutable(&mut ing), &wseq, requests, None)?;
         self.record_ingest(&ing);
         // A compaction still in flight at stream end stays pending: the
         // report's started/landed counts record the difference.
@@ -511,18 +523,22 @@ impl<T: Real> ServeEngine<T> {
         })
     }
 
-    /// The one discrete-event loop behind [`Self::replay`] and
-    /// [`Self::replay_ingest`] (`writes` is empty for fitted sources).
-    /// The next event is the earliest of an open batch's wait deadline
-    /// (ties by dataset id), a write, and an arrival; equal times
-    /// resolve deadline → write → arrival, so a same-instant write
-    /// still flushes the batch of earlier arrivals before mutating the
-    /// dataset, and an arrival at a deadline joins the next batch.
+    /// The one discrete-event loop behind [`Self::replay`],
+    /// [`Self::replay_ingest`] and [`Self::replay_scaled`] (`writes` is
+    /// empty for fitted sources, `fleet` is `None` outside a fleet).
+    /// The next event is the earliest of a fleet window boundary, an
+    /// open batch's wait deadline (ties by dataset id), a write, and an
+    /// arrival; equal times resolve boundary → deadline → write →
+    /// arrival, so a scaling decision applies to same-instant arrivals,
+    /// a same-instant write still flushes the batch of earlier arrivals
+    /// before mutating the dataset, and an arrival at a deadline joins
+    /// the next batch.
     fn serve(
         &mut self,
         src: &mut Source<'_, '_, T>,
         writes: &[&TimedRecord<T>],
         requests: &[Request<T>],
+        mut fleet: Option<&mut Autoscaler>,
     ) -> Result<ServeReport<T>, KernelError> {
         let stats_before = self.cache.stats();
         let mut order: Vec<&Request<T>> = requests.iter().collect();
@@ -550,8 +566,23 @@ impl<T: Real> ServeEngine<T> {
                 .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let write = writes.get(nw).map(|w| w.at_s);
             let arrival = order.get(nq).map(|r| r.arrival_s);
+            // `st.responses` is in completion order: batches run one at a
+            // time on the device lane.
+            let boundary = fleet.as_deref_mut().and_then(|scaler| {
+                let next_event = [deadline.map(|(t, _)| t), write, arrival];
+                let next_event = next_event.into_iter().flatten().reduce(f64::min);
+                scaler.boundary(next_event, &st.responses, &self.slos)
+            });
 
-            if let Some((t, d)) =
+            if let Some(swap) = boundary {
+                if let Some(pool) = swap {
+                    // Prepared shards pin their devices: drop them. All
+                    // else (queue, in-flight work, buckets) carries on.
+                    self.multi = pool;
+                    self.cache.clear();
+                    self.ivf.clear();
+                }
+            } else if let Some((t, d)) =
                 deadline.filter(|&(t, _)| not_after(t, write) && not_after(t, arrival))
             {
                 self.dispatch(src, &mut st, d, t)?;

@@ -2,39 +2,40 @@
 //! [`MultiDevice`] replicas, plus chaos-mode fault drills — all on the
 //! deterministic sim clock.
 //!
-//! The fleet chops simulated time into fixed windows
-//! ([`FleetConfig::window_s`]), serves each window through a
-//! [`ServeEngine`] over the current replica pool, and feeds each
-//! window's worst sliding-window SLO burn ([`crate::SloReport::worst_window_burn`])
-//! into a small autoscaling state machine (DESIGN §14): burn above
-//! [`FleetConfig::scale_up_burn`] adds a replica (subject to a
-//! cooldown), burn below [`FleetConfig::scale_down_burn`] for
-//! [`FleetConfig::cooldown_windows`] consecutive windows removes one.
-//! Scaling rebuilds the engine — the prepared-index cache is keyed on
-//! pool size, so the re-prepare cost of resharding is charged
-//! honestly, exactly as a real fleet pays it.
+//! A fleet run is one replay of one [`ServeEngine`]. Its event loop
+//! adds a boundary event every [`FleetConfig::window_s`]; at each
+//! boundary the closing window's worst sliding-window SLO burn
+//! ([`crate::SloReport::worst_window_burn`], over the responses that
+//! *completed* inside it) feeds a small autoscaling state machine
+//! (DESIGN §14): burn above [`FleetConfig::scale_up_burn`] adds a
+//! replica (subject to a cooldown), burn below
+//! [`FleetConfig::scale_down_burn`] for [`FleetConfig::cooldown_windows`]
+//! consecutive windows removes one. A new replica count swaps the
+//! engine's device pool and drops its prepared shards, so the
+//! re-prepare cost of resharding is charged honestly, exactly as a real
+//! fleet pays it. The queue, in-flight batches, device-busy horizon and
+//! token buckets carry across the swap: a backlog at a boundary delays
+//! the next window's replies.
 //!
 //! **Chaos mode** ([`ChaosPlan`]) arms a [`FaultPlan`] on every replica
-//! for the windows overlapping `[start_s, end_s)`; [`chaos_drill`] runs
-//! the same workload with and without the plan, byte-compares the
-//! surviving (served-in-both) answers, and reports the first
-//! post-chaos window whose burn re-enters the caller's envelope — the
-//! recovery bound the serve_fleet bench and the CI chaos-smoke job
-//! assert on.
+//! for the windows overlapping `[start_s, end_s)` — another pool swap.
+//! [`chaos_drill`] runs the same workload with and without the plan,
+//! byte-compares the surviving (served-in-both) answers, and reports
+//! the first post-chaos window whose burn re-enters the caller's
+//! envelope — the recovery bound the serve_fleet bench and the CI
+//! chaos-smoke job assert on.
 //!
-//! Determinism: windows are scheduling epochs processed in order; every
-//! decision (scale, shed, degrade) is a pure function of the request
-//! set and the configuration, so fleet reports — like engine reports —
-//! are byte-identical across host-thread counts and arrival
-//! permutations. Window boundaries reset the device-busy horizon
-//! (each window's engine starts idle), which is the one modeling
-//! simplification DESIGN §14 records.
+//! Determinism: boundaries are events of the engine's deterministic
+//! loop and every decision (scale, shed, degrade) is a pure function of
+//! the request set and the configuration, so fleet reports — like
+//! engine reports — are byte-identical across host-thread counts and
+//! arrival permutations. With `min_replicas == max_replicas` and no
+//! chaos plan the pool never changes, and a fleet run is byte-identical
+//! to [`ServeEngine::replay`] on that pool.
 
-use crate::admission::{Rejection, ShedReason};
-use crate::engine::{Request, Response, ServeConfig, ServeEngine};
-use crate::metrics::{percentile_sorted, MetricsRegistry};
-use crate::slo::SloBudget;
-use crate::span::RequestSpan;
+use crate::engine::{Request, Response, ServeConfig, ServeEngine, ServeReport};
+use crate::metrics::MetricsRegistry;
+use crate::slo::{assess, SloBudget};
 use gpu_sim::{Device, FaultPlan};
 use kernels::KernelError;
 use neighbors::{MultiDevice, NearestNeighbors};
@@ -58,7 +59,7 @@ pub struct FleetConfig {
     /// Windows to hold after a scale-up before scaling again, and the
     /// calm streak required before a scale-down.
     pub cooldown_windows: usize,
-    /// Per-window serving configuration (batching + admission).
+    /// Serving configuration (batching + admission).
     pub serve: ServeConfig,
 }
 
@@ -112,15 +113,11 @@ pub struct WindowOutcome {
     pub start_s: f64,
     /// Replicas serving this window.
     pub replicas: usize,
-    /// Requests arriving in the window.
-    pub arrived: usize,
-    /// Requests served.
-    pub served: usize,
-    /// Requests shed by admission control.
-    pub shed: usize,
-    /// Requests served in degraded mode.
-    pub degraded: u64,
-    /// Worst sliding-window SLO burn across configured datasets.
+    /// Responses that completed inside the window; every served
+    /// response counts in exactly one window.
+    pub completed: usize,
+    /// Worst sliding-window SLO burn across configured datasets, over
+    /// the window's completed responses.
     pub worst_burn: f64,
     /// Whether a chaos plan was armed for this window.
     pub chaos: bool,
@@ -129,46 +126,148 @@ pub struct WindowOutcome {
 /// Aggregate outcome of one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetReport<T> {
-    /// Served responses across all windows, in canonical
-    /// `(completion_s, id)` order.
-    pub responses: Vec<Response<T>>,
-    /// Shed requests (typed reasons) across all windows, arrival order.
-    pub rejected: Vec<Rejection>,
+    /// The engine's report for the whole run.
+    pub serve: ServeReport<T>,
     /// Per-window outcomes, in window order.
     pub windows: Vec<WindowOutcome>,
     /// Autoscaling decisions, in window order.
     pub scale_events: Vec<ScaleEvent>,
     /// Pool size after the final window.
     pub replicas_final: usize,
-    /// Per-request spans across all windows, canonical order.
-    pub spans: Vec<RequestSpan>,
 }
 
 impl<T> FleetReport<T> {
-    /// The `p`-th latency percentile over every served response
-    /// (nearest-rank, like [`crate::ServeReport::latency_percentile`]).
-    pub fn latency_percentile(&self, p: f64) -> f64 {
-        let mut lat: Vec<f64> = self.responses.iter().map(Response::latency_s).collect();
-        lat.sort_by(f64::total_cmp);
-        percentile_sorted(&lat, p)
-    }
-
-    /// Fraction of arrivals shed (0.0 when nothing arrived).
-    pub fn shed_fraction(&self) -> f64 {
-        let arrived = self.responses.len() + self.rejected.len();
-        if arrived == 0 {
-            0.0
-        } else {
-            self.rejected.len() as f64 / arrived as f64
-        }
-    }
-
     /// The worst per-window burn observed over the run.
     pub fn worst_burn(&self) -> f64 {
         self.windows
             .iter()
             .map(|w| w.worst_burn)
             .fold(0.0, f64::max)
+    }
+}
+
+/// The fleet's autoscaling state machine and window log, stepped by
+/// the engine's event loop at each window boundary
+/// ([`ServeEngine::replay_scaled`]).
+pub(crate) struct Autoscaler {
+    proto: Device,
+    chaos: Option<ChaosPlan>,
+    config: FleetConfig,
+    replicas: usize,
+    /// `(replicas, chaos armed)` of the pool the engine serves on.
+    shape: (usize, bool),
+    cooldown: usize,
+    calm_streak: usize,
+    /// Whether the last window in `windows` is still open.
+    open: bool,
+    windows: Vec<WindowOutcome>,
+    scale_events: Vec<ScaleEvent>,
+}
+
+impl Autoscaler {
+    /// Crosses the next window boundary if it is due: no later than
+    /// `next_event` (the loop's next other event) while a window is
+    /// open or work remains (events, or `responses` — served so far, in
+    /// completion order — completing at or after it). Closes the open
+    /// window and, if work remains, opens the next. Returns `None` when
+    /// no boundary is due, else the pool to swap in, if it changed.
+    pub(crate) fn boundary<T>(
+        &mut self,
+        next_event: Option<f64>,
+        responses: &[Response<T>],
+        slos: &BTreeMap<usize, SloBudget>,
+    ) -> Option<Option<MultiDevice>> {
+        let t = self.windows.len() as f64 * self.config.window_s;
+        let busy = next_event.is_some() || responses.last().is_some_and(|r| r.completion_s >= t);
+        if next_event.is_some_and(|e| e < t) || !(busy || self.open) {
+            return None;
+        }
+        if self.open {
+            self.close_window(t, responses, slos);
+        }
+        if !busy {
+            return Some(None);
+        }
+        // Open the next window, re-arming the pool if its shape changed.
+        let armed = self
+            .chaos
+            .as_ref()
+            .filter(|c| t < c.end_s && t + self.config.window_s > c.start_s);
+        self.windows.push(WindowOutcome {
+            window: self.windows.len(),
+            start_s: t,
+            replicas: self.replicas,
+            completed: 0,
+            worst_burn: 0.0,
+            chaos: armed.is_some(),
+        });
+        self.open = true;
+        let shape = (self.replicas, armed.is_some());
+        if shape == self.shape {
+            return Some(None);
+        }
+        self.shape = shape;
+        let proto = match armed {
+            Some(c) => self.proto.clone().with_fault_plan(c.fault.clone()),
+            None => self.proto.clone(),
+        };
+        Some(Some(MultiDevice::replicate(&proto, self.replicas)))
+    }
+
+    fn close_window<T>(
+        &mut self,
+        end_s: f64,
+        responses: &[Response<T>],
+        slos: &BTreeMap<usize, SloBudget>,
+    ) {
+        let w = self.windows.last_mut().expect("a window is open");
+        let from = responses.partition_point(|r| r.completion_s < w.start_s);
+        let done = &responses[from..responses.partition_point(|r| r.completion_s < end_s)];
+        let burn = slos
+            .iter()
+            .map(|(&dataset, &budget)| {
+                let pairs: Vec<(f64, f64)> = done
+                    .iter()
+                    .filter(|r| r.dataset == dataset)
+                    .map(|r| (r.completion_s, r.latency_s()))
+                    .collect();
+                assess(dataset, budget, &pairs).worst_window_burn()
+            })
+            .fold(0.0, f64::max);
+        w.completed = done.len();
+        w.worst_burn = burn;
+        let window = w.window;
+        self.open = false;
+
+        // The autoscaling state machine (DESIGN §14): cooldown after
+        // scale-up, calm streak before scale-down.
+        let cfg = &self.config;
+        let from = self.replicas;
+        self.cooldown = self.cooldown.saturating_sub(1);
+        if burn > cfg.scale_up_burn {
+            self.calm_streak = 0;
+            if self.cooldown == 0 && self.replicas < cfg.max_replicas {
+                self.replicas += 1;
+                self.cooldown = cfg.cooldown_windows;
+            }
+        } else if burn < cfg.scale_down_burn {
+            self.calm_streak += 1;
+            if self.calm_streak >= cfg.cooldown_windows.max(1) && self.replicas > cfg.min_replicas {
+                self.replicas -= 1;
+                self.calm_streak = 0;
+            }
+        } else {
+            self.calm_streak = 0;
+        }
+        if self.replicas != from {
+            self.scale_events.push(ScaleEvent {
+                window,
+                at_s: end_s,
+                from,
+                to: self.replicas,
+                burn,
+            });
+        }
     }
 }
 
@@ -179,9 +278,6 @@ pub struct Fleet {
     slos: BTreeMap<usize, SloBudget>,
     chaos: Option<ChaosPlan>,
     metrics: MetricsRegistry,
-    /// Completed [`Fleet::run`] calls — the ordinal that namespaces
-    /// each run's per-window counter series in the registry.
-    runs: u64,
 }
 
 impl Fleet {
@@ -202,7 +298,6 @@ impl Fleet {
             slos: BTreeMap::new(),
             chaos: None,
             metrics: MetricsRegistry::new(),
-            runs: 0,
         }
     }
 
@@ -223,27 +318,20 @@ impl Fleet {
         self
     }
 
-    /// The fleet-level metrics registry (counters accumulate across
-    /// runs; gauges reflect the latest run).
+    /// The serving engine's metrics registry plus the fleet's
+    /// `serve.fleet.*` window and scale counters (counters accumulate
+    /// across runs; gauges reflect the latest run).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
 
-    /// Whether a chaos plan is armed for the window starting at
-    /// `start_s`.
-    fn chaos_active(&self, start_s: f64) -> bool {
-        self.chaos
-            .as_ref()
-            .is_some_and(|c| start_s < c.end_s && start_s + self.config.window_s > c.start_s)
-    }
-
-    /// Runs the fleet over a request stream: windows the stream,
-    /// serves each window at the current pool size, and autoscales on
-    /// SLO burn. See the module docs for the determinism contract.
+    /// Runs the fleet over a request stream: one engine replay whose
+    /// pool the autoscaler resizes (and chaos re-arms) at window
+    /// boundaries. See the module docs for the determinism contract.
     ///
     /// # Errors
     ///
-    /// Propagates the first kernel error any window produces. Under a
+    /// Propagates the first kernel error any batch produces. Under a
     /// chaos plan, fit the estimators with a
     /// [`kernels::ResiliencePolicy`] so injected faults are absorbed
     /// by the cascade instead of surfacing here.
@@ -253,207 +341,46 @@ impl Fleet {
         requests: &[Request<T>],
     ) -> Result<FleetReport<T>, KernelError> {
         let cfg = self.config;
-        let mut order: Vec<&Request<T>> = requests.iter().collect();
-        order.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
-        let last_arrival = order.last().map(|r| r.arrival_s).unwrap_or(0.0);
-        let n_windows = if order.is_empty() {
-            0
-        } else {
-            (last_arrival / cfg.window_s) as usize + 1
-        };
-
-        let mut report = FleetReport {
-            responses: Vec::new(),
-            rejected: Vec::new(),
+        let mut engine = ServeEngine::new(
+            MultiDevice::replicate(&self.proto, cfg.min_replicas),
+            cfg.serve,
+        );
+        for (&dataset, &budget) in &self.slos {
+            engine.set_slo(dataset, budget);
+        }
+        engine.metrics = std::mem::take(&mut self.metrics);
+        let mut scaler = Autoscaler {
+            proto: self.proto.clone(),
+            chaos: self.chaos.clone(),
+            config: cfg,
+            replicas: cfg.min_replicas,
+            // The engine's pool: `min_replicas` replicas, unarmed.
+            shape: (cfg.min_replicas, false),
+            cooldown: 0,
+            calm_streak: 0,
+            open: false,
             windows: Vec::new(),
             scale_events: Vec::new(),
-            replicas_final: cfg.min_replicas,
-            spans: Vec::new(),
         };
-        let mut replicas = cfg.min_replicas;
-        let mut engine: Option<ServeEngine<T>> = None;
-        let mut engine_shape: Option<(usize, bool)> = None;
-        let mut cooldown = 0usize;
-        let mut calm_streak = 0usize;
-        let mut degraded_total = 0u64;
-        let mut chaos_windows = 0u64;
-        let mut next = 0usize;
-        // Cumulative shed counts per typed reason at the close of each
-        // window — the monotone series `validate_metrics` checks
-        // (a cumulative counter that ever decreased would mean a window
-        // un-shed a request).
-        let mut shed_cum = [0u64; ShedReason::ALL.len()];
-        let mut window_shed_cum: Vec<[u64; ShedReason::ALL.len()]> = Vec::new();
-
-        for w in 0..n_windows {
-            let start_s = w as f64 * cfg.window_s;
-            let end_s = start_s + cfg.window_s;
-            let mut window_reqs: Vec<Request<T>> = Vec::new();
-            while next < order.len() && order[next].arrival_s < end_s {
-                window_reqs.push(order[next].clone());
-                next += 1;
-            }
-            let chaos = self.chaos_active(start_s);
-            if chaos {
-                chaos_windows += 1;
-            }
-
-            // Rebuild the engine when the pool shape changes (size or
-            // chaos arming); keep it otherwise so the prepared cache
-            // persists across windows.
-            if engine_shape != Some((replicas, chaos)) {
-                let proto = match (&self.chaos, chaos) {
-                    (Some(c), true) => self.proto.clone().with_fault_plan(c.fault.clone()),
-                    _ => self.proto.clone(),
-                };
-                let multi = MultiDevice::replicate(&proto, replicas);
-                let mut e = ServeEngine::new(multi, cfg.serve);
-                for (&dataset, &budget) in &self.slos {
-                    e.set_slo(dataset, budget);
-                }
-                engine = Some(e);
-                engine_shape = Some((replicas, chaos));
-            }
-            let e = engine.as_mut().expect("engine built above");
-
-            let (arrived, served, shed, degraded, worst_burn) = if window_reqs.is_empty() {
-                (0, 0, 0, 0, 0.0)
-            } else {
-                let r = e.replay(fitted, &window_reqs)?;
-                let worst = r
-                    .slo
-                    .iter()
-                    .map(crate::SloReport::worst_window_burn)
-                    .fold(0.0, f64::max);
-                let out = (
-                    window_reqs.len(),
-                    r.responses.len(),
-                    r.rejected.len(),
-                    r.degraded_requests,
-                    worst,
-                );
-                degraded_total += r.degraded_requests;
-                for rej in &r.rejected {
-                    let slot = ShedReason::ALL
-                        .iter()
-                        .position(|&x| x == rej.reason)
-                        .expect("every reason is in ALL");
-                    shed_cum[slot] += 1;
-                }
-                report.responses.extend(r.responses);
-                report.rejected.extend(r.rejected);
-                report.spans.extend(r.spans);
-                out
-            };
-            report.windows.push(WindowOutcome {
-                window: w,
-                start_s,
-                replicas,
-                arrived,
-                served,
-                shed,
-                degraded,
-                worst_burn,
-                chaos,
-            });
-            window_shed_cum.push(shed_cum);
-
-            // The autoscaling state machine (DESIGN §14): one step per
-            // window, cooldown after scale-up, calm streak before
-            // scale-down.
-            cooldown = cooldown.saturating_sub(1);
-            if worst_burn > cfg.scale_up_burn {
-                calm_streak = 0;
-                if cooldown == 0 && replicas < cfg.max_replicas {
-                    report.scale_events.push(ScaleEvent {
-                        window: w,
-                        at_s: end_s,
-                        from: replicas,
-                        to: replicas + 1,
-                        burn: worst_burn,
-                    });
-                    replicas += 1;
-                    cooldown = cfg.cooldown_windows;
-                }
-            } else if worst_burn < cfg.scale_down_burn {
-                calm_streak += 1;
-                if calm_streak >= cfg.cooldown_windows.max(1) && replicas > cfg.min_replicas {
-                    report.scale_events.push(ScaleEvent {
-                        window: w,
-                        at_s: end_s,
-                        from: replicas,
-                        to: replicas - 1,
-                        burn: worst_burn,
-                    });
-                    replicas -= 1;
-                    calm_streak = 0;
-                }
-            } else {
-                calm_streak = 0;
-            }
-        }
-
-        report.replicas_final = replicas;
-        report.responses.sort_by(|a, b| {
-            a.completion_s
-                .total_cmp(&b.completion_s)
-                .then(a.id.cmp(&b.id))
-        });
-        report.spans.sort_by(|a, b| {
-            a.arrival_s
-                .total_cmp(&b.arrival_s)
-                .then(a.request_id.cmp(&b.request_id))
-        });
-        report.rejected.sort_by_key(|r| r.id);
+        let served = engine.replay_scaled(fitted, requests, &mut scaler);
+        self.metrics = engine.metrics;
+        let serve = served?;
 
         let m = &mut self.metrics;
-        let ups = report.scale_events.iter().filter(|e| e.to > e.from).count() as u64;
-        let downs = report.scale_events.len() as u64 - ups;
-        m.inc("serve.fleet.windows_total", report.windows.len() as u64);
+        let ups = scaler.scale_events.iter().filter(|e| e.to > e.from).count() as u64;
+        let downs = scaler.scale_events.len() as u64 - ups;
+        let chaos_windows = scaler.windows.iter().filter(|w| w.chaos).count() as u64;
+        m.inc("serve.fleet.windows_total", scaler.windows.len() as u64);
         m.inc("serve.fleet.chaos_windows_total", chaos_windows);
         m.inc("serve.fleet.scale_ups_total", ups);
         m.inc("serve.fleet.scale_downs_total", downs);
-        m.inc(
-            "serve.fleet.requests_arrived_total",
-            (report.responses.len() + report.rejected.len()) as u64,
-        );
-        m.inc(
-            "serve.fleet.requests_served_total",
-            report.responses.len() as u64,
-        );
-        m.inc(
-            "serve.fleet.requests_shed_total",
-            report.rejected.len() as u64,
-        );
-        m.inc("serve.fleet.degraded_requests_total", degraded_total);
-        // Per-window cumulative shed series, namespaced by run ordinal
-        // so several runs through one fleet never splice their windows
-        // together. Zero-padded window tags make the registry's sorted
-        // key order equal window order; `validate_metrics`
-        // asserts each series is monotone non-decreasing and that the
-        // final cumulative values reconcile with
-        // `serve.fleet.requests_shed_total`.
-        if !report.rejected.is_empty() {
-            for (w, cums) in window_shed_cum.iter().enumerate() {
-                for (slot, reason) in ShedReason::ALL.iter().enumerate() {
-                    m.inc(
-                        &format!(
-                            "serve.fleet.run{:03}.w{:04}.shed_{}_total",
-                            self.runs,
-                            w,
-                            reason.name()
-                        ),
-                        cums[slot],
-                    );
-                }
-            }
-        }
-        self.runs += 1;
-        m.set_gauge("serve.fleet.replicas", replicas as f64);
-        m.set_gauge("serve.fleet.shed_fraction", report.shed_fraction());
-        m.set_gauge("serve.fleet.worst_window_burn", report.worst_burn());
-        m.set_gauge("serve.fleet.p99_latency_s", report.latency_percentile(99.0));
-        Ok(report)
+        m.set_gauge("serve.fleet.replicas", scaler.replicas as f64);
+        Ok(FleetReport {
+            serve,
+            windows: scaler.windows,
+            scale_events: scaler.scale_events,
+            replicas_final: scaler.replicas,
+        })
     }
 }
 
@@ -503,21 +430,17 @@ pub fn chaos_drill<T: Real>(
 
     // Byte-compare the served intersection: indices exactly, distances
     // by bit pattern (to_f64 widening is lossless and injective).
-    let by_id: BTreeMap<u64, &Response<T>> = baseline.responses.iter().map(|r| (r.id, r)).collect();
-    let mut common = 0usize;
-    let mut divergent = 0usize;
-    for r in &chaos_report.responses {
+    let answer = |r: &Response<T>| {
+        let bits: Vec<u64> = r.distances.iter().map(|d| d.to_f64().to_bits()).collect();
+        (r.indices.clone(), bits)
+    };
+    let served = baseline.serve.responses.iter();
+    let by_id: BTreeMap<u64, _> = served.map(|r| (r.id, answer(r))).collect();
+    let (mut common, mut divergent) = (0, 0);
+    for r in &chaos_report.serve.responses {
         if let Some(b) = by_id.get(&r.id) {
             common += 1;
-            let same = r.indices == b.indices
-                && r.distances.len() == b.distances.len()
-                && r.distances
-                    .iter()
-                    .zip(&b.distances)
-                    .all(|(x, y)| x.to_f64().to_bits() == y.to_f64().to_bits());
-            if !same {
-                divergent += 1;
-            }
+            divergent += usize::from(*b != answer(r));
         }
     }
     let recovery_window = chaos_report

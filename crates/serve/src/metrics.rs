@@ -584,23 +584,19 @@ impl HistogramSnapshot {
 }
 
 /// Cross-counter invariants for serving-layer `metrics.v1` documents
-/// (DESIGN §14). The engine and fleet counters are not independent:
-/// every arrival is either served or typed-shed, the typed shed
-/// reasons partition the rejected total, and only served requests can
-/// be degraded. Each check only fires when the counters involved are
-/// all present, so non-serving registries validate unchanged.
+/// (DESIGN §14). The engine counters are not independent: every
+/// arrival is either served or typed-shed, the typed shed reasons
+/// partition the rejected total, only served requests can be degraded,
+/// and a fleet's chaos windows are a subset of its windows. Each check
+/// only fires when the counters involved are all present, so
+/// non-serving registries validate unchanged.
 fn validate_serving_counters(counts: &BTreeMap<&str, u64>) -> Result<(), String> {
     let conservation = [
-        // (arrived, served, rejected) triples for the engine and fleet.
+        // Every arrival is served or rejected.
         (
             "serve.requests_arrived_total",
             "serve.requests_served_total",
             "serve.requests_rejected_total",
-        ),
-        (
-            "serve.fleet.requests_arrived_total",
-            "serve.fleet.requests_served_total",
-            "serve.fleet.requests_shed_total",
         ),
         // WAL ingest (DESIGN §16): every appended record is either
         // applied or typed-rejected, and the applied records partition
@@ -649,10 +645,6 @@ fn validate_serving_counters(counts: &BTreeMap<&str, u64>) -> Result<(), String>
             "serve.requests_served_total",
         ),
         (
-            "serve.fleet.degraded_requests_total",
-            "serve.fleet.requests_served_total",
-        ),
-        (
             "serve.fleet.chaos_windows_total",
             "serve.fleet.windows_total",
         ),
@@ -667,56 +659,6 @@ fn validate_serving_counters(counts: &BTreeMap<&str, u64>) -> Result<(), String>
         if let (Some(&p), Some(&w)) = (counts.get(part), counts.get(whole)) {
             if p > w {
                 return Err(format!("counter {part:?} ({p}) exceeds {whole:?} ({w})"));
-            }
-        }
-    }
-    // Fleet per-window cumulative shed series:
-    // `serve.fleet.run<RRR>.w<WWWW>.shed_<reason>_total`. Each
-    // (run, reason) series must be monotone non-decreasing in window
-    // order — a cumulative counter that ever decreased would mean a
-    // window un-shed a request — and the final window's cumulative
-    // values, summed across runs and reasons, must reconcile with the
-    // all-runs `serve.fleet.requests_shed_total`.
-    let mut series: BTreeMap<(&str, &str), Vec<(&str, u64)>> = BTreeMap::new();
-    for (k, &v) in counts {
-        let Some(rest) = k.strip_prefix("serve.fleet.run") else {
-            continue;
-        };
-        let Some((run, rest)) = rest.split_once(".w") else {
-            continue;
-        };
-        let Some((window, rest)) = rest.split_once(".shed_") else {
-            continue;
-        };
-        let Some(reason) = rest.strip_suffix("_total") else {
-            continue;
-        };
-        // BTreeMap iteration is sorted and window tags are zero-padded,
-        // so each series arrives in window order.
-        series.entry((run, reason)).or_default().push((window, v));
-    }
-    for ((run, reason), points) in &series {
-        for pair in points.windows(2) {
-            let ((w0, v0), (w1, v1)) = (pair[0], pair[1]);
-            if v1 < v0 {
-                return Err(format!(
-                    "fleet shed series run{run} {reason:?} is not monotone: \
-                     w{w0} has {v0}, w{w1} has {v1}"
-                ));
-            }
-        }
-    }
-    if !series.is_empty() {
-        if let Some(&total) = counts.get("serve.fleet.requests_shed_total") {
-            let last_sum: u128 = series
-                .values()
-                .map(|points| points.last().map_or(0, |&(_, v)| u128::from(v)))
-                .sum();
-            if last_sum != u128::from(total) {
-                return Err(format!(
-                    "fleet shed series final cumulative values sum to {last_sum}, \
-                     \"serve.fleet.requests_shed_total\" says {total}"
-                ));
             }
         }
     }
@@ -962,42 +904,6 @@ mod tests {
             \"wal.records_rejected_total\":1},\
             \"gauges\":{},\"histograms\":[]}";
         validate_metrics(consistent).expect("consistent ingest counters");
-    }
-
-    #[test]
-    fn metrics_validator_enforces_fleet_shed_series_invariants() {
-        // A cumulative per-window series that ever decreases is broken.
-        let non_monotone = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
-            \"counters\":{\
-            \"serve.fleet.requests_shed_total\":2,\
-            \"serve.fleet.run000.w0000.shed_queue_full_total\":3,\
-            \"serve.fleet.run000.w0001.shed_queue_full_total\":2},\
-            \"gauges\":{},\"histograms\":[]}";
-        assert!(validate_metrics(non_monotone)
-            .unwrap_err()
-            .contains("not monotone"));
-        // Final cumulative values must reconcile with the shed total.
-        let unreconciled = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
-            \"counters\":{\
-            \"serve.fleet.requests_shed_total\":3,\
-            \"serve.fleet.run000.w0000.shed_queue_full_total\":1,\
-            \"serve.fleet.run000.w0001.shed_queue_full_total\":4},\
-            \"gauges\":{},\"histograms\":[]}";
-        assert!(validate_metrics(unreconciled)
-            .unwrap_err()
-            .contains("requests_shed_total"));
-        // Monotone series summing (across runs and reasons) to the
-        // total validate; runs with different window counts coexist.
-        let consistent = "{\"schema\":\"metrics.v1\",\"name\":\"x\",\
-            \"counters\":{\
-            \"serve.fleet.requests_shed_total\":7,\
-            \"serve.fleet.run000.w0000.shed_queue_full_total\":1,\
-            \"serve.fleet.run000.w0000.shed_rate_limit_total\":0,\
-            \"serve.fleet.run000.w0001.shed_queue_full_total\":2,\
-            \"serve.fleet.run000.w0001.shed_rate_limit_total\":2,\
-            \"serve.fleet.run001.w0000.shed_queue_full_total\":3},\
-            \"gauges\":{},\"histograms\":[]}";
-        validate_metrics(consistent).expect("consistent fleet shed series");
     }
 
     #[test]

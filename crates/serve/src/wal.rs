@@ -158,17 +158,17 @@ fn line_checksum(body: &str) -> u64 {
     h.finish()
 }
 
-/// Parses a checksum field in the one form checksums are rendered in,
-/// 16 lowercase hex digits, so every accepted line re-renders
-/// byte-identically.
-fn parse_checksum(field: &str) -> Option<u64> {
-    let canonical = field.len() == 16
-        && field
-            .bytes()
-            .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
-    canonical
-        .then(|| u64::from_str_radix(field, 16).ok())
-        .flatten()
+/// Parses a number in the one form it is rendered in — 16 lowercase
+/// hex digits for radix 16 (checksums, fingerprints), plain decimal
+/// otherwise — so every accepted line re-renders byte-identically.
+/// `from_str_radix` alone also accepts `+5`, `007` and `AB`.
+fn parse_canonical(field: &str, radix: u32) -> Option<u64> {
+    let v = u64::from_str_radix(field, radix).ok()?;
+    let rendered = match radix {
+        16 => format!("{v:016x}"),
+        _ => v.to_string(),
+    };
+    (rendered == field).then_some(v)
 }
 
 /// An in-memory WAL: the dataset width it applies to plus its records.
@@ -341,8 +341,8 @@ impl<T: Real> Wal<T> {
         let (body, sum) = line
             .rsplit_once('\t')
             .ok_or_else(|| bad("missing checksum"))?;
-        let found =
-            parse_checksum(sum).ok_or_else(|| bad("checksum is not 16 lowercase hex digits"))?;
+        let found = parse_canonical(sum, 16)
+            .ok_or_else(|| bad("checksum is not 16 lowercase hex digits"))?;
         let expected = line_checksum(body);
         if found != expected {
             return Err(bad("header checksum mismatch"));
@@ -369,7 +369,7 @@ impl<T: Real> Wal<T> {
         let (body, sum) = line
             .rsplit_once('\t')
             .ok_or_else(|| malformed("missing checksum field".to_string()))?;
-        let found = parse_checksum(sum)
+        let found = parse_canonical(sum, 16)
             .ok_or_else(|| malformed("checksum is not 16 lowercase hex digits".to_string()))?;
         let expected = line_checksum(body);
         if found != expected {
@@ -480,22 +480,27 @@ impl Manifest {
         format!("{}\t{:016x}\n", body, line_checksum(&body))
     }
 
-    /// Parses a rendered manifest.
+    /// Parses a rendered manifest. Only the canonical rendering is
+    /// accepted, so every parsed manifest re-renders to exactly `text`.
     ///
     /// # Errors
     ///
-    /// Returns [`WalError::BadHeader`] when the magic, a field, or the
-    /// checksum does not check out.
+    /// Returns [`WalError::BadHeader`] when the text is not one
+    /// newline-terminated line, or the magic, a field, or the checksum
+    /// does not check out.
     pub fn parse(text: &str) -> Result<Self, WalError> {
         let bad = |reason: &str| WalError::BadHeader {
             reason: format!("manifest: {reason}"),
         };
-        let line = text.lines().next().ok_or_else(|| bad("empty"))?;
+        let line = text
+            .strip_suffix('\n')
+            .filter(|line| !line.contains('\n'))
+            .ok_or_else(|| bad("expected one newline-terminated line"))?;
         let (body, sum) = line
             .rsplit_once('\t')
             .ok_or_else(|| bad("missing checksum"))?;
-        let found =
-            parse_checksum(sum).ok_or_else(|| bad("checksum is not 16 lowercase hex digits"))?;
+        let found = parse_canonical(sum, 16)
+            .ok_or_else(|| bad("checksum is not 16 lowercase hex digits"))?;
         if found != line_checksum(body) {
             return Err(bad("checksum mismatch"));
         }
@@ -510,18 +515,23 @@ impl Manifest {
                 return Err(bad(&format!("expected field `{name}`, found `{k}`")));
             }
             if name == "base_fingerprint" {
-                u64::from_str_radix(v, 16).map_err(|_| bad("bad fingerprint"))
+                parse_canonical(v, 16)
+                    .ok_or_else(|| bad("fingerprint is not 16 lowercase hex digits"))
             } else {
-                v.parse().map_err(|_| bad(&format!("non-numeric `{name}`")))
+                parse_canonical(v, 10).ok_or_else(|| bad(&format!("non-canonical `{name}`")))
             }
         };
-        Ok(Self {
+        let manifest = Self {
             generation: field("generation")?,
             base_rows: field("base_rows")? as usize,
             base_fingerprint: field("base_fingerprint")?,
             log_position: field("log_position")?,
             cols: field("cols")? as usize,
-        })
+        };
+        if parts.next().is_some() {
+            return Err(bad("unexpected field after `cols`"));
+        }
+        Ok(manifest)
     }
 }
 
@@ -684,5 +694,59 @@ mod tests {
         assert_eq!(Manifest::parse(&text).expect("parses"), m);
         let corrupt = text.replacen("generation=3", "generation=4", 1);
         assert!(Manifest::parse(&corrupt).is_err(), "checksum must catch it");
+        // Signed, zero-padded and upper-case numbers parse as the same
+        // values, so only the canonical spelling may pass, even under a
+        // valid checksum; so must a second line.
+        for (from, to) in [("=3\t", "=+3\t"), ("=64", "=064"), ("=dead", "=+DEAD")] {
+            let garbled = reseal(&text.replacen(from, to, 1));
+            assert!(Manifest::parse(&garbled).is_err(), "{garbled} accepted");
+        }
+        assert!(Manifest::parse(&format!("{text}{text}")).is_err());
+        assert_eq!(Manifest::parse(&reseal(&text)), Ok(m));
+    }
+
+    /// `text` with its checksum recomputed over the (garbled) body, so
+    /// parsing gets past the checksum to the fields.
+    fn reseal(text: &str) -> String {
+        let line = text.strip_suffix('\n').unwrap_or(text);
+        let body = line.rsplit_once('\t').map_or(line, |(body, _)| body);
+        format!("{body}\t{:016x}\n", line_checksum(body))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Garbage never panics the manifest parser, raw or with the
+        /// checksum recomputed over the garbled body, and every
+        /// manifest it accepts re-renders to exactly its input.
+        #[test]
+        fn garbled_manifests_never_panic_and_parsed_ones_re_render(
+            generation in 0u64..1000,
+            base_rows in 0usize..100_000,
+            base_fingerprint in 0u64..=u64::MAX,
+            log_position in 0u64..1_000_000,
+            cols in 0usize..4096,
+            edits in proptest::collection::vec((
+                0u8..3,
+                0usize..4096,
+                // Signs, zeros and upper-case hex: the non-canonical
+                // spellings a lenient number parser would accept.
+                prop_oneof![0u8..=255, b'0'..=b'9', b'a'..=b'f', b'A'..=b'F',
+                            Just(b'\t'), Just(b'\n'), Just(b'='), Just(b'+'), Just(b'0')],
+                0usize..8,
+            ), 1..4),
+        ) {
+            let m = Manifest { generation, base_rows, base_fingerprint, log_position, cols };
+            let mut bytes = m.render().into_bytes();
+            for edit in edits {
+                garble(&mut bytes, edit);
+            }
+            let raw = String::from_utf8_lossy(&bytes).into_owned();
+            for text in [reseal(&raw), raw] {
+                if let Ok(parsed) = Manifest::parse(&text) {
+                    prop_assert_eq!(parsed.render(), text);
+                }
+            }
+        }
     }
 }

@@ -8,16 +8,20 @@
 //! * the fleet's scale-up/down decisions and its full report are pure
 //!   functions of the request set — byte-identical across host-thread
 //!   counts and arrival permutations;
-//! * a mid-traffic chaos plan never changes a served byte and the
-//!   fleet's burn re-enters the envelope within bounded windows.
+//! * a fixed-size fleet is one engine replay: byte-identical to
+//!   `ServeEngine::replay` on the same pool, backlog carried across
+//!   window boundaries;
+//! * a mid-traffic chaos plan never changes a served byte, its faults
+//!   reach the serving path even after a calm window warmed the cache,
+//!   and the fleet's burn re-enters the envelope within bounded windows.
 
 use gpu_sim::{Device, FaultPlan};
 use kernels::{PairwiseOptions, ResiliencePolicy};
 use neighbors::{MultiDevice, NearestNeighbors};
 use semiring::Distance;
 use serve::{
-    chaos_drill, AdmissionConfig, ChaosPlan, Fleet, FleetConfig, Request, ServeConfig, ServeEngine,
-    ShedReason, SloBudget, Workload,
+    chaos_drill, AdmissionConfig, ChaosPlan, Fleet, FleetConfig, FleetReport, Request, ServeConfig,
+    ServeEngine, ServeReport, ShedReason, SloBudget, Workload,
 };
 use sparse::CsrMatrix;
 
@@ -242,7 +246,7 @@ fn fleet_fingerprint(proto: &Device, requests: &[Request<f64>]) -> String {
     let nn = resilient_fit(&Device::volta(), dataset(16, 0));
     let report = fleet.run(&[nn], requests).expect("fleet runs");
     let mut out = String::new();
-    for r in &report.responses {
+    for r in &report.serve.responses {
         out.push_str(&format!(
             "{}:{}:{}:{:x?}\n",
             r.id,
@@ -272,10 +276,11 @@ fn fleet_scales_up_under_burn_and_down_when_calm() {
     let nn = resilient_fit(&Device::volta(), m.clone());
     let report = fleet.run(&[nn], &reqs).expect("fleet runs");
     assert_eq!(
-        report.responses.len() + report.rejected.len(),
+        report.serve.responses.len() + report.serve.rejected.len(),
         reqs.len(),
         "no request lost"
     );
+    assert_eq!(completed(&report), report.serve.responses.len());
     let ups = report.scale_events.iter().filter(|e| e.to > e.from).count();
     let downs = report.scale_events.iter().filter(|e| e.to < e.from).count();
     assert!(ups >= 1, "overload must trigger a scale-up: {report:?}");
@@ -342,4 +347,113 @@ fn chaos_drill_recovers_and_never_serves_a_divergent_byte() {
     // The chaos run actually saw chaos windows and absorbed faults.
     assert!(outcome.chaos.windows.iter().any(|w| w.chaos));
     assert!(outcome.chaos.windows.iter().any(|w| !w.chaos));
+    assert!(retried(&outcome.chaos) && !retried(&outcome.baseline));
+    for report in [&outcome.baseline, &outcome.chaos] {
+        assert_eq!(completed(report), report.serve.responses.len());
+    }
+}
+
+/// Responses counted over a fleet run's windows.
+fn completed<T>(report: &FleetReport<T>) -> usize {
+    report.windows.iter().map(|w| w.completed).sum()
+}
+
+/// Whether any batch of the run absorbed a fault (a `retry` span event).
+fn retried<T>(report: &FleetReport<T>) -> bool {
+    let mut events = report.serve.spans.iter().flat_map(|s| &s.events);
+    events.any(|e| e.event.name() == "retry")
+}
+
+/// A served report's responses, typed rejections and spans, rendered
+/// exactly (`Debug` prints every float in round-trip form).
+fn report_bytes(report: &ServeReport<f64>) -> String {
+    format!(
+        "{:?}\n{:?}\n{:?}",
+        report.responses, report.rejected, report.spans
+    )
+}
+
+#[test]
+fn fixed_size_fleet_is_one_engine_replay() {
+    let m = dataset(16, 0);
+    // A 120-request burst at t=0, then a request every 0.1 us: the
+    // burst's backlog (~30 batches of ~0.25 us) is still draining when
+    // the first window boundaries pass.
+    let mut reqs = burst_then_calm(&m, 120, 0, 0.0);
+    reqs.extend((0..200usize).map(|j| Request {
+        id: (120 + j) as u64,
+        dataset: 0,
+        arrival_s: 0.1e-6 * (j + 1) as f64,
+        row: m.slice_rows(j % 16..j % 16 + 1),
+    }));
+    let nn = [resilient_fit(&Device::volta(), m.clone())];
+    let pool = MultiDevice::replicate(&Device::volta(), 2);
+    let reference = ServeEngine::new(pool, fleet_config().serve)
+        .with_slo(0, tight_slo())
+        .replay(&nn, &reqs)
+        .expect("replay");
+    let backlog_end = reference.responses.last().expect("served").completion_s;
+    for window_s in [4e-6, 9e-6] {
+        assert!(backlog_end > 2.0 * window_s, "backlog crosses a boundary");
+        let config = FleetConfig {
+            min_replicas: 2,
+            max_replicas: 2,
+            window_s,
+            ..fleet_config()
+        };
+        let mut fleet = Fleet::new(Device::volta(), config).with_slo(0, tight_slo());
+        let report = fleet.run(&nn, &reqs).expect("fleet runs");
+        assert!(report.windows.len() > 2, "{window_s}: {:?}", report.windows);
+        assert!(report.scale_events.is_empty());
+        assert_eq!(completed(&report), report.serve.responses.len());
+        assert_eq!(report_bytes(&report.serve), report_bytes(&reference));
+        assert_eq!(report.serve.slo, reference.slo);
+    }
+}
+
+#[test]
+fn chaos_after_a_calm_window_reaches_the_serving_path() {
+    let m = dataset(16, 0);
+    // Calm singles every 50 us for 4 ms; chaos arms only in window 2,
+    // after windows 0 and 1 warmed the prepared cache on unarmed
+    // devices. A fixed pool size means only the arming swaps the pool.
+    let reqs: Vec<Request<f64>> = (0..80usize)
+        .map(|i| Request {
+            id: i as u64,
+            dataset: 0,
+            arrival_s: i as f64 * 50e-6,
+            row: m.slice_rows(i % 16..i % 16 + 1),
+        })
+        .collect();
+    let config = FleetConfig {
+        min_replicas: 2,
+        max_replicas: 2,
+        ..fleet_config()
+    };
+    let chaos = ChaosPlan {
+        start_s: 2e-3,
+        end_s: 3e-3,
+        fault: FaultPlan::seeded(7).with_transient_launch_failures(100),
+    };
+    let (dev, nn) = (Device::volta(), [resilient_fit(&Device::volta(), m)]);
+    let drill = chaos_drill(
+        &dev,
+        config,
+        &[(0, tight_slo())],
+        &nn,
+        &reqs,
+        chaos.clone(),
+        1.0,
+    );
+    let outcome = drill.expect("drill runs");
+    assert_eq!((outcome.common, outcome.divergent), (reqs.len(), 0));
+    let armed = outcome.chaos.windows.iter().map(|w| w.chaos);
+    assert!(armed.eq([false, false, true, false]));
+    assert!(retried(&outcome.chaos));
+    // The same chaos run, for its registry.
+    let mut fleet = Fleet::new(dev, config)
+        .with_slo(0, tight_slo())
+        .with_chaos(chaos);
+    fleet.run(&nn, &reqs).expect("chaos run");
+    assert!(fleet.metrics().counter("serve.retries_total") > 0);
 }
