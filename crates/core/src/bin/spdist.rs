@@ -77,7 +77,8 @@
 //! `--nprobe <p>` lists probed per query — with every shortlist
 //! reranked by the exact kernels, so returned distances are always
 //! exact and `--nprobe` = nlist reproduces the exact path byte for
-//! byte. On `knn`, the literal values `ivf`/`exact` select the tier;
+//! byte, on one device or on `--devices <n>`. On `knn`, the literal
+//! values `ivf`/`exact` select the tier;
 //! any other `--index` value remains the index-matrix path.
 //!
 //! Unknown flags, misspelled flags, and flags missing their value are
@@ -90,8 +91,7 @@
 //! launch's blocks on `m` host threads; results are bit-identical to
 //! serial, and `GPU_SIM_HOST_THREADS` overrides the flag),
 //! `--devices <n>` (knn only: shard index slabs round-robin across `n`
-//! simulated devices, merging per-slab top-k), `--fused` (knn only:
-//! fused distance+selection kernel), `--profile[=trace.json]` (knn/pairwise:
+//! simulated devices, merging per-slab top-k), `--profile[=trace.json]` (knn/pairwise:
 //! enable the per-range profiler, print a hot-spot report per launch,
 //! and optionally export a chrome://tracing file loadable in Perfetto).
 //!
@@ -203,7 +203,7 @@ impl FlagSpec {
                     "--nlist",
                     "--nprobe",
                 ],
-                &["--fused"],
+                &[],
                 &[],
                 true,
             ),
@@ -677,26 +677,14 @@ fn cmd_knn(args: &Args) -> Result<(), CliError> {
         .unwrap_or("10")
         .parse()
         .map_err(|_| CliError::config("bad --k"))?;
-    let fused = args.switch("--fused");
-    if fused && ivf_mode {
-        return Err(CliError::config(
-            "--fused cannot be combined with --index ivf",
-        ));
-    }
     let devices: usize = args
         .flag("--devices")
         .unwrap_or("1")
         .parse()
         .map_err(|_| CliError::config("bad --devices"))?;
-    if devices > 1 && fused {
-        return Err(CliError::config(
-            "--fused cannot be combined with --devices",
-        ));
-    }
     let nn = NearestNeighbors::new(device.clone(), distance)
         .with_params(params)
         .with_options(options)
-        .with_fused(fused)
         .fit(index.clone());
     let result = if ivf_mode {
         let nlist = resolve_nlist(nlist, index.rows());

@@ -58,7 +58,6 @@ pub mod device_fmt;
 pub mod error;
 pub mod esc;
 pub mod expansion;
-pub mod fused_knn;
 pub mod hybrid;
 pub mod naive;
 pub mod naive_shared;
@@ -69,7 +68,6 @@ pub mod strategy;
 
 pub use device_fmt::{DeviceCoo, DeviceCsr};
 pub use error::KernelError;
-pub use fused_knn::{fused_knn, FusedKnn};
 pub use resilience::{retry_transient, FallbackCascade, ResiliencePolicy, ResilienceReport};
 pub use select::top_k_kernel;
 pub use strategy::{

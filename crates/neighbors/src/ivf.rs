@@ -10,7 +10,7 @@
 //! nearest. Every visited list is then scanned *exactly* — the same
 //! `pairwise_distances_prepared` tiles and the same per-slab top-k the
 //! brute-force path uses — and the per-list candidates are merged
-//! under the canonical [`cmp_dist_idx`] total order.
+//! under the canonical [`crate::cmp_dist_idx`] total order.
 //!
 //! Two properties follow by construction rather than by tuning:
 //!
@@ -35,26 +35,28 @@
 //!   when the visitor set changes.
 //! * **Byte-identity at `nprobe == nlist` — by construction.** A full
 //!   probe would scan every posting list, so the search degenerates to
-//!   the exact estimator itself: the same slab geometry, the same
-//!   `kneighbors_core` tiles, the same canonical [`cmp_dist_idx`]
-//!   merge. The answer is therefore byte-identical to the exact
-//!   oracle's for any distance family, kernel strategy, or host-thread
-//!   count — structural, not a numerical coincidence.
+//!   the exact estimator itself on the prepared artifact's own devices:
+//!   the same contiguous slabs, the same shard runner, the same
+//!   canonical `cmp_dist_idx` merge. The answer is therefore
+//!   byte-identical to the exact oracle's on that pool for any distance
+//!   family, kernel strategy, or host-thread count — structural, not a
+//!   numerical coincidence.
 //!
 //! Fitting and search are deterministic: the only randomness is the
 //! seeded Fisher–Yates centroid initialization, host-side reductions
-//! run in fixed ascending-row order, and cluster tiles are visited in
-//! ascending cluster order (per-device attribution keeps simulated
-//! time shard-count independent, exactly like [`crate::MultiDevice`]).
+//! run in fixed ascending-row order, and posting lists are visited in
+//! ascending cluster order. The fit's assignment passes, the probe and
+//! the rerank all run through the crate's one shard runner
+//! ([`crate::prepared`]), so per-device time attribution is exactly
+//! that of [`crate::MultiDevice`] queries.
 
 use crate::knn::{KnnResult, NearestNeighbors};
 use crate::multi::MultiDevice;
-use crate::topk::cmp_dist_idx;
+use crate::prepared::{gather_rows, PreparedShard, ShardRunner};
 use gpu_sim::Device;
-use kernels::{KernelError, MemoryFootprint, PreparedIndex};
+use kernels::KernelError;
 use sparse::{CsrMatrix, Idx, Real};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Fitting and probing parameters for an [`IvfIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,31 +109,15 @@ pub struct IvfAnswer<T> {
     pub stats: IvfQueryStats,
 }
 
-/// One non-empty posting list prepared on a device: the gathered
-/// sub-CSR uploads plus lazily cached norms, pinned round-robin like
-/// [`crate::PreparedShard`].
-#[derive(Debug, Clone)]
-pub struct IvfShard<T> {
-    /// Cluster (posting list) id this slab covers.
-    pub cluster: usize,
-    /// Rows in the list.
-    pub rows: usize,
-    /// Position of the owning device in the pool.
-    pub device_slot: usize,
-    /// The device this list's uploads live on.
-    pub device: Device,
-    /// The list's uploads and cached norms.
-    pub index: Arc<PreparedIndex<T>>,
-}
-
 /// Posting lists and centroids prepared for repeated queries against a
 /// device pool — the IVF analog of [`crate::PreparedShards`], built
 /// once with [`IvfIndex::prepare`] and reused by every search.
 #[derive(Debug, Clone)]
 pub struct IvfPrepared<T> {
     pool: Vec<Device>,
-    centroid: Arc<PreparedIndex<T>>,
-    shards: Vec<IvfShard<T>>,
+    centroid: PreparedShard<T>,
+    /// One shard per cluster id; `None` for an empty posting list.
+    lists: Vec<Option<PreparedShard<T>>>,
 }
 
 impl<T: Real> IvfPrepared<T> {
@@ -140,21 +126,17 @@ impl<T: Real> IvfPrepared<T> {
         self.pool.len()
     }
 
-    /// The prepared non-empty posting lists, ascending by cluster id.
-    pub fn shards(&self) -> &[IvfShard<T>] {
-        &self.shards
-    }
-
     /// Simulated device bytes held by the prepared uploads (centroid
     /// slab + every posting-list slab, plus one norm vector per row) —
     /// what a prepared-artifact cache charges against its budget.
     pub fn device_bytes(&self) -> usize {
         let lists: usize = self
-            .shards
+            .lists
             .iter()
-            .map(|s| s.index.upload_bytes() + s.rows * std::mem::size_of::<T>())
+            .flatten()
+            .map(PreparedShard::device_bytes)
             .sum();
-        lists + self.centroid.upload_bytes() + self.centroid.rows() * std::mem::size_of::<T>()
+        lists + self.centroid.device_bytes()
     }
 }
 
@@ -183,22 +165,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Gathers `ids` (any order, duplicates allowed) of `m` into a new CSR
-/// matrix, one output row per id.
-fn gather_rows<T: Real>(m: &CsrMatrix<T>, ids: &[usize]) -> CsrMatrix<T> {
-    let mut indptr = Vec::with_capacity(ids.len() + 1);
-    indptr.push(0);
-    let mut indices: Vec<Idx> = Vec::new();
-    let mut values: Vec<T> = Vec::new();
-    for &r in ids {
-        indices.extend_from_slice(m.row_indices(r));
-        values.extend_from_slice(m.row_values(r));
-        indptr.push(indices.len());
-    }
-    CsrMatrix::from_parts(ids.len(), m.cols(), indptr, indices, values)
-        .expect("gathered rows of a valid CSR form a valid CSR")
 }
 
 /// Mean-update step: each non-empty cluster's centroid becomes the
@@ -240,22 +206,6 @@ fn update_centroids<T: Real>(
         .expect("means over sorted columns form a valid CSR")
 }
 
-fn merge_stats<T>(
-    peak: &mut MemoryFootprint,
-    launches: &mut Vec<gpu_sim::LaunchStats>,
-    resilience: &mut Vec<kernels::ResilienceReport>,
-    batches: &mut usize,
-    r: KnnResult<T>,
-) -> (Vec<Vec<usize>>, Vec<Vec<T>>, f64) {
-    peak.input_bytes = peak.input_bytes.max(r.peak_memory.input_bytes);
-    peak.output_bytes = peak.output_bytes.max(r.peak_memory.output_bytes);
-    peak.workspace_bytes = peak.workspace_bytes.max(r.peak_memory.workspace_bytes);
-    launches.extend(r.launches);
-    resilience.extend(r.resilience);
-    *batches += r.batches;
-    (r.indices, r.distances, r.sim_seconds)
-}
-
 impl<T: Real> IvfIndex<T> {
     /// Fits an IVF index over `nn`'s fitted data: seeded Fisher–Yates
     /// centroid initialization, `params.iters` Lloyd refinements where
@@ -273,14 +223,9 @@ impl<T: Real> IvfIndex<T> {
     /// Panics if `nn` has not been [`NearestNeighbors::fit`], the index
     /// is empty, or `params.nlist == 0`.
     pub fn fit(nn: &NearestNeighbors<T>, params: IvfParams) -> Result<Self, KernelError> {
-        // The rerank estimator reuses every kernel setting of `nn` but
-        // never the fused path: IVF's whole point is tiling over
-        // posting-list slabs, which the fused kernel bypasses.
-        let base = nn.clone().with_fused(false);
-        let x = base
+        let x = nn
             .index()
-            .expect("call fit() on the estimator before IvfIndex::fit()")
-            .clone();
+            .expect("call fit() on the estimator before IvfIndex::fit()");
         let n = x.rows();
         assert!(n > 0, "IVF requires a non-empty index");
         assert!(params.nlist > 0, "nlist must be >= 1");
@@ -294,15 +239,17 @@ impl<T: Real> IvfIndex<T> {
         }
         ids.truncate(nlist);
         ids.sort_unstable();
-        let mut centroids = gather_rows(&x, &ids);
+        let mut centroids = gather_rows(x, &ids);
 
-        let device = base.device().clone();
+        let home = [nn.device().clone()];
         let mut fit_sim_seconds = 0.0;
         let mut fit_assign_passes = 0;
         let mut lists: Vec<Vec<usize>> = vec![Vec::new(); nlist];
         for iter in 0..=params.iters {
-            let prep = Arc::new(PreparedIndex::new(&device, centroids.clone()));
-            let assign = base.kneighbors_core(&device, &[(0, prep)], nlist, &x, 1)?;
+            let shard = PreparedShard::upload(&home, 0, centroids.clone(), (0..nlist).collect());
+            let mut runner = ShardRunner::new(nn, 1);
+            let answer = runner.run(x, [(&shard, None)], 1)?;
+            let assign = runner.finish(answer);
             fit_sim_seconds += assign.sim_seconds;
             fit_assign_passes += 1;
             lists = vec![Vec::new(); nlist];
@@ -316,13 +263,13 @@ impl<T: Real> IvfIndex<T> {
             if iter == params.iters {
                 break;
             }
-            centroids = update_centroids(&x, &lists, &centroids);
+            centroids = update_centroids(x, &lists, &centroids);
         }
 
-        let slabs: Vec<CsrMatrix<T>> = lists.iter().map(|l| gather_rows(&x, l)).collect();
-        let home = Self::prepare_on(std::slice::from_ref(&device), &centroids, &lists, &slabs);
+        let slabs: Vec<CsrMatrix<T>> = lists.iter().map(|l| gather_rows(x, l)).collect();
+        let home = Self::prepare_on(&home, &centroids, &lists, &slabs);
         Ok(Self {
-            nn: base,
+            nn: nn.clone(),
             params,
             nlist,
             centroids,
@@ -390,29 +337,22 @@ impl<T: Real> IvfIndex<T> {
         lists: &[Vec<usize>],
         slabs: &[CsrMatrix<T>],
     ) -> IvfPrepared<T> {
-        let nd = pool.len().max(1);
-        let centroid = Arc::new(PreparedIndex::new(&pool[0], centroids.clone()));
-        let mut shards = Vec::new();
+        let centroid = (0..centroids.rows()).collect();
         let mut slot = 0;
-        for (cluster, slab) in slabs.iter().enumerate() {
-            if lists[cluster].is_empty() {
-                continue;
-            }
-            let device_slot = slot % nd;
-            let device = pool[device_slot].clone();
-            shards.push(IvfShard {
-                cluster,
-                rows: slab.rows(),
-                device_slot,
-                device: device.clone(),
-                index: Arc::new(PreparedIndex::new(&device, slab.clone())),
-            });
-            slot += 1;
-        }
+        let lists = lists
+            .iter()
+            .zip(slabs)
+            .map(|(ids, slab)| {
+                (!ids.is_empty()).then(|| {
+                    slot += 1;
+                    PreparedShard::upload(pool, slot - 1, slab.clone(), ids.as_slice().into())
+                })
+            })
+            .collect();
         IvfPrepared {
             pool: pool.to_vec(),
-            centroid,
-            shards,
+            centroid: PreparedShard::upload(pool, 0, centroids.clone(), centroid),
+            lists,
         }
     }
 
@@ -451,13 +391,12 @@ impl<T: Real> IvfIndex<T> {
         self.search_prepared(&self.home, query, k, nprobe)
     }
 
-    /// Searches against a device pool: probe once, then rerank each
-    /// probed posting list on the device its slab is pinned to, exactly
-    /// like [`IvfIndex::search_prepared`] over [`IvfIndex::prepare`].
-    /// Partial-probe results are byte-identical across pool sizes; a
-    /// full probe (`nprobe >= nlist`) degenerates to
-    /// [`NearestNeighbors::kneighbors_sharded`] on the pool, matching
-    /// the sharded exact oracle byte for byte.
+    /// Searches against a device pool: exactly
+    /// [`IvfIndex::search_prepared`] over [`IvfIndex::prepare`], so
+    /// partial-probe results are byte-identical across pool sizes and a
+    /// full probe (`nprobe >= nlist`) matches
+    /// [`NearestNeighbors::kneighbors_sharded`] on the pool byte for
+    /// byte.
     ///
     /// # Errors
     ///
@@ -469,50 +408,29 @@ impl<T: Real> IvfIndex<T> {
         k: usize,
         nprobe: usize,
     ) -> Result<IvfAnswer<T>, KernelError> {
-        if nprobe.clamp(1, self.nlist) == self.nlist {
-            let knn = self.nn.kneighbors_sharded(multi, query, k)?;
-            return Ok(IvfAnswer {
-                knn,
-                stats: self.full_probe_stats(query.rows()),
-            });
-        }
-        let prep = self.prepare(multi);
-        self.search_prepared(&prep, query, k, nprobe)
-    }
-
-    /// Probe accounting for a degenerate full probe: every list visited
-    /// by every query row, the whole index reranked.
-    fn full_probe_stats(&self, query_rows: usize) -> IvfQueryStats {
-        IvfQueryStats {
-            nprobe: self.nlist,
-            probes: query_rows * self.nlist,
-            shortlist_rows: query_rows * self.index_rows,
-        }
+        self.search_prepared(&self.prepare(multi), query, k, nprobe)
     }
 
     /// The IVF query core: probe → shortlist → exact rerank → merge.
     ///
     /// 0. **Degenerate full probe.** `nprobe >= nlist` means every
     ///    posting list would be scanned, so the call runs the exact
-    ///    estimator directly ([`NearestNeighbors::kneighbors`] — same
-    ///    slab geometry, same execution core) instead of re-deriving
-    ///    the oracle through gathered slabs whose stream alignment
-    ///    would re-associate the sums. Byte-identity with the exact
-    ///    path is structural, not numerical.
+    ///    estimator's contiguous slabs on `prep`'s own devices instead
+    ///    of re-deriving the oracle through gathered slabs whose stream
+    ///    alignment would re-associate the sums. Byte-identity with the
+    ///    exact path on the same pool is structural, not numerical.
     /// 1. **Probe.** One k-NN pass of the query rows against the
-    ///    centroid slab (`k = nprobe`) on the pool's first device —
-    ///    the same `kneighbors_core` every exact path uses, so probe
-    ///    ordering inherits the canonical tie-breaking.
-    /// 2. **Rerank.** For each posting list probed by at least one
-    ///    query row (ascending cluster order), the probing query rows
-    ///    are gathered and scanned against the list's prepared slab
-    ///    with the exact distance tiles + per-slab top-k.
+    ///    centroid slab (`k = nprobe`) on the pool's first device, so
+    ///    probe ordering inherits the canonical tie-breaking.
+    /// 2. **Rerank.** Each posting list probed by at least one query row
+    ///    (ascending cluster order) is scanned by exactly the query rows
+    ///    that probed it, with the exact distance tiles + per-slab top-k.
     /// 3. **Merge.** Per-list candidates are mapped back to original
-    ///    row ids and merged under [`cmp_dist_idx`], truncated to `k`.
+    ///    row ids and merged under `cmp_dist_idx`, truncated to `k`.
     ///
-    /// Simulated time is attributed per device and the total is the
-    /// maximum (devices run concurrently), matching the sharded exact
-    /// path's accounting.
+    /// All three run through the crate's one shard runner, so simulated
+    /// time is attributed per device and the total is the maximum
+    /// (devices run concurrently), exactly as for a sharded exact query.
     ///
     /// # Errors
     ///
@@ -526,98 +444,46 @@ impl<T: Real> IvfIndex<T> {
     ) -> Result<IvfAnswer<T>, KernelError> {
         let nprobe = nprobe.clamp(1, self.nlist);
         if nprobe == self.nlist {
-            let knn = self.nn.kneighbors(query, k)?;
+            // Every list visited by every query row: the whole index
+            // is reranked.
+            let exact = self.nn.prepare_on(&prep.pool);
             return Ok(IvfAnswer {
-                knn,
-                stats: self.full_probe_stats(query.rows()),
+                knn: self.nn.kneighbors_prepared(&exact, query, k)?,
+                stats: IvfQueryStats {
+                    nprobe,
+                    probes: query.rows() * nprobe,
+                    shortlist_rows: query.rows() * self.index_rows,
+                },
             });
         }
-        let nd = prep.pool.len().max(1);
-        let mut per_device_seconds = vec![0.0f64; nd];
-        let mut peak = MemoryFootprint::default();
-        let mut launches = Vec::new();
-        let mut resilience = Vec::new();
-        let mut batches = 0;
-
-        let probe = self.nn.kneighbors_core(
-            &prep.pool[0],
-            &[(0, Arc::clone(&prep.centroid))],
-            self.nlist,
-            query,
-            nprobe,
-        )?;
-        let (probed_lists, _, probe_seconds) = merge_stats(
-            &mut peak,
-            &mut launches,
-            &mut resilience,
-            &mut batches,
-            probe,
-        );
-        per_device_seconds[0] += probe_seconds;
+        let mut runner = ShardRunner::new(&self.nn, prep.pool.len());
+        let probed = runner.run(query, [(&prep.centroid, None)], nprobe)?;
 
         // Invert the probe result: which query rows visit each list.
         // Query rows are pushed in ascending order, so the gathered
         // sub-queries and the scatter back are both deterministic.
         let mut visitors: Vec<Vec<usize>> = vec![Vec::new(); self.nlist];
-        let mut probes = 0;
-        for (q, clusters) in probed_lists.iter().enumerate() {
-            for &c in clusters {
+        for (q, clusters) in probed.iter().enumerate() {
+            for &(c, _) in clusters {
                 visitors[c].push(q);
-                probes += 1;
             }
         }
-
-        let mut pool: Vec<Vec<(usize, T)>> = vec![Vec::new(); query.rows()];
-        let mut shortlist_rows = 0;
-        for shard in &prep.shards {
-            let qids = &visitors[shard.cluster];
-            if qids.is_empty() {
-                continue;
-            }
-            shortlist_rows += qids.len() * shard.rows;
-            let sub_query = gather_rows(query, qids);
-            let r = self.nn.kneighbors_core(
-                &shard.device,
-                &[(0, Arc::clone(&shard.index))],
-                shard.rows,
-                &sub_query,
-                k,
-            )?;
-            let (indices, distances, seconds) =
-                merge_stats(&mut peak, &mut launches, &mut resilience, &mut batches, r);
-            per_device_seconds[shard.device_slot] += seconds;
-            let ids = &self.lists[shard.cluster];
-            for (local, (ri, rd)) in indices.iter().zip(&distances).enumerate() {
-                pool[qids[local]].extend(ri.iter().zip(rd).map(|(&i, &d)| (ids[i], d)));
-            }
-        }
-
-        let mut indices = Vec::with_capacity(query.rows());
-        let mut distances = Vec::with_capacity(query.rows());
-        for mut cand in pool {
-            cand.sort_by(cmp_dist_idx);
-            cand.truncate(k);
-            indices.push(cand.iter().map(|&(i, _)| i).collect());
-            distances.push(cand.into_iter().map(|(_, d)| d).collect());
-        }
-        let sim_seconds = per_device_seconds.iter().cloned().fold(0.0, f64::max);
+        let work: Vec<(&PreparedShard<T>, &[usize])> = prep
+            .lists
+            .iter()
+            .zip(&visitors)
+            .filter_map(|(shard, qids)| Some((shard.as_ref()?, qids.as_slice())))
+            .filter(|(_, qids)| !qids.is_empty())
+            .collect();
+        let stats = IvfQueryStats {
+            nprobe,
+            probes: probed.iter().map(Vec::len).sum(),
+            shortlist_rows: work.iter().map(|(s, qids)| s.ids.len() * qids.len()).sum(),
+        };
+        let answer = runner.run(query, work.into_iter().map(|(s, qids)| (s, Some(qids))), k)?;
         Ok(IvfAnswer {
-            knn: KnnResult {
-                indices,
-                distances,
-                sim_seconds,
-                batches,
-                peak_memory: peak,
-                launches,
-                resilience,
-                devices: nd,
-                per_device_seconds,
-            },
-            stats: IvfQueryStats {
-                nprobe,
-                probes,
-                shortlist_rows,
-            },
+            knn: runner.finish(answer),
+            stats,
         })
     }
 }
@@ -663,6 +529,35 @@ mod tests {
             let got = ivf.search(&m, 5).expect("search ok");
             assert_eq!(exact.indices, got.knn.indices, "{d}");
             assert_eq!(bits(&exact.distances), bits(&got.knn.distances), "{d}");
+        }
+    }
+
+    #[test]
+    fn full_probe_runs_on_the_prepared_pool() {
+        let m = dataset(24, 12);
+        let nn = NearestNeighbors::new(Device::volta(), Distance::Cosine).fit(m.clone());
+        let ivf = IvfIndex::fit(
+            &nn,
+            IvfParams {
+                nlist: 6,
+                nprobe: 6,
+                ..IvfParams::default()
+            },
+        )
+        .expect("fit ok");
+        let multi = MultiDevice::replicate(&Device::volta(), 2);
+        let prepared = ivf
+            .search_prepared(&ivf.prepare(&multi), &m, 5, ivf.nlist())
+            .expect("prepared ok");
+        let sharded = ivf
+            .search_sharded(&multi, &m, 5, ivf.nlist())
+            .expect("sharded ok");
+        let exact = nn.kneighbors_sharded(&multi, &m, 5).expect("exact ok");
+        for got in [&prepared.knn, &sharded.knn] {
+            assert_eq!(got.indices, exact.indices);
+            assert_eq!(bits(&got.distances), bits(&exact.distances));
+            assert_eq!(got.devices, 2);
+            assert_eq!(got.per_device_seconds, exact.per_device_seconds);
         }
     }
 

@@ -1,14 +1,14 @@
 //! The brute-force `NearestNeighbors` estimator.
+//!
+//! A query runs through the crate's one shard runner
+//! ([`crate::prepared`]): [`NearestNeighbors::kneighbors`] prepares the
+//! index slabs on a one-device pool holding the estimator's own device
+//! and queries them exactly like a sharded or served query does.
 
-use crate::topk::cmp_dist_idx;
 use gpu_sim::{Device, LaunchStats};
-use kernels::{
-    fused_knn, pairwise_distances_prepared, retry_transient, top_k_kernel, KernelError,
-    MemoryFootprint, PairwiseOptions, PreparedIndex, ResilienceReport,
-};
+use kernels::{KernelError, MemoryFootprint, PairwiseOptions, ResilienceReport};
 use semiring::{Distance, DistanceParams};
-use sparse::{CsrMatrix, Real, RowBatches};
-use std::sync::Arc;
+use sparse::{CsrMatrix, Real};
 
 /// Default device-memory budget for one batch's dense output tile
 /// (256 MiB, comfortably under a V100's 16 GB alongside the inputs).
@@ -60,11 +60,10 @@ pub struct KnnResult<T> {
 pub struct NearestNeighbors<T> {
     device: Device,
     distance: Distance,
-    params: DistanceParams,
+    pub(crate) params: DistanceParams,
     options: PairwiseOptions,
-    batch_bytes: usize,
+    pub(crate) batch_bytes: usize,
     index_batch_rows: Option<usize>,
-    fused: bool,
     index: Option<CsrMatrix<T>>,
 }
 
@@ -78,7 +77,6 @@ impl<T: Real> NearestNeighbors<T> {
             options: PairwiseOptions::default(),
             batch_bytes: DEFAULT_BATCH_BYTES,
             index_batch_rows: None,
-            fused: false,
             index: None,
         }
     }
@@ -106,15 +104,6 @@ impl<T: Real> NearestNeighbors<T> {
     /// per-slab top-k results. Unset = the whole index per tile.
     pub fn with_index_batch_rows(mut self, rows: usize) -> Self {
         self.index_batch_rows = Some(rows.max(1));
-        self
-    }
-
-    /// Uses the fused distance+selection kernel: the dense distance tile
-    /// is never materialized, so device output memory is `m × k` instead
-    /// of `m × n`. Overrides the strategy and index-batching options;
-    /// query rows must fit shared memory.
-    pub fn with_fused(mut self, fused: bool) -> Self {
-        self.fused = fused;
         self
     }
 
@@ -162,57 +151,6 @@ impl<T: Real> NearestNeighbors<T> {
             .max(1)
     }
 
-    fn kneighbors_fused(
-        &self,
-        query: &CsrMatrix<T>,
-        k: usize,
-        index: &CsrMatrix<T>,
-    ) -> Result<KnnResult<T>, KernelError> {
-        let prepared = PreparedIndex::new(&self.device, index.clone());
-        let r = fused_knn(
-            &self.device,
-            query,
-            &prepared,
-            k,
-            self.distance,
-            &self.params,
-        )?;
-        let kk = k.min(index.rows().max(1));
-        let fi = r.indices.to_vec();
-        let fv = r.distances.to_vec();
-        let mut indices = Vec::with_capacity(query.rows());
-        let mut distances = Vec::with_capacity(query.rows());
-        for q in 0..query.rows() {
-            let mut row_i = Vec::with_capacity(kk);
-            let mut row_d = Vec::with_capacity(kk);
-            for s in 0..kk {
-                let ci = fi[q * kk + s];
-                if ci != u32::MAX {
-                    row_i.push(ci as usize);
-                    row_d.push(fv[q * kk + s]);
-                }
-            }
-            indices.push(row_i);
-            distances.push(row_d);
-        }
-        let sim_seconds = r.sim_seconds();
-        Ok(KnnResult {
-            indices,
-            distances,
-            sim_seconds,
-            batches: 1,
-            peak_memory: MemoryFootprint {
-                input_bytes: query.device_bytes() + index.device_bytes(),
-                output_bytes: r.output_bytes,
-                workspace_bytes: 0,
-            },
-            launches: r.launches,
-            resilience: Vec::new(),
-            devices: 1,
-            per_device_seconds: vec![sim_seconds],
-        })
-    }
-
     /// Queries the `k` nearest index rows for every row of `query`.
     ///
     /// # Errors
@@ -224,127 +162,8 @@ impl<T: Real> NearestNeighbors<T> {
     ///
     /// Panics if the estimator has not been [`NearestNeighbors::fit`].
     pub fn kneighbors(&self, query: &CsrMatrix<T>, k: usize) -> Result<KnnResult<T>, KernelError> {
-        let index = self.index.as_ref().expect("call fit() before kneighbors()");
-        if self.fused {
-            return self.kneighbors_fused(query, k, index);
-        }
-        let n = index.rows();
-        let slab_rows = self.index_batch_rows.unwrap_or(n.max(1));
-
-        // Prepare each index slab once: the CSR/COO uploads and the norm
-        // reductions are then shared by every query batch instead of
-        // being redone per tile.
-        let mut prepared: Vec<(usize, Arc<PreparedIndex<T>>)> = Vec::new();
-        let mut off = 0;
-        while off < n {
-            let end = (off + slab_rows).min(n);
-            prepared.push((
-                off,
-                Arc::new(PreparedIndex::new(&self.device, index.slice_rows(off..end))),
-            ));
-            off = end;
-        }
-        self.kneighbors_core(&self.device, &prepared, n, query, k)
-    }
-
-    /// The shared k-NN execution core: runs the query (in row batches)
-    /// against an already-prepared list of `(row_offset, slab)` pairs
-    /// covering `n` index rows on `device`, merging per-slab candidates
-    /// under the canonical [`crate::topk::cmp_dist_idx`] order.
-    ///
-    /// Both the one-shot paths ([`NearestNeighbors::kneighbors`],
-    /// [`NearestNeighbors::kneighbors_sharded`]) and the serving layer's
-    /// cached [`crate::PreparedShards`] path funnel through this
-    /// function, which is what makes "served results are byte-identical
-    /// to the batch path" true by construction rather than by test.
-    pub(crate) fn kneighbors_core(
-        &self,
-        device: &Device,
-        prepared: &[(usize, Arc<PreparedIndex<T>>)],
-        n: usize,
-        query: &CsrMatrix<T>,
-        k: usize,
-    ) -> Result<KnnResult<T>, KernelError> {
-        let slab_rows = self.index_batch_rows.unwrap_or(n.max(1));
-        let mut indices = Vec::with_capacity(query.rows());
-        let mut distances = Vec::with_capacity(query.rows());
-        let mut sim_seconds = 0.0;
-        let mut batches = 0;
-        let mut peak = MemoryFootprint::default();
-        let mut launches = Vec::new();
-        let mut resilience = Vec::new();
-
-        for q_range in RowBatches::for_matrix(query, slab_rows.min(n.max(1)), self.batch_bytes) {
-            let slab = query.slice_rows(q_range);
-            // Per-query candidate pools, merged across index slabs.
-            let mut pool: Vec<Vec<(usize, T)>> = vec![Vec::new(); slab.rows()];
-
-            for (off, islab) in prepared {
-                let off = *off;
-                let mut tile = pairwise_distances_prepared(
-                    device,
-                    &slab,
-                    islab,
-                    self.distance,
-                    &self.params,
-                    &self.options,
-                )?;
-                // The selection launch retries transient faults under the
-                // tile's policy, recorded in the tile's own report.
-                let kk = k.min(tile.cols.max(1));
-                let select = || top_k_kernel(device, &tile.buffer, tile.rows, tile.cols, kk);
-                let (didx, dval, sel_stats) = match (&self.options.resilience, &mut tile.resilience)
-                {
-                    (Some(policy), Some(report)) => retry_transient(policy, report, select)?,
-                    _ => select()?,
-                };
-                sim_seconds += tile.sim_seconds();
-                sim_seconds += sel_stats.sim_seconds();
-                batches += 1;
-                if let Some(r) = tile.resilience.take() {
-                    resilience.push(r);
-                }
-                peak.input_bytes = peak.input_bytes.max(tile.memory.input_bytes);
-                peak.output_bytes = peak.output_bytes.max(tile.memory.output_bytes);
-                peak.workspace_bytes = peak.workspace_bytes.max(tile.memory.workspace_bytes);
-
-                let didx = didx.to_vec();
-                let dval = dval.to_vec();
-                for (r, cand) in pool.iter_mut().enumerate() {
-                    for s in 0..kk {
-                        let ci = didx[r * kk + s];
-                        if ci != u32::MAX {
-                            cand.push((off + ci as usize, dval[r * kk + s]));
-                        }
-                    }
-                }
-                launches.push(sel_stats);
-                launches.extend(tile.launches);
-            }
-
-            // Merge slab candidates under the canonical total order and
-            // keep k. `cmp_dist_idx` (not `partial_cmp().unwrap_or(Equal)`)
-            // matters here: a NaN candidate from one slab must not be
-            // able to displace a finite candidate from another just
-            // because of slab insertion order.
-            for mut cand in pool {
-                cand.sort_by(cmp_dist_idx);
-                cand.truncate(k);
-                indices.push(cand.iter().map(|&(i, _)| i).collect());
-                distances.push(cand.into_iter().map(|(_, d)| d).collect());
-            }
-        }
-        Ok(KnnResult {
-            indices,
-            distances,
-            sim_seconds,
-            batches,
-            peak_memory: peak,
-            launches,
-            resilience,
-            devices: 1,
-            per_device_seconds: vec![sim_seconds],
-        })
+        let shards = self.prepare_on(std::slice::from_ref(&self.device));
+        self.kneighbors_prepared(&shards, query, k)
     }
 }
 
@@ -455,34 +274,6 @@ mod tests {
             .kneighbors(&m, 2)
             .expect("ok");
         assert_eq!(r.batches, 3); // 8 index rows / 3 per slab
-    }
-
-    #[test]
-    fn fused_knn_matches_tiled_and_shrinks_output_memory() {
-        let m = dataset();
-        for d in [Distance::Cosine, Distance::Manhattan, Distance::Correlation] {
-            let tiled = NearestNeighbors::new(Device::volta(), d)
-                .fit(m.clone())
-                .kneighbors(&m, 3)
-                .expect("ok");
-            let fused = NearestNeighbors::new(Device::volta(), d)
-                .with_fused(true)
-                .fit(m.clone())
-                .kneighbors(&m, 3)
-                .expect("ok");
-            assert_eq!(tiled.indices, fused.indices, "{d}");
-            for (a, b) in tiled.distances.iter().zip(&fused.distances) {
-                for (x, y) in a.iter().zip(b) {
-                    assert!((x - y).abs() < 1e-7, "{d}");
-                }
-            }
-            assert!(
-                fused.peak_memory.output_bytes < tiled.peak_memory.output_bytes,
-                "{d}: fused {} vs tiled {}",
-                fused.peak_memory.output_bytes,
-                tiled.peak_memory.output_bytes
-            );
-        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod prepared;
 pub mod topk;
 
 pub use graph::{kneighbors_graph, GraphMode};
-pub use ivf::{IvfAnswer, IvfIndex, IvfParams, IvfPrepared, IvfQueryStats, IvfShard};
+pub use ivf::{IvfAnswer, IvfIndex, IvfParams, IvfPrepared, IvfQueryStats};
 pub use knn::{KnnResult, NearestNeighbors};
 pub use multi::MultiDevice;
 pub use prepared::{PreparedShard, PreparedShards};

@@ -5,10 +5,10 @@
 //! the same shape applies to our batched k-NN tiles. A [`MultiDevice`]
 //! holds N simulated device replicas; a sharded query splits the index
 //! into contiguous row slabs, assigns slab `j` to device `j % N`
-//! (round-robin), runs each slab's pairwise-distance + top-k tiles on
-//! its device, and merges the per-slab candidates with the same
-//! canonical `(distance, index)` sort the single-device slab path uses —
-//! so sharded results are identical to unsharded ones.
+//! (round-robin), and runs them through the crate's one shard runner
+//! ([`crate::prepared`]) — the same pairwise-distance + top-k tiles and
+//! the same canonical `(distance, index)` merge a one-device query
+//! runs, so sharded results are identical to unsharded ones.
 //!
 //! Simulated time models the devices running concurrently:
 //! [`KnnResult::sim_seconds`] for a sharded query is the *maximum* of
@@ -71,11 +71,10 @@ impl<T: Real> NearestNeighbors<T> {
     /// The index is split into contiguous slabs
     /// ([`NearestNeighbors::with_index_batch_rows`], defaulting to one
     /// slab per device) assigned round-robin; per-slab top-k candidates
-    /// are merged by `(distance, index)` and truncated to `k`, exactly
-    /// like the single-device index-batching path, so results are
-    /// identical to [`NearestNeighbors::kneighbors`] on one device.
-    /// Per-device [`kernels::ResilienceReport`]s are concatenated in
-    /// slab order.
+    /// are merged by `(distance, index)` and truncated to `k` by the
+    /// same shard runner [`NearestNeighbors::kneighbors`] uses, so
+    /// results are identical to it on one device. Per-tile
+    /// [`kernels::ResilienceReport`]s are concatenated in slab order.
     ///
     /// # Errors
     ///
@@ -92,10 +91,9 @@ impl<T: Real> NearestNeighbors<T> {
     ) -> Result<KnnResult<T>, KernelError> {
         // One-shot: prepare the shard set fresh, query it once, drop it.
         // The serving layer builds the same [`crate::PreparedShards`]
-        // once and keeps it cached across queries; both funnel through
-        // the same execution core, so results are byte-identical.
-        let shards = self.prepare_shards(multi);
-        self.kneighbors_prepared(&shards, query, k)
+        // once and keeps it cached across queries; both run through the
+        // same shard runner, so results are byte-identical.
+        self.kneighbors_prepared(&self.prepare_shards(multi), query, k)
     }
 }
 

@@ -60,13 +60,6 @@ fn k_zero_yields_empty_rows_everywhere() {
                 .kneighbors(&m, 0),
         ),
         (
-            "fused",
-            NearestNeighbors::new(Device::volta(), Distance::Euclidean)
-                .with_fused(true)
-                .fit(m.clone())
-                .kneighbors(&m, 0),
-        ),
-        (
             "sharded",
             NearestNeighbors::new(Device::volta(), Distance::Euclidean)
                 .fit(m.clone())

@@ -353,8 +353,9 @@ impl<T: Real> Wal<T> {
         }
         let cols = parts
             .next()
-            .and_then(|c| c.parse::<usize>().ok())
-            .ok_or_else(|| bad("missing or non-numeric column count"))?;
+            .and_then(|c| parse_canonical(c, 10))
+            .and_then(|c| usize::try_from(c).ok())
+            .ok_or_else(|| bad("missing or non-canonical column count"))?;
         if parts.next().is_some() {
             return Err(bad("trailing header fields"));
         }
@@ -380,10 +381,10 @@ impl<T: Real> Wal<T> {
             });
         }
         let mut parts = body.split('\t');
-        let seq: u64 = parts
+        let seq = parts
             .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| malformed("missing or non-numeric seq".to_string()))?;
+            .and_then(|s| parse_canonical(s, 10))
+            .ok_or_else(|| malformed("missing or non-canonical seq".to_string()))?;
         let want = self.records.len() as u64;
         if seq != want {
             return Err(WalError::BadSequence {
@@ -410,11 +411,11 @@ impl<T: Real> Wal<T> {
                         let (c, bits) = cell
                             .split_once(':')
                             .ok_or_else(|| malformed(format!("bad insert cell `{cell}`")))?;
-                        let c: Idx = c
-                            .parse()
-                            .map_err(|_| malformed(format!("bad column `{c}`")))?;
-                        let bits = u64::from_str_radix(bits, 16)
-                            .map_err(|_| malformed(format!("bad value bits `{bits}`")))?;
+                        let c = parse_canonical(c, 10)
+                            .and_then(|c| Idx::try_from(c).ok())
+                            .ok_or_else(|| malformed(format!("bad column `{c}`")))?;
+                        let bits = parse_canonical(bits, 16)
+                            .ok_or_else(|| malformed(format!("bad value bits `{bits}`")))?;
                         if (c as usize) >= self.cols {
                             return Err(malformed(format!(
                                 "column {c} out of range for width {}",
@@ -438,9 +439,8 @@ impl<T: Real> Wal<T> {
                 });
             }
             "d" => {
-                let row: u64 = payload
-                    .parse()
-                    .map_err(|_| malformed(format!("bad delete row id `{payload}`")))?;
+                let row = parse_canonical(payload, 10)
+                    .ok_or_else(|| malformed(format!("bad delete row id `{payload}`")))?;
                 self.records.push(WalRecord {
                     seq,
                     op: WalOp::Delete { row },
@@ -634,8 +634,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Garbage never panics either parser, and every record they
-        /// return re-renders to exactly the line it was parsed from.
+        /// Garbage never panics either parser, raw or with every line's
+        /// checksum recomputed over its garbled body, and every record
+        /// they return re-renders to exactly the line it was parsed from.
         #[test]
         fn garbled_logs_never_panic_and_parsed_records_re_render(
             cols in 1usize..16,
@@ -665,18 +666,21 @@ mod tests {
             for edit in edits {
                 garble(&mut bytes, edit);
             }
-            let text = String::from_utf8_lossy(&bytes);
-            let input: Vec<&str> = text.lines().collect();
-            let (prefix, err) = Wal::<f64>::parse_prefix(&text);
-            let rendered = prefix.render();
-            // On a bad header the returned log is a placeholder.
-            if !matches!(err, Some(WalError::BadHeader { .. })) {
-                let rendered: Vec<&str> = rendered.lines().collect();
-                prop_assert_eq!(&rendered[..], &input[..rendered.len()]);
-            }
-            match Wal::<f64>::parse(&text) {
-                Ok(whole) => prop_assert_eq!((err, whole.render()), (None, rendered)),
-                Err(e) => prop_assert_eq!(Some(e), err),
+            let raw = String::from_utf8_lossy(&bytes).into_owned();
+            let resealed: String = raw.lines().map(reseal).collect();
+            for text in [resealed, raw] {
+                let input: Vec<&str> = text.lines().collect();
+                let (prefix, err) = Wal::<f64>::parse_prefix(&text);
+                let rendered = prefix.render();
+                // On a bad header the returned log is a placeholder.
+                if !matches!(err, Some(WalError::BadHeader { .. })) {
+                    let rendered: Vec<&str> = rendered.lines().collect();
+                    prop_assert_eq!(&rendered[..], &input[..rendered.len()]);
+                }
+                match Wal::<f64>::parse(&text) {
+                    Ok(whole) => prop_assert_eq!((err, whole.render()), (None, rendered)),
+                    Err(e) => prop_assert_eq!(Some(e), err),
+                }
             }
         }
     }
