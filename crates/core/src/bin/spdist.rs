@@ -91,7 +91,7 @@
 //! launch's blocks on `m` host threads; results are bit-identical to
 //! serial, and `GPU_SIM_HOST_THREADS` overrides the flag),
 //! `--devices <n>` (knn only: shard index slabs round-robin across `n`
-//! simulated devices, merging per-slab top-k), `--profile[=trace.json]` (knn/pairwise:
+//! ≤ 1024 simulated devices, merging per-slab top-k), `--profile[=trace.json]` (knn/pairwise:
 //! enable the per-range profiler, print a hot-spot report per launch,
 //! and optionally export a chrome://tracing file loadable in Perfetto).
 //!
@@ -677,11 +677,7 @@ fn cmd_knn(args: &Args) -> Result<(), CliError> {
         .unwrap_or("10")
         .parse()
         .map_err(|_| CliError::config("bad --k"))?;
-    let devices: usize = args
-        .flag("--devices")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| CliError::config("bad --devices"))?;
+    let devices = parse_devices(args)?;
     let nn = NearestNeighbors::new(device.clone(), distance)
         .with_params(params)
         .with_options(options)
@@ -784,6 +780,37 @@ fn parse_num<T: std::str::FromStr>(args: &Args, name: &str, default: &str) -> Re
         .parse()
         .map_err(|_| CliError::config(format!("bad {name} {}", args.flag(name).unwrap_or(default))))
 }
+
+/// Parses a duration flag in microseconds: finite and non-negative
+/// (`-0` reads as 0).
+fn parse_micros(args: &Args, name: &str, default: &str) -> Result<f64, CliError> {
+    let us: f64 = parse_num(args, name, default)?;
+    if !(us.is_finite() && us >= 0.0) {
+        let raw = args.flag(name).unwrap_or(default);
+        return Err(CliError::config(format!(
+            "bad {name} {raw} (must be finite and >= 0)"
+        )));
+    }
+    Ok(us.abs())
+}
+
+/// Most simulated devices (or fleet replicas) one command may build.
+const MAX_DEVICES: usize = 1024;
+
+/// Parses `--devices` (0 reads as 1), at most [`MAX_DEVICES`].
+fn parse_devices(args: &Args) -> Result<usize, CliError> {
+    let n: usize = parse_num(args, "--devices", "1")?;
+    if n > MAX_DEVICES {
+        return Err(CliError::config(format!(
+            "bad --devices {n} (at most {MAX_DEVICES})"
+        )));
+    }
+    Ok(n.max(1))
+}
+
+/// Most requests a generated `--workload` stream may hold: the
+/// generator materialises every arrival before serving starts.
+const MAX_WORKLOAD_REQUESTS: f64 = 1e6;
 
 /// Parses `--nlist`/`--nprobe` for the IVF tier. `nlist` defaults to 0
 /// (auto: `ceil(sqrt(index rows))`), `nprobe` to the [`IvfParams`]
@@ -913,13 +940,20 @@ fn serve_requests<T: sparse::Real>(
             }
             let seed: u64 = parse_num(args, "--seed", "1")?;
             let duration_s = duration_ms * 1e-3;
+            let swell = 0.3;
+            if qps * (1.0 + swell) * duration_s > MAX_WORKLOAD_REQUESTS {
+                return Err(CliError::config(format!(
+                    "--workload {q} over --duration-ms {duration_ms} asks for more than \
+                     {MAX_WORKLOAD_REQUESTS} requests"
+                )));
+            }
             let workload = Workload::steady(seed, qps, duration_s)
                 .with_zipf(1.1)
-                .with_diurnal(0.3, duration_s / 2.0);
+                .with_diurnal(swell, duration_s / 2.0);
             Ok(workload.generate(std::slice::from_ref(queries)))
         }
         None => {
-            let gap_us: f64 = parse_num(args, "--arrival-gap-us", "50")?;
+            let gap_us = parse_micros(args, "--arrival-gap-us", "50")?;
             Ok(replay_rows(queries, gap_us * 1e-6))
         }
     }
@@ -941,8 +975,12 @@ fn cmd_serve_fleet<T: sparse::Real>(
     let (min, max) = spec
         .split_once(':')
         .and_then(|(a, b)| Some((a.parse::<usize>().ok()?, b.parse::<usize>().ok()?)))
-        .filter(|&(min, max)| min >= 1 && min <= max)
-        .ok_or_else(|| CliError::config(format!("bad --fleet {spec} (expected min:max)")))?;
+        .filter(|&(min, max)| min >= 1 && min <= max && max <= MAX_DEVICES)
+        .ok_or_else(|| {
+            CliError::config(format!(
+                "bad --fleet {spec} (expected min:max with 1 <= min <= max <= {MAX_DEVICES})"
+            ))
+        })?;
     let window_ms: f64 = parse_num(args, "--window-ms", "1")?;
     if !(window_ms > 0.0 && window_ms.is_finite()) {
         return Err(CliError::config(format!("bad --window-ms {window_ms}")));
@@ -1100,9 +1138,9 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let index = load(args.required("--input")?)?;
     let queries = load(args.required("--queries")?)?;
     let k: usize = parse_num(args, "--k", "10")?;
-    let devices: usize = parse_num(args, "--devices", "1")?;
+    let devices = parse_devices(args)?;
     let max_batch: usize = parse_num(args, "--max-batch", "8")?;
-    let max_wait_us: f64 = parse_num(args, "--max-wait-us", "200")?;
+    let max_wait_us = parse_micros(args, "--max-wait-us", "200")?;
     let max_queue: usize = parse_num(args, "--max-queue", "1024")?;
 
     if args.switch("--chaos") && options.resilience.is_none() {
@@ -1180,13 +1218,15 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         ));
     }
 
-    let multi = MultiDevice::replicate(&device, devices.max(1));
+    let multi = MultiDevice::replicate(&device, devices);
     let mut engine = ServeEngine::new(multi, config);
     if let Some(mb) = args.flag("--cache-budget-mb") {
-        let mb: usize = mb
-            .parse()
-            .map_err(|_| CliError::config(format!("bad --cache-budget-mb {mb}")))?;
-        engine = engine.with_cache_budget(mb * 1024 * 1024);
+        let bytes = mb
+            .parse::<usize>()
+            .ok()
+            .and_then(|mb| mb.checked_mul(1024 * 1024))
+            .ok_or_else(|| CliError::config(format!("bad --cache-budget-mb {mb}")))?;
+        engine = engine.with_cache_budget(bytes);
     }
     if let Some(budget) = slo {
         engine.set_slo(0, budget);
@@ -1204,7 +1244,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         report.responses.len(),
         requests.len(),
         report.batches,
-        devices.max(1),
+        devices,
         report.qps(),
         report.latency_percentile(50.0) * 1e6,
         report.latency_percentile(99.0) * 1e6,

@@ -4,6 +4,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use proptest::prelude::*;
+
 fn spdist() -> Command {
     Command::new(env!("CARGO_BIN_EXE_spdist"))
 }
@@ -216,7 +218,160 @@ fn unknown_and_malformed_flags_exit_with_config_code() {
         .expect("runs");
     assert_eq!(out.status.code(), Some(2), "stray positional");
 
+    // Garbage durations and a byte-overflowing cache budget are config
+    // errors, not panics in the metrics registry or the multiply.
+    for (flag, value) in [
+        ("--max-wait-us", "nan"),
+        ("--max-wait-us", "inf"),
+        ("--max-wait-us", "-1000"),
+        ("--arrival-gap-us", "nan"),
+        ("--arrival-gap-us", "inf"),
+        ("--cache-budget-mb", "18446744073709551615"),
+    ] {
+        let out = spdist()
+            .args(["serve", flag, value, "--input"])
+            .arg(&data)
+            .arg("--queries")
+            .arg(&data)
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains("config error:"), "{flag} {value}: {stderr}");
+    }
+
     let _ = std::fs::remove_file(&data);
+}
+
+/// Every numeric `serve` flag, with the flags it needs beside it to be
+/// read at all. `--compact-threshold` also gets the `--ingest` files.
+const SERVE_NUMERIC_FLAGS: &[(&str, &[&str])] = &[
+    ("--k", &[]),
+    ("--devices", &[]),
+    ("--max-batch", &[]),
+    ("--max-wait-us", &[]),
+    ("--max-queue", &[]),
+    ("--arrival-gap-us", &[]),
+    ("--cache-budget-mb", &[]),
+    ("--slo-p99-us", &[]),
+    ("--admit-qps", &[]),
+    ("--admit-burst", &["--admit-qps", "1000"]),
+    ("--degrade-watermark", &[]),
+    ("--shed-watermark", &[]),
+    ("--workload", &[]),
+    ("--duration-ms", &["--workload", "1000"]),
+    ("--seed", &["--workload", "1000"]),
+    ("--window-ms", &["--fleet", "1:2"]),
+    ("--nlist", &["--index", "ivf"]),
+    ("--nprobe", &["--index", "ivf"]),
+    ("--compact-threshold", &[]),
+    ("--p", &["--metric", "minkowski"]),
+    ("--host-threads", &[]),
+    ("--retries", &[]),
+];
+
+/// Numerals that parse to NaN, infinities, signed zero, values past
+/// `f64::MAX` or `u64::MAX`, or nothing at all.
+const GARBAGE_NUMERALS: &[&str] = &[
+    "nan",
+    "NaN",
+    "inf",
+    "-inf",
+    "infinity",
+    "-0",
+    "-1",
+    "1e309",
+    "-1e309",
+    "1e300",
+    "18446744073709551615",
+    "18446744073709551616",
+    "340282366920938463463374607431768211456",
+    "",
+];
+
+/// A garbage numeral: one of [`GARBAGE_NUMERALS`] or a 19–40 digit
+/// integer, possibly negative.
+fn garbage_numeral() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0..GARBAGE_NUMERALS.len()).prop_map(|i| GARBAGE_NUMERALS[i].to_string()),
+        (0u32..2, proptest::collection::vec(0u32..10, 19..41)).prop_map(|(neg, digits)| {
+            let digits: String = digits.iter().map(|d| d.to_string()).collect();
+            if neg == 1 {
+                format!("-{digits}")
+            } else {
+                digits
+            }
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// No garbage numeral makes `spdist serve` panic (exit 101): each is
+    /// served or refused with a typed exit code.
+    #[test]
+    fn serve_numeric_flags_never_panic_on_garbage(
+        flag in 0..SERVE_NUMERIC_FLAGS.len(),
+        value in garbage_numeral(),
+    ) {
+        let files = garbage_fixture();
+        let (name, context) = SERVE_NUMERIC_FLAGS[flag];
+        let mut cmd = spdist();
+        cmd.args(["serve", name, &value]).args(context);
+        if name == "--compact-threshold" {
+            cmd.arg("--input").arg(&files.base).arg("--ingest").arg(&files.wal);
+        } else {
+            cmd.arg("--input").arg(&files.data);
+        }
+        let out = cmd.arg("--queries").arg(&files.data).output().expect("runs");
+        let code = out.status.code();
+        prop_assert!(
+            matches!(code, Some(0 | 2 | 3 | 4)),
+            "{name} {value:?} exited {code:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+/// A 4 × 3 index, its first two rows as a base and a `wal.v1` log of
+/// the rest, written once per test process.
+struct GarbageFixture {
+    data: PathBuf,
+    base: PathBuf,
+    wal: PathBuf,
+}
+
+fn garbage_fixture() -> &'static GarbageFixture {
+    static FIXTURE: std::sync::OnceLock<GarbageFixture> = std::sync::OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let files = GarbageFixture {
+            data: tmp("garbage-data.mtx"),
+            base: tmp("garbage-base.mtx"),
+            wal: tmp("garbage-wal.tsv"),
+        };
+        std::fs::write(
+            &files.data,
+            "%%MatrixMarket matrix coordinate real general\n4 3 5\n\
+             1 1 1.0\n2 2 1.0\n3 3 2.0\n4 1 0.5\n4 3 1.5\n",
+        )
+        .expect("write");
+        let out = spdist()
+            .args(["wal", "--base-rows", "2", "--input"])
+            .arg(&files.data)
+            .arg("--output")
+            .arg(&files.wal)
+            .arg("--base")
+            .arg(&files.base)
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        files
+    })
 }
 
 #[test]

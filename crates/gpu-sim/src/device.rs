@@ -16,7 +16,7 @@ use crate::spec::{DeviceSpec, Occupancy};
 use crate::warp::{AtomicDefer, L2Tracker, WarpCtx, WARP_SIZE};
 
 /// `GPU_SIM_HOST_THREADS` overrides the builder-configured host thread
-/// count process-wide (read once; `1` forces the serial path).
+/// count process-wide (read once; `1` forces in-order execution).
 fn env_host_threads() -> Option<usize> {
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
     *ENV.get_or_init(|| {
@@ -27,9 +27,8 @@ fn env_host_threads() -> Option<usize> {
     })
 }
 
-/// Everything one block's execution produced, captured in a per-block
-/// slot by the parallel executor and merged in block order so the
-/// result is indistinguishable from the serial loop.
+/// Everything one block's execution produced. Both schedulers of
+/// [`Device::try_launch`] fold these into the launch in block order.
 struct BlockOutcome {
     counters: Counters,
     reports: Vec<SanitizerReport>,
@@ -40,7 +39,8 @@ struct BlockOutcome {
     atomics: Vec<Box<dyn FnOnce() + Send>>,
 }
 
-/// Geometry and resources of one kernel launch.
+/// Geometry and resources of one kernel launch. Sanitizer, profiler and
+/// watchdog settings come from the [`Device`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchConfig {
     /// Number of thread blocks in the grid.
@@ -49,52 +49,16 @@ pub struct LaunchConfig {
     pub threads_per_block: usize,
     /// Shared memory requested per block, in bytes.
     pub smem_per_block: usize,
-    /// Per-launch sanitizer override; `None` uses the device-wide mode
-    /// ([`Device::with_sanitizer`]).
-    pub sanitizer: Option<SanitizerMode>,
-    /// Per-launch profiler override; `None` uses the device-wide setting
-    /// ([`Device::with_profiler`]).
-    pub profiler: Option<bool>,
-    /// Per-launch watchdog budget in effective warp-instruction issues
-    /// per block; `None` uses the device-wide budget
-    /// ([`Device::with_watchdog`], default unarmed). A block exceeding
-    /// the budget aborts the launch with [`SimError::WatchdogTimeout`].
-    pub watchdog: Option<u64>,
 }
 
 impl LaunchConfig {
-    /// Convenience constructor (device-wide sanitizer and profiler modes).
+    /// Convenience constructor.
     pub fn new(blocks: usize, threads_per_block: usize, smem_per_block: usize) -> Self {
         Self {
             blocks,
             threads_per_block,
             smem_per_block,
-            sanitizer: None,
-            profiler: None,
-            watchdog: None,
         }
-    }
-
-    /// Overrides the sanitizer mode for this launch only.
-    pub fn with_sanitizer(mut self, mode: SanitizerMode) -> Self {
-        self.sanitizer = Some(mode);
-        self
-    }
-
-    /// Overrides the profiler for this launch only.
-    pub fn with_profiler(mut self, enabled: bool) -> Self {
-        self.profiler = Some(enabled);
-        self
-    }
-
-    /// Arms the launch watchdog with a budget of `issues` effective
-    /// warp-instruction issues per block. Derive the budget from the
-    /// cost model via [`Device::watchdog_budget`], or pass an absolute
-    /// count. A block that exceeds it aborts the launch with
-    /// [`SimError::WatchdogTimeout`] instead of looping forever.
-    pub fn with_watchdog(mut self, issues: u64) -> Self {
-        self.watchdog = Some(issues);
-        self
     }
 
     /// Warps per block.
@@ -119,8 +83,8 @@ pub struct LaunchStats {
     /// Findings collected by the sanitizer (empty when it is off — and,
     /// for a correct kernel, when it is on).
     pub sanitizer_reports: Vec<SanitizerReport>,
-    /// Per-range profile when the profiler was enabled for this launch
-    /// ([`Device::with_profiler`] / [`LaunchConfig::with_profiler`]).
+    /// Per-range profile when the device's profiler is enabled
+    /// ([`Device::with_profiler`]).
     pub profile: Option<LaunchProfile>,
 }
 
@@ -319,8 +283,7 @@ impl Device {
         Self::new(DeviceSpec::ampere_a100())
     }
 
-    /// Sets the device-wide sanitizer mode (individual launches may
-    /// override it via [`LaunchConfig::with_sanitizer`]).
+    /// Sets the sanitizer mode of every launch on this device.
     pub fn with_sanitizer(mut self, mode: SanitizerMode) -> Self {
         self.sanitizer = mode;
         self
@@ -331,9 +294,8 @@ impl Device {
         self.sanitizer
     }
 
-    /// Enables the per-range profiler device-wide (individual launches
-    /// may override it via [`LaunchConfig::with_profiler`]). Profiled
-    /// launches carry a [`LaunchProfile`] in their stats; unprofiled
+    /// Enables the per-range profiler for every launch on this device.
+    /// Profiled launches carry a [`LaunchProfile`] in their stats; unprofiled
     /// launches pay nothing (`range` is a passthrough).
     pub fn with_profiler(mut self, enabled: bool) -> Self {
         self.profiler = enabled;
@@ -361,10 +323,10 @@ impl Device {
     }
 
     /// Arms the launch watchdog device-wide with a budget of `issues`
-    /// effective warp-instruction issues per block (individual launches
-    /// may override it via [`LaunchConfig::with_watchdog`]). A block
-    /// exceeding the budget aborts its launch with
-    /// [`SimError::WatchdogTimeout`] — a runaway kernel (e.g. a
+    /// effective warp-instruction issues per block. Derive the budget
+    /// from the cost model via [`Device::watchdog_budget`], or pass an
+    /// absolute count. A block exceeding the budget aborts its launch
+    /// with [`SimError::WatchdogTimeout`] — a runaway kernel (e.g. a
     /// livelocked probe loop) becomes a typed error instead of a hung
     /// process.
     pub fn with_watchdog(mut self, issues: u64) -> Self {
@@ -378,14 +340,15 @@ impl Device {
     }
 
     /// Sets how many host worker threads execute the blocks of each
-    /// launch. The default (1) runs the grid in the classic serial
-    /// loop; `threads > 1` dispatches block indices to a scoped
-    /// [`std::thread`] pool while keeping counters, sanitizer reports,
-    /// profiles, faults and every byte of output identical to serial
-    /// execution (per-block slots merged in block order; global atomics
-    /// deferred and replayed in block order). The environment variable
-    /// `GPU_SIM_HOST_THREADS` overrides this setting process-wide —
-    /// `GPU_SIM_HOST_THREADS=1` forces the serial path.
+    /// launch. The default (1) runs the blocks in order on the caller's
+    /// thread; `threads > 1` dispatches block indices to a scoped
+    /// [`std::thread`] pool. Either way every block's outcome is merged
+    /// in block order (global atomics deferred and replayed in block
+    /// order on the pool), so counters, sanitizer reports, profiles,
+    /// faults and every byte of output are identical. The environment
+    /// variable `GPU_SIM_HOST_THREADS` overrides this setting
+    /// process-wide — `GPU_SIM_HOST_THREADS=1` forces in-order
+    /// execution.
     pub fn with_host_threads(mut self, threads: usize) -> Self {
         self.host_threads = Some(threads.max(1));
         self
@@ -446,9 +409,13 @@ impl Device {
     /// allocations, and (under [`SanitizerMode::Fail`]) sanitizer findings
     /// come back as [`SimError`] values instead of panics.
     ///
-    /// With [`Device::with_host_threads`] (or `GPU_SIM_HOST_THREADS`)
-    /// above 1, blocks execute on a host thread pool; results are
-    /// bit-identical to the serial loop.
+    /// Every block runs through one executor (`run_block`) and folds
+    /// into the launch through one ordered `merge`. Only the scheduler
+    /// differs: with [`Device::with_host_threads`] (or
+    /// `GPU_SIM_HOST_THREADS`) above 1, blocks of a multi-block,
+    /// injection-free launch execute on a host thread pool; otherwise
+    /// they run in order on the caller's thread. Results are
+    /// bit-identical either way.
     pub fn try_launch(
         &self,
         name: &str,
@@ -470,13 +437,7 @@ impl Device {
                 config.smem_per_block, self.spec.shared_mem_per_block
             )));
         }
-        let mode = config.sanitizer.unwrap_or(self.sanitizer);
-        let lsan = Rc::new(LaunchSanitizer::new(mode, name));
-        let lprof = config
-            .profiler
-            .unwrap_or(self.profiler)
-            .then(|| Rc::new(LaunchProfiler::new()));
-        let watchdog = config.watchdog.or(self.watchdog);
+        let (mode, watchdog, profiling) = (self.sanitizer, self.watchdog, self.profiler);
         let inject = match &self.fault {
             Some(state) => {
                 let ordinal = state.next_ordinal();
@@ -491,57 +452,87 @@ impl Device {
             }
             None => None,
         };
-        let mut total = Counters::new();
-        let mut max_block_issues = 0u64;
         let host_threads = self.host_threads();
-        // Injection-armed launches stay serial: fault arming (bit flips,
+        // Injection-armed launches run in order: fault arming (bit flips,
         // allocator failures, hash overflows) is keyed to launch-wide
         // "first access" state that per-block replicas would re-fire.
-        if host_threads > 1 && config.blocks > 1 && inject.is_none() {
-            let spec = &self.spec;
-            let warps_per_block = config.warps_per_block();
-            let profiling = lprof.is_some();
-            // One block, start to finish, on whichever worker claimed
-            // it: fresh per-block collectors feed a `BlockOutcome` slot.
-            // Panics are always caught here (they must not cross the
-            // scope join) and re-classified during the ordered merge.
-            let run_block = |b: usize| -> BlockOutcome {
-                let broot = Rc::new(LaunchSanitizer::new(mode, name));
-                let bsan = Rc::new(BlockSanitizer::new(broot.clone(), b, warps_per_block));
-                let bfaults = Rc::new(LaunchFaults::new(name, None, watchdog));
-                let bprof = profiling.then(|| Rc::new(LaunchProfiler::new()));
-                let defer = AtomicDefer::default();
-                let mut l2 = L2Tracker::default();
-                let mut block = BlockCtx {
-                    block_id: b,
-                    grid_blocks: config.blocks,
-                    warps_per_block,
-                    spec,
-                    shared: SharedMem::with_sanitizer(config.smem_per_block, bsan.clone()),
-                    counters: Counters::new(),
-                    l2: &mut l2,
-                    san: bsan,
-                    prof: bprof
-                        .as_ref()
-                        .map(|lp| Rc::new(BlockProfiler::new(lp.clone(), b))),
-                    faults: bfaults.clone(),
-                    deferred: Some(&defer),
-                };
-                let caught =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kernel(&mut block)));
-                let fault = block.shared.take_fault().or_else(|| bfaults.take());
-                let counters = block.counters;
-                drop(block);
-                BlockOutcome {
-                    counters,
-                    reports: broot.take_reports(),
-                    reports_dropped: broot.dropped(),
-                    prof: bprof.map(|lp| lp.take_data()),
-                    fault,
-                    panic: caught.err(),
-                    atomics: defer.take(),
-                }
+        let pooled = host_threads > 1 && config.blocks > 1 && inject.is_none();
+        let (spec, warps_per_block) = (&self.spec, config.warps_per_block());
+        // One block, start to finish, against its own sanitizer, profiler,
+        // L2 tracker and (on the pool) atomic log. Panics are always
+        // caught here — they must not cross the pool's scope join — and
+        // classified by `merge`.
+        let run_block = |b: usize, faults: &Rc<LaunchFaults>| -> BlockOutcome {
+            let bsan_root = Rc::new(LaunchSanitizer::new(mode, name));
+            let bsan = Rc::new(BlockSanitizer::new(bsan_root.clone(), b, warps_per_block));
+            let bprof = profiling.then(|| Rc::new(LaunchProfiler::new()));
+            let defer = AtomicDefer::default();
+            let mut l2 = L2Tracker::default();
+            let mut block = BlockCtx {
+                block_id: b,
+                grid_blocks: config.blocks,
+                warps_per_block,
+                spec,
+                shared: SharedMem::with_sanitizer(config.smem_per_block, bsan.clone()),
+                counters: Counters::new(),
+                l2: &mut l2,
+                san: bsan,
+                prof: bprof
+                    .as_ref()
+                    .map(|lp| Rc::new(BlockProfiler::new(lp.clone(), b))),
+                faults: faults.clone(),
+                deferred: pooled.then_some(&defer),
             };
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kernel(&mut block)));
+            let fault = block.shared.take_fault().or_else(|| faults.take());
+            let counters = block.counters;
+            drop(block);
+            BlockOutcome {
+                counters,
+                reports: bsan_root.take_reports(),
+                reports_dropped: bsan_root.dropped(),
+                prof: bprof.map(|lp| lp.take_data()),
+                fault,
+                panic: caught.err(),
+                atomics: defer.take(),
+            }
+        };
+        let lsan = LaunchSanitizer::new(mode, name);
+        let lprof = profiling.then(LaunchProfiler::new);
+        let mut total = Counters::new();
+        let mut max_block_issues = 0u64;
+        // Folds one outcome into the launch; called in block order. The
+        // first block that panicked or faulted decides the launch's fate,
+        // and the outcomes of later blocks are discarded along with the
+        // output buffers the caller drops on `Err`.
+        let mut merge = |o: BlockOutcome| -> Result<(), SimError> {
+            if let Some(payload) = o.panic {
+                if payload.is::<WatchdogAbort>() {
+                    return Err(SimError::WatchdogTimeout {
+                        kernel: name.to_string(),
+                        budget: watchdog.unwrap_or(0),
+                    });
+                }
+                std::panic::resume_unwind(payload);
+            }
+            if let Some(fault) = o.fault {
+                return Err(fault);
+            }
+            lsan.absorb(o.reports, o.reports_dropped);
+            if let (Some(lp), Some(piece)) = (lprof.as_ref(), o.prof) {
+                lp.absorb(piece);
+            }
+            for apply in o.atomics {
+                apply();
+            }
+            max_block_issues = max_block_issues.max(o.counters.effective_issues());
+            total.merge(&o.counters);
+            Ok(())
+        };
+        if pooled {
+            // Each block gets its own uninjected fault context and logs
+            // its atomics for the ordered replay in `merge`.
             let queue = AtomicUsize::new(0);
             let slots: Vec<Mutex<Option<BlockOutcome>>> =
                 (0..config.blocks).map(|_| Mutex::new(None)).collect();
@@ -552,95 +543,27 @@ impl Device {
                         if b >= config.blocks {
                             break;
                         }
-                        let outcome = run_block(b);
-                        *slots[b].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
+                        let faults = Rc::new(LaunchFaults::new(name, None, watchdog));
+                        *slots[b].lock().unwrap_or_else(|e| e.into_inner()) =
+                            Some(run_block(b, &faults));
                     });
                 }
             });
-            // Merge in block order. The first block (by index) that
-            // panicked or faulted decides the launch's fate exactly as
-            // it would have in the serial loop, where later blocks
-            // never ran; their outcomes are simply discarded along with
-            // the output buffers the caller drops on `Err`.
-            for slot in &slots {
-                let o = slot
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .expect("parallel executor left a block unexecuted");
-                if let Some(payload) = o.panic {
-                    if payload.is::<WatchdogAbort>() {
-                        return Err(SimError::WatchdogTimeout {
-                            kernel: name.to_string(),
-                            budget: watchdog.unwrap_or(0),
-                        });
-                    }
-                    std::panic::resume_unwind(payload);
-                }
-                if let Some(fault) = o.fault {
-                    return Err(fault);
-                }
-                lsan.absorb(o.reports, o.reports_dropped);
-                if let (Some(lp), Some(piece)) = (lprof.as_ref(), o.prof) {
-                    lp.absorb(piece);
-                }
-                for apply in o.atomics {
-                    apply();
-                }
-                max_block_issues = max_block_issues.max(o.counters.effective_issues());
-                total.merge(&o.counters);
+            for slot in slots {
+                merge(
+                    slot.into_inner()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .expect("block pool left a block unexecuted"),
+                )?;
             }
         } else {
+            // All blocks share one injection-armed fault context and
+            // apply atomics eagerly, which equals the block-order replay
+            // by construction. Merging after each block lets a fault stop
+            // the launch before later blocks run.
             let faults = Rc::new(LaunchFaults::new(name, inject, watchdog));
             for b in 0..config.blocks {
-                let bsan = Rc::new(BlockSanitizer::new(
-                    lsan.clone(),
-                    b,
-                    config.warps_per_block(),
-                ));
-                let mut l2 = L2Tracker::default();
-                let mut block = BlockCtx {
-                    block_id: b,
-                    grid_blocks: config.blocks,
-                    warps_per_block: config.warps_per_block(),
-                    spec: &self.spec,
-                    shared: SharedMem::with_sanitizer(config.smem_per_block, bsan.clone()),
-                    counters: Counters::new(),
-                    l2: &mut l2,
-                    san: bsan,
-                    prof: lprof
-                        .as_ref()
-                        .map(|lp| Rc::new(BlockProfiler::new(lp.clone(), b))),
-                    faults: faults.clone(),
-                    deferred: None,
-                };
-                if watchdog.is_some() {
-                    // A tripped watchdog unwinds out of the (possibly
-                    // livelocked) kernel closure with a sentinel payload;
-                    // anything else keeps unwinding.
-                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        kernel(&mut block)
-                    }));
-                    if let Err(payload) = caught {
-                        if payload.is::<WatchdogAbort>() {
-                            return Err(SimError::WatchdogTimeout {
-                                kernel: name.to_string(),
-                                budget: watchdog.unwrap_or(0),
-                            });
-                        }
-                        std::panic::resume_unwind(payload);
-                    }
-                } else {
-                    kernel(&mut block);
-                }
-                if let Some(fault) = block.shared.take_fault() {
-                    return Err(fault);
-                }
-                if let Some(fault) = faults.take() {
-                    return Err(fault);
-                }
-                max_block_issues = max_block_issues.max(block.counters.effective_issues());
-                total.merge(&block.counters);
+                merge(run_block(b, &faults))?;
             }
         }
         let sanitizer_reports = lsan.take_reports();
@@ -861,14 +784,66 @@ mod tests {
 
     #[test]
     fn parallel_watchdog_still_times_out() {
-        let dev = Device::volta().with_host_threads(4);
-        let cfg = LaunchConfig::new(4, 32, 0).with_watchdog(16);
+        let dev = Device::volta().with_host_threads(4).with_watchdog(16);
         let err = dev
-            .try_launch("spin", cfg, |block| loop {
+            .try_launch("spin", LaunchConfig::new(4, 32, 0), |block| loop {
                 block.sync();
             })
             .unwrap_err();
         assert!(matches!(err, SimError::WatchdogTimeout { budget: 16, .. }));
+    }
+
+    #[test]
+    fn capped_reports_are_the_first_in_block_order_under_both_schedulers() {
+        // 4 blocks × 50 out-of-bounds lanes = 200 findings, past the
+        // 128-report cap: both schedulers keep blocks 0 and 1 whole and
+        // the first 28 of block 2.
+        let buf = Device::volta().buffer::<f32>(8);
+        let run = |threads: usize| {
+            let dev = Device::volta()
+                .with_host_threads(threads)
+                .with_sanitizer(SanitizerMode::Warn);
+            dev.launch("capped", LaunchConfig::new(4, 32, 0), |block| {
+                block.run_warps(|w| {
+                    for round in 0..2 {
+                        let idx = lanes_from_fn(|l| (l < 25).then_some(100 + 25 * round + l));
+                        let _ = w.global_gather(&buf, &idx);
+                    }
+                });
+            })
+            .sanitizer_reports
+        };
+        let (in_order, pooled) = (run(1), run(4));
+        assert_eq!(in_order, pooled);
+        let blocks: Vec<usize> = in_order.iter().map(|r| r.block).collect();
+        let mut expected = vec![0; 50];
+        expected.extend([1; 50]);
+        expected.extend([2; 28]);
+        assert_eq!(blocks, expected);
+        assert_eq!(in_order[0].offset, Some(100));
+        assert_eq!(in_order[127].offset, Some(100 + 25 + 2));
+    }
+
+    #[test]
+    fn first_panicking_block_resumes_its_payload_under_both_schedulers() {
+        #[derive(Debug, PartialEq)]
+        struct Boom(usize);
+        for threads in [1, 4] {
+            let dev = Device::volta().with_host_threads(threads);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                dev.launch("boom", LaunchConfig::new(4, 32, 0), |block| {
+                    if block.block_id >= 2 {
+                        std::panic::panic_any(Boom(block.block_id));
+                    }
+                })
+            }));
+            let payload = caught.expect_err("block 2 panics");
+            assert_eq!(
+                payload.downcast_ref::<Boom>(),
+                Some(&Boom(2)),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
@@ -894,10 +869,9 @@ mod tests {
 
     #[test]
     fn sanitizer_warn_mode_collects_but_completes() {
-        let dev = Device::volta();
+        let dev = Device::volta().with_sanitizer(SanitizerMode::Warn);
         let buf = dev.buffer::<f32>(8);
-        let cfg = LaunchConfig::new(1, 32, 0).with_sanitizer(SanitizerMode::Warn);
-        let stats = dev.launch("oob_warn", cfg, |block| {
+        let stats = dev.launch("oob_warn", LaunchConfig::new(1, 32, 0), |block| {
             block.run_warps(|w| {
                 let idx = lanes_from_fn(|l| (l < 8).then_some(l));
                 let bad = lanes_from_fn(|l| if l == 0 { Some(999) } else { None });

@@ -268,8 +268,8 @@ impl<T: Copy + Default> GlobalBuffer<T> {
 }
 
 /// Applies one deferred warp-wide read-modify-write through a storage
-/// handle, outside any buffer borrow. Used by the parallel executor's
-/// replay phase.
+/// handle, outside any buffer borrow. Used by the block pool's ordered
+/// atomic replay.
 pub(crate) fn replay_rmw<T: Copy>(
     storage: &SharedStorage<T>,
     idx: &Lanes<Option<usize>>,

@@ -241,21 +241,19 @@ impl LaunchProfiler {
         }
     }
 
-    /// Extracts this collector's raw data. The parallel executor gives
+    /// Extracts this collector's raw data. The block executor gives
     /// every block its own `LaunchProfiler`, takes the data on the
-    /// worker thread, and merges the pieces in block order with
-    /// [`Self::absorb`] — reproducing the serial collector's contents
-    /// exactly (range aggregates are additive; spans concatenate in the
-    /// serial emission order, which *is* block order).
+    /// thread that ran the block, and merges the pieces in block order
+    /// with [`Self::absorb`] (range aggregates are additive; spans
+    /// concatenate in block order).
     pub(crate) fn take_data(&self) -> ProfData {
         self.data.take()
     }
 
     /// Merges one block's extracted data into this launch-wide
-    /// collector, preserving the serial span cap: retained spans are the
+    /// collector under the launch-wide span cap: retained spans are the
     /// first [`MAX_SPANS`] in block order, the rest are counted in
-    /// `spans_dropped` — the same set and count the serial path's
-    /// launch-wide cap produces.
+    /// `spans_dropped`.
     pub(crate) fn absorb(&self, piece: ProfData) {
         let mut d = self.data.borrow_mut();
         for (path, acc) in piece.ranges {
@@ -545,22 +543,6 @@ mod tests {
         });
         assert!(stats.profile.is_none());
         assert_eq!(stats.counters.issues, 1);
-    }
-
-    #[test]
-    fn per_launch_override_beats_device_default() {
-        let dev = Device::volta();
-        let cfg = LaunchConfig::new(1, 32, 0).with_profiler(true);
-        let stats = dev.launch("ovr", cfg, |block| {
-            block.run_warps(|w| w.range("r", |w| w.issue(1)));
-        });
-        assert!(stats.profile.is_some());
-        let dev2 = profiled_device();
-        let cfg2 = LaunchConfig::new(1, 32, 0).with_profiler(false);
-        let stats2 = dev2.launch("ovr2", cfg2, |block| {
-            block.run_warps(|w| w.issue(1));
-        });
-        assert!(stats2.profile.is_none());
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! panic behaviour), `Warn` (collect reports into
 //! [`crate::LaunchStats::sanitizer_reports`]), or `Fail` (a non-empty
 //! report set fails the launch with [`SimError::SanitizerFailure`]).
-//! Select it per launch via [`crate::LaunchConfig::with_sanitizer`] or
-//! device-wide via [`crate::Device::with_sanitizer`].
+//! Select it for every launch on a device via
+//! [`crate::Device::with_sanitizer`].
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -176,8 +176,7 @@ pub enum SimError {
         detail: String,
     },
     /// The launch exceeded its watchdog budget
-    /// ([`crate::LaunchConfig::with_watchdog`] /
-    /// [`crate::Device::with_watchdog`]): some block issued more
+    /// ([`crate::Device::with_watchdog`]): some block issued more
     /// effective warp instructions than allowed, the usual signature of
     /// a livelocked loop.
     WatchdogTimeout {
@@ -283,13 +282,12 @@ impl LaunchSanitizer {
         self.dropped.get()
     }
 
-    /// Merges one block's collected reports into this launch-wide sink,
-    /// preserving the serial capping discipline: reports append in the
-    /// order given until [`MAX_REPORTS`], the overflow joins the dropped
-    /// count. The parallel executor gives every block its own collector
-    /// and absorbs them in block order, which reproduces the serial
-    /// path's retained set and dropped count exactly (serial fills the
-    /// launch-wide sink in block order too).
+    /// Merges one block's collected reports into this launch-wide sink:
+    /// reports append in the order given until [`MAX_REPORTS`], the
+    /// overflow joins the dropped count. The block executor gives every
+    /// block its own collector and absorbs them in block order, so the
+    /// retained reports are the first [`MAX_REPORTS`] in block order
+    /// under either scheduler.
     pub(crate) fn absorb(&self, reports: Vec<SanitizerReport>, dropped: usize) {
         self.dropped.set(self.dropped.get() + dropped);
         let mut sink = self.reports.borrow_mut();

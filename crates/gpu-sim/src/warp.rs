@@ -69,7 +69,7 @@ impl Hasher for SegmentHasher {
 /// read-modify-writes here (as `'static` closures over the buffer's
 /// shared storage handle) and [`crate::Device::try_launch`] replays the
 /// logs in block order once every block has finished — reproducing the
-/// serial schedule bit for bit. Kernels never read an atomic-target
+/// in-order schedule bit for bit. Kernels never read an atomic-target
 /// buffer mid-launch (results are only combined, then copied out after
 /// the launch), so deferral is invisible to kernel semantics.
 #[derive(Default)]
@@ -193,8 +193,9 @@ pub struct WarpCtx<'a> {
     pub(crate) watchdog: Option<u64>,
     /// `Some` when the launch executes blocks on concurrent host
     /// threads: global atomics are logged here instead of applied
-    /// eagerly (see [`AtomicDefer`]). `None` on the serial path and in
-    /// hand-built test contexts, which keep the eager behaviour.
+    /// eagerly (see [`AtomicDefer`]). `None` when blocks run in order on
+    /// the caller's thread and in hand-built test contexts, which keep
+    /// the eager behaviour.
     pub(crate) deferred: Option<&'a AtomicDefer>,
 }
 

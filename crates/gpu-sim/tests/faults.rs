@@ -188,17 +188,13 @@ fn bit_flip_ignores_unlabeled_and_differently_labeled_buffers() {
 
 #[test]
 fn watchdog_converts_livelock_into_typed_timeout() {
-    let dev = Device::volta();
+    let dev = Device::volta().with_watchdog(10_000);
     let err = dev
-        .try_launch(
-            "livelock",
-            LaunchConfig::new(1, 32, 0).with_watchdog(10_000),
-            |block| {
-                block.run_warps(|w| loop {
-                    w.issue(1);
-                });
-            },
-        )
+        .try_launch("livelock", LaunchConfig::new(1, 32, 0), |block| {
+            block.run_warps(|w| loop {
+                w.issue(1);
+            });
+        })
         .expect_err("livelocked kernel");
     match err {
         SimError::WatchdogTimeout { kernel, budget } => {
@@ -249,9 +245,10 @@ fn livelocked_hash_probe_terminates_via_watchdog() {
         .watchdog_budget(&LaunchConfig::new(1, 32, 48 * 1024), 1e-7)
         .max(64);
     let err = dev
+        .with_watchdog(budget)
         .try_launch(
             "probe-livelock",
-            LaunchConfig::new(1, 32, 48 * 1024).with_watchdog(budget),
+            LaunchConfig::new(1, 32, 48 * 1024),
             |block| {
                 let table = SmemHashTable::<f32>::new(block, 64);
                 let t = table.clone();

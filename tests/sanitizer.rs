@@ -317,22 +317,6 @@ fn warn_mode_collects_reports_without_failing() {
     assert_eq!(stats.sanitizer_reports[0].kind, CheckerKind::Memcheck);
 }
 
-#[test]
-fn per_launch_override_beats_device_default() {
-    // A Fail-mode launch on an Off-mode device still rejects the fault.
-    let dev = Device::volta();
-    let cfg = LaunchConfig::new(1, WARP_SIZE, 1024).with_sanitizer(SanitizerMode::Fail);
-    let res = dev.try_launch("override_fail", cfg, |block| {
-        let arr = block.alloc_shared::<f32>(4);
-        block.fill_shared(&arr, 0.0);
-        block.run_warps(|w| {
-            let idx = lanes_from_fn(|l| (l == 0).then_some(4usize));
-            w.smem_scatter(&arr, &idx, &lanes_from_fn(|_| 1.0));
-        });
-    });
-    assert!(matches!(res, Err(SimError::SanitizerFailure { .. })));
-}
-
 fn arb_matrix() -> impl Strategy<Value = CsrMatrix<f64>> {
     (1usize..8, 1usize..16).prop_flat_map(|(rows, cols)| {
         proptest::collection::vec(
