@@ -7,8 +7,8 @@
 //! (or 100×) past that point? A fixed-capacity queue either collapses
 //! (unbounded latency) or cliffs (rejects everything past a depth);
 //! the admission controller instead sheds a bounded fraction with a
-//! typed reason, degrades batches to the low-footprint kernel configs
-//! (byte-identical answers), and the fleet autoscaler adds replicas
+//! typed reason, marks overloaded batches degraded (an overload signal;
+//! exact batches run unchanged), and the fleet autoscaler adds replicas
 //! while SLO error budget burns.
 //!
 //! For each load multiplier the workload generator produces the same

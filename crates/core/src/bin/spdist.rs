@@ -30,13 +30,14 @@
 //! `--duration-ms`); `--admit-qps <r>`/`--admit-burst <b>` arm a
 //! token-bucket admission controller and
 //! `--degrade-watermark`/`--shed-watermark` set the backlog depths at
-//! which batches execute degraded (reduced shared-memory footprint,
-//! byte-identical answers) or arrivals shed outright. `--fleet min:max`
-//! serves through an autoscaled replica fleet (window length
-//! `--window-ms`) and reports scale events; adding `--chaos` runs a
-//! chaos drill instead — the same traffic with and without a seeded
-//! mid-run fault plan — prints the recovery summary, and exits 4 if any
-//! surviving request diverges by a byte.
+//! which batches are marked degraded (counted and span-marked; exact
+//! batches run unchanged, IVF batches halve `--nprobe`) or arrivals
+//! shed outright. `--fleet min:max` serves through an autoscaled
+//! replica fleet (window length `--window-ms`) and reports scale
+//! events; adding `--chaos` runs a chaos drill instead — the same
+//! traffic with and without a seeded mid-run fault plan — prints the
+//! recovery summary, and exits 4 if any surviving request diverges by
+//! a byte.
 //!
 //! Serving telemetry (DESIGN §13): `--metrics` prints a
 //! Prometheus-style snapshot of the engine's deterministic metrics
@@ -342,6 +343,9 @@ impl Args {
             }
             if accepts_value(tok) {
                 match argv.get(i + 1) {
+                    Some(_) if args.flag(tok).is_some() => {
+                        return Err(CliError::config(format!("{tok} given more than once")));
+                    }
                     Some(v) if !v.starts_with("--") => {
                         args.values.push((tok.clone(), v.clone()));
                         i += 2;
@@ -501,16 +505,14 @@ fn parse_common(
     let metric = args.flag("--metric").unwrap_or("euclidean");
     let distance = Distance::from_name(metric)
         .ok_or_else(|| CliError::config(format!("unknown metric {metric}")))?;
-    let params = DistanceParams {
-        minkowski_p: args
-            .flag("--p")
-            .map(|p| {
-                p.parse()
-                    .map_err(|_| CliError::config(format!("bad --p {p}")))
-            })
-            .transpose()?
-            .unwrap_or(2.0),
-    };
+    let minkowski_p: f64 = parse_num(args, "--p", "2")?;
+    if !(minkowski_p.is_finite() && minkowski_p > 0.0) {
+        return Err(CliError::config(format!(
+            "bad --p {} (must be finite and > 0)",
+            args.flag("--p").unwrap_or("2")
+        )));
+    }
+    let params = DistanceParams { minkowski_p };
     let strategy = match args.flag("--strategy").unwrap_or("hybrid") {
         "hybrid" => Strategy::HybridCooSpmv,
         "naive" => Strategy::NaiveCsr,
@@ -1273,7 +1275,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     if report.degraded_requests > 0 {
         eprintln!(
             "spdist: admission degraded {} request(s) in {} batch(es) \
-             (reduced smem footprint, byte-identical answers)",
+             (overload signal; exact batches run unchanged, IVF halves nprobe)",
             report.degraded_requests, report.degraded_batches,
         );
     }

@@ -240,6 +240,33 @@ fn unknown_and_malformed_flags_exit_with_config_code() {
         assert!(stderr.contains("config error:"), "{flag} {value}: {stderr}");
     }
 
+    // A Minkowski degree must be finite and positive; these used to be
+    // accepted silently.
+    for value in ["nan", "inf", "-inf", "0", "-1"] {
+        let out = spdist()
+            .args(["knn", "--metric", "minkowski", "--p", value, "--input"])
+            .arg(&data)
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--p {value}: {stderr}");
+        assert!(stderr.contains("config error:"), "--p {value}: {stderr}");
+    }
+
+    // A value flag given twice is a config error naming the flag; the
+    // second value used to be dropped without a word.
+    let out = spdist()
+        .args(["knn", "--k", "3", "--k", "5", "--input"])
+        .arg(&data)
+        .output()
+        .expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "repeated flag: {stderr}");
+    assert!(
+        stderr.contains("config error: --k given more than once"),
+        "{stderr}"
+    );
+
     let _ = std::fs::remove_file(&data);
 }
 

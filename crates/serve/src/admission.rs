@@ -11,12 +11,10 @@
 //!   [`AdmissionConfig::burst`]) that bounds sustained per-dataset
 //!   arrival rate, so one hot tenant cannot starve the rest;
 //! * **queue-depth watermarks**: past
-//!   [`AdmissionConfig::degrade_watermark`] admitted requests execute in
-//!   *degraded* mode — the batch is routed through the hybrid kernel's
-//!   bloom-filter shared-memory representation (the low-footprint end of
-//!   the Hybrid→Hash→Bloom→NaiveCsr cascade), trading occupancy
-//!   headroom for byte-identical answers (every strategy in the cascade
-//!   produces bit-identical distances, DESIGN §11) — and past
+//!   [`AdmissionConfig::degrade_watermark`] admitted requests are
+//!   marked *degraded* — counted and span-marked as an overload signal;
+//!   an exact batch runs its planned kernel unchanged, an IVF batch
+//!   probes half as many posting lists — and past
 //!   [`AdmissionConfig::shed_watermark`] arrivals are shed outright.
 //!
 //! Every decision is a pure function of the canonically-ordered request
@@ -128,7 +126,8 @@ impl AdmissionConfig {
 pub enum AdmissionDecision {
     /// Admit into the dataset's open batch at full quality.
     Admit,
-    /// Admit, but mark the batch for degraded (low-footprint) execution.
+    /// Admit, but mark the batch degraded (an overload signal; only the
+    /// IVF tier executes differently, at half `nprobe`).
     Degrade,
     /// Shed the request with the given reason.
     Shed(ShedReason),

@@ -12,9 +12,9 @@
 //! queued plus not-yet-completed requests — reaches
 //! [`ServeConfig::max_queue`] (the HTTP-429 cliff), shed with typed
 //! reasons past the [`AdmissionConfig`] watermarks or an empty
-//! per-dataset token bucket, and *degraded* (routed through the
-//! bloom-filter smem representation, byte-identical answers) past the
-//! degrade watermark.
+//! per-dataset token bucket, and *degraded* past the degrade
+//! watermark: counted and span-marked, with an exact batch's execution
+//! unchanged and an IVF batch's `nprobe` halved.
 //!
 //! Observability: every replay threads a [`RequestTraces`] collector
 //! through the event loop (enqueue → batch-admit → cache hit/miss →
@@ -40,7 +40,7 @@ use crate::segment::{merge_arms, AppliedOp, CompactionJob, MutableDataset};
 use crate::slo::{assess, SloBudget, SloReport};
 use crate::span::{RequestSpan, RequestTraces, SpanEvent};
 use crate::wal::{WalError, WalRecord};
-use kernels::{KernelError, SmemMode};
+use kernels::KernelError;
 use neighbors::{IvfIndex, IvfParams, IvfPrepared, KnnResult, MultiDevice, NearestNeighbors};
 use sparse::{CsrMatrix, Idx, Real};
 use std::collections::BTreeMap;
@@ -49,8 +49,8 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexMode {
     /// Brute-force scan of every index row (the default): answers are
-    /// exact and degraded batches reroute through the bloom-filter smem
-    /// representation, byte-identical by DESIGN §11.
+    /// exact, and a degraded batch runs the same plan as an undegraded
+    /// one — degrade is only an overload signal here.
     #[default]
     Exact,
     /// IVF approximate tier: a seeded [`IvfIndex`] is fitted (and
@@ -171,10 +171,10 @@ pub struct ServeReport<T> {
     /// SLO assessments for datasets with a configured
     /// [`SloBudget`] (see [`ServeEngine::set_slo`]), in dataset order.
     pub slo: Vec<SloReport>,
-    /// Requests served through degraded (low-footprint) execution after
-    /// their batch crossed the admission degrade watermark.
+    /// Requests served in batches marked degraded after crossing the
+    /// admission degrade watermark.
     pub degraded_requests: u64,
-    /// Batches dispatched in degraded mode.
+    /// Batches marked degraded.
     pub degraded_batches: u64,
 }
 
@@ -275,7 +275,7 @@ enum Source<'s, 'd, T> {
 struct OpenBatch<T> {
     requests: Vec<Request<T>>,
     /// Sticky: set when any member was admitted past the degrade
-    /// watermark; the whole batch then executes in degraded mode.
+    /// watermark; the whole batch is then marked degraded.
     degraded: bool,
 }
 
@@ -299,10 +299,6 @@ struct ReplayState<T> {
     prepares: u64,
     /// Per-dataset admission token buckets (empty without admission).
     buckets: Vec<TokenBucket>,
-    /// Lazily-built degraded-mode clones of each dataset's base
-    /// estimator (same fitted index, bloom-filter smem; DESIGN §14),
-    /// tagged with the base generation they were cloned from.
-    degraded_fit: Vec<Option<(u64, NearestNeighbors<T>)>>,
     /// [`fingerprint_with_generation`] of each (dataset, generation)
     /// index looked up so far. An index cannot change within a
     /// generation, so it is hashed once per replay and every later
@@ -326,7 +322,6 @@ impl<T: Real> ReplayState<T> {
             buckets: admission
                 .map(|cfg| vec![TokenBucket::new(cfg); datasets])
                 .unwrap_or_default(),
-            degraded_fit: (0..datasets).map(|_| None).collect(),
             ..Self::default()
         }
     }
@@ -362,16 +357,6 @@ impl<T> Batch<'_, T> {
             traces.push_event(req.id, t_s, event.clone());
         }
     }
-}
-
-/// `nn` forced onto the bloom-filter smem representation — the
-/// low-footprint end of the Hybrid→Hash→Bloom→NaiveCsr cascade. Every
-/// strategy produces bit-identical distances (DESIGN §11), so degrading
-/// trades occupancy headroom, never answer bytes.
-fn bloom<T: Real>(nn: NearestNeighbors<T>) -> NearestNeighbors<T> {
-    let mut opts = *nn.pairwise_options();
-    opts.smem_mode = SmemMode::Bloom;
-    nn.with_options(opts)
 }
 
 impl<T: Real> ServeEngine<T> {
@@ -887,9 +872,9 @@ impl<T: Real> ServeEngine<T> {
             },
         );
 
-        // Degraded exact batches run through the bloom-filter clone of
-        // the base estimator (`base_arm`); IVF batches degrade by
-        // lowering `nprobe` instead (`ivf_arm`).
+        // A degraded exact batch runs the planned kernel unchanged, so
+        // its marker names the estimator's own smem mode; IVF batches
+        // degrade by lowering `nprobe` instead (`ivf_arm`).
         let ivf_mode = match self.config.index {
             IndexMode::Ivf { nlist, nprobe } => Some((nlist, nprobe)),
             IndexMode::Exact => None,
@@ -898,11 +883,15 @@ impl<T: Real> ServeEngine<T> {
             st.degraded_batches += 1;
             st.degraded_requests += taken.len() as u64;
             if ivf_mode.is_none() {
+                let smem_mode = match src {
+                    Source::Fitted(fitted) => fitted[dataset].pairwise_options().smem_mode,
+                    Source::Mutable(ing) => ing.proto.pairwise_options().smem_mode,
+                };
                 batch.emit(
                     &mut st.traces,
                     close_s,
                     SpanEvent::AdmissionDegrade {
-                        strategy: "smem=Bloom".to_string(),
+                        strategy: format!("smem={smem_mode:?}"),
                     },
                 );
             }
@@ -915,7 +904,7 @@ impl<T: Real> ServeEngine<T> {
             Source::Fitted(fitted) => {
                 let nn = &fitted[dataset];
                 let (arm, prep) = match ivf_mode {
-                    None => self.base_arm(st, &batch, nn, 0, k, degraded)?,
+                    None => self.base_arm(st, &batch, nn, 0, k)?,
                     Some((nlist, nprobe)) => {
                         self.ivf_arm(st, &batch, nn, nlist, nprobe, degraded)?
                     }
@@ -938,7 +927,7 @@ impl<T: Real> ServeEngine<T> {
                     let (_, base_nn) = ing.base_fit.as_ref().expect("fitted above");
                     let k_base = (k + plan.base_dead).min(ds.base().rows());
                     let (arm, prep) =
-                        self.base_arm(st, &batch, base_nn, ds.generation(), k_base, degraded)?;
+                        self.base_arm(st, &batch, base_nn, ds.generation(), k_base)?;
                     prep_s = prep;
                     Some(arm)
                 } else {
@@ -948,10 +937,7 @@ impl<T: Real> ServeEngine<T> {
                 // that is the cost compaction exists to bound.
                 let fresh = if ds.fresh_rows() > 0 && k > 0 {
                     ing.fresh_scans += 1;
-                    let mut fresh_nn = ing.proto.clone().fit(ds.fresh_matrix());
-                    if degraded {
-                        fresh_nn = bloom(fresh_nn);
-                    }
+                    let fresh_nn = ing.proto.clone().fit(ds.fresh_matrix());
                     let k_fresh = (k + plan.fresh_dead).min(ds.fresh_rows());
                     batch.emit(
                         &mut st.traces,
@@ -1066,9 +1052,7 @@ impl<T: Real> ServeEngine<T> {
     /// re-prepares the index from scratch (no cache, so no cache
     /// spans); otherwise it looks `nn` up under `generation` in the
     /// prepared cache, emits `CacheHit` or `CacheMiss` + `Prepare`, and
-    /// returns the miss's warm seconds beside the result. `bloomed`
-    /// runs the batch through the dataset's degraded-mode clone, built
-    /// once per (dataset, generation): same prepared shards, same bytes.
+    /// returns the miss's warm seconds beside the result.
     fn base_arm(
         &mut self,
         st: &mut ReplayState<T>,
@@ -1076,26 +1060,13 @@ impl<T: Real> ServeEngine<T> {
         nn: &NearestNeighbors<T>,
         generation: u64,
         k: usize,
-        bloomed: bool,
     ) -> Result<(KnnResult<T>, f64), KernelError> {
-        // The cache key's fingerprint, taken before `exec_nn` borrows
-        // `st`; a batch that re-prepares never hashes the index.
-        let fp =
-            (!self.config.per_query_prepare).then(|| st.fingerprint(batch.dataset, generation, nn));
-        let exec_nn = if bloomed {
-            let slot = &mut st.degraded_fit[batch.dataset];
-            if !matches!(slot, Some((g, _)) if *g == generation) {
-                *slot = Some((generation, bloom(nn.clone())));
-            }
-            &slot.as_ref().expect("built above").1
-        } else {
-            nn
-        };
-        let Some(fp) = fp else {
+        if self.config.per_query_prepare {
             st.prepares += 1;
-            let result = exec_nn.kneighbors_sharded(&self.multi, &batch.query, k)?;
+            let result = nn.kneighbors_sharded(&self.multi, &batch.query, k)?;
             return Ok((result, 0.0));
-        };
+        }
+        let fp = st.fingerprint(batch.dataset, generation, nn);
         let (shards, outcome) = self.cache.lookup_fingerprinted(nn, &self.multi, fp)?;
         if outcome.hit {
             batch.emit(&mut st.traces, batch.close_s, SpanEvent::CacheHit);
@@ -1116,7 +1087,7 @@ impl<T: Real> ServeEngine<T> {
                 },
             );
         }
-        let result = exec_nn.kneighbors_prepared(&shards, &batch.query, k)?;
+        let result = nn.kneighbors_prepared(&shards, &batch.query, k)?;
         Ok((result, outcome.warm_seconds))
     }
 
@@ -1207,7 +1178,7 @@ impl<T: Real> ServeEngine<T> {
             let rows = batch.query.rows();
             st.ann_probes += (rows * ivf.index.nlist()) as u64;
             st.ann_shortlist_rows += (rows * ivf.index.index_rows()) as u64;
-            let (result, warm_s) = self.base_arm(st, batch, nn, 0, self.config.k, false)?;
+            let (result, warm_s) = self.base_arm(st, batch, nn, 0, self.config.k)?;
             return Ok((result, prep_s + warm_s));
         }
         let k = self.config.k;

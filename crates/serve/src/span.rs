@@ -75,11 +75,12 @@ pub enum SpanEvent {
         /// The strategy that produced the returned distances.
         strategy: String,
     },
-    /// Admission control routed the request's batch to degraded
-    /// (low-footprint) execution because the backlog crossed the
-    /// degrade watermark. Answers stay byte-identical (DESIGN §11).
+    /// Admission control marked the request's batch degraded because
+    /// the backlog crossed the degrade watermark. An exact batch runs
+    /// its planned kernel unchanged; an IVF batch halves `nprobe`.
     AdmissionDegrade {
-        /// The degraded execution mode (e.g. `smem=Bloom`).
+        /// The mode the batch ran in: the estimator's own smem mode
+        /// (e.g. `smem=Auto`) in exact mode, `nprobe=<n>` in IVF mode.
         strategy: String,
     },
     /// The brute-force fresh-segment scan ran alongside the prepared

@@ -21,7 +21,7 @@ use neighbors::{MultiDevice, NearestNeighbors};
 use semiring::Distance;
 use serve::{
     chaos_drill, AdmissionConfig, ChaosPlan, Fleet, FleetConfig, FleetReport, Request, ServeConfig,
-    ServeEngine, ServeReport, ShedReason, SloBudget, Workload,
+    ServeEngine, ServeReport, ShedReason, SloBudget, SpanEvent, Workload,
 };
 use sparse::CsrMatrix;
 
@@ -108,22 +108,44 @@ fn degraded_batches_serve_byte_identical_answers() {
     assert!(degraded.degraded_batches > 0);
     assert_eq!(dr, 24);
     assert_eq!(db, degraded.degraded_batches);
-    // Every span of a served request carries the admission_degrade
-    // marker, and the answers match the unthrottled run bit-for-bit.
+    // Degrade in the exact tier is an overload signal, not a slower
+    // plan: the device is busy exactly as long as in the unthrottled
+    // run, every request is dispatched and completed at the same
+    // instant, and the answers match bit-for-bit.
+    assert_eq!(
+        degraded.busy_seconds.to_bits(),
+        plain.busy_seconds.to_bits(),
+        "degrade must not cost device time"
+    );
     for (a, b) in degraded.responses.iter().zip(&plain.responses) {
         assert_eq!(a.id, b.id);
+        assert_eq!(
+            a.dispatch_s.to_bits(),
+            b.dispatch_s.to_bits(),
+            "request {}",
+            a.id
+        );
+        assert_eq!(
+            a.completion_s.to_bits(),
+            b.completion_s.to_bits(),
+            "request {}",
+            a.id
+        );
         assert_eq!(a.indices, b.indices, "degrade must not change neighbors");
         for (x, y) in a.distances.iter().zip(&b.distances) {
             assert_eq!(x.to_bits(), y.to_bits(), "degrade must not change bytes");
         }
     }
+    // Every span of a served request carries the admission_degrade
+    // marker, naming the smem mode the batch actually ran.
     let marked = degraded
         .spans
         .iter()
         .filter(|s| {
-            s.events
-                .iter()
-                .any(|e| e.event.name() == "admission_degrade")
+            s.events.iter().any(|e| match &e.event {
+                SpanEvent::AdmissionDegrade { strategy } => strategy == "smem=Auto",
+                _ => false,
+            })
         })
         .count();
     assert_eq!(marked, 24, "every request carries the degrade marker");

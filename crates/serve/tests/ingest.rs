@@ -433,8 +433,8 @@ fn hybrid_default_is_deterministic_and_agrees_to_retiling_precision() {
 /// fitted base: both entry points share one event loop and one batch
 /// body, so responses, timing, spans (apart from the mutable path's
 /// `SegmentMerge`) and every `serve.*` counter and gauge agree exactly
-/// — with cached prepares, with admission degrading every batch onto
-/// the bloom-filter clone, and with per-batch re-prepares.
+/// — with cached prepares, with admission degrading every batch, and
+/// with per-batch re-prepares.
 #[test]
 fn ingest_without_writes_is_replay_over_the_fitted_base() {
     let base = dataset(12, 0);
