@@ -9,7 +9,7 @@
 
 use semiring::reference::sparse_distance;
 use semiring::{Distance, DistanceParams};
-use sparse::{CsrMatrix, DenseMatrix, Idx, Real};
+use sparse::{top_k_smallest, CsrMatrix, DenseMatrix, Idx, Real};
 
 /// Exact brute-force pairwise/k-NN engine.
 #[derive(Debug, Clone)]
@@ -80,7 +80,8 @@ impl CpuBruteForce {
 
     /// Brute-force k-nearest-neighbors query: for each row of `a`,
     /// returns the `k` index-matrix rows with the smallest distance, as
-    /// `(index, distance)` sorted ascending.
+    /// `(index, distance)` in the canonical [`sparse::cmp_dist_idx`]
+    /// order the device k-NN also selects under.
     ///
     /// # Panics
     ///
@@ -95,12 +96,7 @@ impl CpuBruteForce {
     ) -> Vec<Vec<(usize, T)>> {
         let d = self.pairwise(a, b, distance, params);
         (0..a.rows())
-            .map(|i| {
-                let mut row: Vec<(usize, T)> = d.row(i).iter().copied().enumerate().collect();
-                row.sort_by(|x, y| x.1.partial_cmp(&y.1).unwrap_or(std::cmp::Ordering::Equal));
-                row.truncate(k_neighbors);
-                row
-            })
+            .map(|i| top_k_smallest(d.row(i), k_neighbors))
             .collect()
     }
 }
@@ -154,6 +150,22 @@ mod tests {
         // Row 2 of a equals row 1 of b → self-match at distance 0.
         assert_eq!(res[2][0].0, 1);
         assert!(res[2][0].1.abs() < 1e-12);
+    }
+
+    #[test]
+    fn knn_selects_nan_distances_last() {
+        // KL's x·ln(x/y) is NaN for a negative x: the query's distances
+        // to the three rows are [NaN, 2, 1]. A comparator that calls NaN
+        // equal to everything kept row 0.
+        let e = std::f64::consts::E;
+        let a = CsrMatrix::from_dense(1, 2, &[-1.0, 1.0]);
+        let b = CsrMatrix::from_dense(3, 2, &[1.0, 0.0, 0.0, e.powi(-2), 0.0, 1.0 / e]);
+        let params = DistanceParams::default();
+        let d = CpuBruteForce::new(1).pairwise(&a, &b, Distance::KlDivergence, &params);
+        assert!(d.get(0, 0).is_nan());
+        let got = CpuBruteForce::new(1).knn(&a, &b, 2, Distance::KlDivergence, &params);
+        let idx: Vec<usize> = got[0].iter().map(|&(i, _)| i).collect();
+        assert_eq!(idx, vec![2, 1]);
     }
 
     #[test]

@@ -5,19 +5,18 @@
 //! [Volta] and ... 40K [Ampere]" per block, "actually 12K and 20K" at
 //! full occupancy, and the hash table "allows for a max degree of 3K on
 //! Volta architectures and 5K on Ampere". This harness prints those
-//! derived limits from the device models, then runs the same k-NN
-//! workload on both simulated devices.
+//! derived limits from the device models, then runs the same hybrid
+//! k-NN ([`bench::suite::run_knn_cell`], device selection included) on
+//! both simulated devices.
 //!
 //! Usage: `cargo run --release -p bench --bin arch_compare \
 //!   [-- --seed 1] [--json out.json]`
 
 use bench::report::{BenchReport, MetricRow};
-use bench::suite::{query_slab, KNN_K};
+use bench::suite::{query_slab, run_knn_cell, Column};
 use datasets::DatasetProfile;
 use gpu_sim::{Device, SmemHashTable};
 use kernels::hybrid::{resolve_config, smem_budget};
-use kernels::{pairwise_distances, PairwiseOptions, SmemMode, Strategy};
-use neighbors::top_k_smallest;
 use semiring::{Distance, DistanceParams};
 
 fn main() {
@@ -91,19 +90,14 @@ fn main() {
     );
     let mut volta_total = 0.0;
     for dev in &devices {
-        let mut times = Vec::new();
-        for d in [Distance::Cosine, Distance::Manhattan] {
-            let opts = PairwiseOptions {
-                strategy: Strategy::HybridCooSpmv,
-                smem_mode: SmemMode::Hash,
-                resilience: None,
-            };
-            let r = pairwise_distances(dev, &queries, &index, d, &params, &opts).expect("runs");
-            for i in 0..queries.rows() {
-                let _ = top_k_smallest(r.distances.row(i), KNN_K);
-            }
-            times.push(r.sim_seconds());
-        }
+        let times: Vec<f64> = [Distance::Cosine, Distance::Manhattan]
+            .into_iter()
+            .map(|d| {
+                run_knn_cell(dev, &queries, &index, d, &params, Column::Hybrid)
+                    .value
+                    .sim_seconds
+            })
+            .collect();
         let total: f64 = times.iter().sum();
         if dev.spec().name == "V100" {
             volta_total = total;

@@ -24,10 +24,7 @@ use semiring::{Distance, DistanceParams};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = args
-        .windows(2)
-        .find(|w| w[0] == "--scale")
-        .and_then(|w| w[1].parse::<f64>().ok());
+    let scale = bench::parse_scale(&args);
     let seed = bench::parse_u64(&args, "--seed", 1);
     let json_path = bench::parse_path(&args, "--json");
     let mut report = BenchReport::new("memory_footprint");

@@ -64,11 +64,7 @@ fn scenarios(seed: u64) -> Vec<Scenario> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let seed = bench::parse_u64(&args, "--seed", 1);
-    let scale = args
-        .windows(2)
-        .find(|w| w[0] == "--scale")
-        .and_then(|w| w[1].parse::<f64>().ok())
-        .unwrap_or(0.004);
+    let scale = bench::parse_scale(&args).unwrap_or(0.004);
     let json_path = bench::parse_path(&args, "--json");
     let mut report = BenchReport::new("resilience_report");
 

@@ -102,7 +102,7 @@ fn push_row(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let seed = bench::parse_u64(&args, "--seed", 1);
-    let scale = bench::parse_scale(&args, "--scale", 0.004);
+    let scale = bench::parse_scale(&args).unwrap_or(0.004);
     let k = bench::parse_u64(&args, "--k", 10) as usize;
     let devices = bench::parse_u64(&args, "--devices", 2) as usize;
     let json_path = bench::parse_path(&args, "--json");

@@ -30,7 +30,7 @@ fn merged(launches: &[gpu_sim::LaunchStats]) -> Counters {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let seed = bench::parse_u64(&args, "--seed", 1);
-    let scale = bench::parse_scale(&args, "--scale", 0.004);
+    let scale = bench::parse_scale(&args).unwrap_or(0.004);
     let k = bench::parse_u64(&args, "--k", 8) as usize;
     let json_path = bench::parse_path(&args, "--json");
     let mut report = BenchReport::new("shard_scaling");

@@ -3,11 +3,13 @@
 //! distances and 29.17× speedup for the distances which require the
 //! non-annihilating product monoid."
 //!
-//! The CPU side is this machine's real multithreaded brute-force baseline
-//! (scikit-learn analog, wall-clock); the GPU side is the simulated V100
-//! time of the hybrid kernel. Absolute ratios therefore depend on the
-//! host CPU, but the paper's qualitative result — order-of-magnitude GPU
-//! advantage, *similar* for both distance families — is the target.
+//! The CPU side is this machine's real multithreaded brute-force k-NN
+//! (`CpuBruteForce::knn`, the scikit-learn analog, wall-clock); the GPU
+//! side is the simulated V100 time of the hybrid k-NN, device selection
+//! included ([`bench::suite::run_knn_cell`]). Absolute ratios therefore
+//! depend on the host CPU, but the paper's qualitative result —
+//! order-of-magnitude GPU advantage, *similar* for both distance
+//! families — is the target.
 //!
 //! Usage: `cargo run --release -p bench --bin speedup \
 //!   [-- --scale 0.005 --seed 1] [--json out.json]`
@@ -15,19 +17,16 @@
 use baseline::CpuBruteForce;
 use bench::report::{BenchReport, MetricRow};
 use bench::runner::Timed;
-use bench::suite::{dot_based_distances, non_trivial_distances, query_slab, KNN_K};
+use bench::suite::{
+    dot_based_distances, geometric_mean, non_trivial_distances, query_slab, run_knn_cell, Column,
+    KNN_K,
+};
 use gpu_sim::Device;
-use kernels::{pairwise_distances, PairwiseOptions, SmemMode, Strategy};
-use neighbors::top_k_smallest;
 use semiring::DistanceParams;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = args
-        .windows(2)
-        .find(|w| w[0] == "--scale")
-        .and_then(|w| w[1].parse::<f64>().ok())
-        .unwrap_or(0.005);
+    let scale = bench::parse_scale(&args).unwrap_or(0.005);
     let seed = bench::parse_u64(&args, "--seed", 1);
     let json_path = bench::parse_path(&args, "--json");
     let mut report = BenchReport::new("speedup");
@@ -54,26 +53,15 @@ fn main() {
             let index = profile.generate(seed);
             let queries = query_slab(&index);
             for &d in &distances {
-                let cpu_t = Timed::run(|| {
-                    let dm = cpu.pairwise(&queries, &index, d, &params);
-                    for i in 0..queries.rows() {
-                        let _ = top_k_smallest(dm.row(i), KNN_K);
-                    }
-                });
-                let opts = PairwiseOptions {
-                    strategy: Strategy::HybridCooSpmv,
-                    smem_mode: SmemMode::Hash,
-                    resilience: None,
-                };
-                let gpu = pairwise_distances(&dev, &queries, &index, d, &params, &opts)
-                    .expect("hybrid runs");
-                let ratio = cpu_t.host_seconds / gpu.sim_seconds().max(1e-12);
+                let cpu_t = Timed::run(|| cpu.knn(&queries, &index, KNN_K, d, &params));
+                let gpu = run_knn_cell(&dev, &queries, &index, d, &params, Column::Hybrid).value;
+                let ratio = cpu_t.host_seconds / gpu.sim_seconds.max(1e-12);
                 ratios.push(ratio);
                 println!(
                     "{:<16} {:>12.4} {:>14.6} {:>9.1}x   [{}]",
                     d.name(),
                     cpu_t.host_seconds,
-                    gpu.sim_seconds(),
+                    gpu.sim_seconds,
                     ratio,
                     profile.name
                 );
@@ -83,7 +71,7 @@ fn main() {
                         .label("group", group)
                         .label("distance", d.name())
                         .value("cpu_seconds", cpu_t.host_seconds)
-                        .value("gpu_sim_seconds", gpu.sim_seconds())
+                        .value("gpu_sim_seconds", gpu.sim_seconds)
                         .value("speedup", ratio),
                 );
             }
@@ -93,9 +81,7 @@ fn main() {
 
     println!("\nsummary (geometric mean speedup per group):");
     for (group, ratios) in &group_ratios {
-        let gm = (ratios.iter().map(|r| r.max(1e-12).ln()).sum::<f64>()
-            / ratios.len().max(1) as f64)
-            .exp();
+        let gm = geometric_mean(ratios);
         println!("  {group:<20} {gm:8.1}x over {} cells", ratios.len());
     }
     println!(

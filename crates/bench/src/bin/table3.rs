@@ -12,86 +12,30 @@
 //!   hash-table shared-memory strategy, the configuration §4.2
 //!   benchmarks.
 //!
-//! Each cell performs an end-to-end k-NN query (`k = 10`) of 256 query
-//! rows against the full index. Times are *simulated GPU seconds* from
-//! the shared roofline cost model; the paper's absolute numbers are not
-//! reproducible without the authors' V100, but the winner and rough
-//! factor per cell are the reproduction targets (see EXPERIMENTS.md).
+//! Each cell is one end-to-end k-NN query (`k = 10`) of 256 query rows
+//! against the full index through [`bench::suite::run_knn_cell`], with
+//! the top-k selection a billed device launch in both columns (the
+//! paper times cuML's `NearestNeighbors`, which selects on the GPU).
+//! Times are *simulated GPU seconds* from the shared roofline cost
+//! model; the paper's absolute numbers are not reproducible without the
+//! authors' V100, but the winner and rough factor per cell are the
+//! reproduction targets (see EXPERIMENTS.md).
 //!
 //! Usage: `cargo run --release -p bench --bin table3 \
-//!   [-- --scale 0.01 --seed 1] [--json out.json]`
+//!   [-- --scale 0.01 --seed 1] [--json out.json]` (one bench.v1 row per
+//! cell, with each column's selection seconds, and one per launch).
 
-use baseline::cusparse::{baseline_supports, csrgemm_pairwise};
 use bench::report::{BenchReport, MetricRow};
-use bench::runner::Timed;
-use bench::suite::{bench_profiles, dot_based_distances, non_trivial_distances, query_slab, KNN_K};
+use bench::suite::{
+    bench_profiles, dot_based_distances, geometric_mean, non_trivial_distances, query_slab,
+    run_knn_cell, Column, KNN_K,
+};
 use gpu_sim::Device;
-use kernels::{pairwise_distances, PairwiseOptions, SmemMode, Strategy};
-use neighbors::top_k_smallest;
-use semiring::{Distance, DistanceParams};
-use sparse::CsrMatrix;
-
-struct Cell {
-    baseline_sim: f64,
-    raft_sim: f64,
-    host_seconds: f64,
-}
-
-fn run_cell(
-    dev: &Device,
-    queries: &CsrMatrix<f32>,
-    index: &CsrMatrix<f32>,
-    distance: Distance,
-    params: &DistanceParams,
-) -> Cell {
-    let timed = Timed::run(|| {
-        // --- Baseline ------------------------------------------------
-        let baseline_sim = if baseline_supports(distance) {
-            let r = csrgemm_pairwise(dev, queries, index, distance, params);
-            for i in 0..queries.rows() {
-                let _ = top_k_smallest(r.distances.row(i), KNN_K);
-            }
-            r.report.sim_seconds
-        } else {
-            let opts = PairwiseOptions {
-                strategy: Strategy::NaiveCsr,
-                smem_mode: SmemMode::Auto,
-                resilience: None,
-            };
-            let r = pairwise_distances(dev, queries, index, distance, params, &opts)
-                .expect("naive baseline runs");
-            for i in 0..queries.rows() {
-                let _ = top_k_smallest(r.distances.row(i), KNN_K);
-            }
-            r.sim_seconds()
-        };
-
-        // --- RAFT-style hybrid (hash strategy, §4.2) ------------------
-        let opts = PairwiseOptions {
-            strategy: Strategy::HybridCooSpmv,
-            smem_mode: SmemMode::Hash,
-            resilience: None,
-        };
-        let r =
-            pairwise_distances(dev, queries, index, distance, params, &opts).expect("hybrid runs");
-        for i in 0..queries.rows() {
-            let _ = top_k_smallest(r.distances.row(i), KNN_K);
-        }
-        (baseline_sim, r.sim_seconds())
-    });
-    Cell {
-        baseline_sim: timed.value.0,
-        raft_sim: timed.value.1,
-        host_seconds: timed.host_seconds,
-    }
-}
+use semiring::DistanceParams;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = args
-        .windows(2)
-        .find(|w| w[0] == "--scale")
-        .and_then(|w| w[1].parse::<f64>().ok());
+    let scale = bench::parse_scale(&args);
     let seed = bench::parse_u64(&args, "--seed", 1);
     let json_path = bench::parse_path(&args, "--json");
     let mut report = BenchReport::new("table3");
@@ -99,7 +43,8 @@ fn main() {
     let params = DistanceParams { minkowski_p: 3.0 };
 
     println!(
-        "Table 3: baseline vs RAFT-style hybrid (simulated GPU seconds, k-NN k={KNN_K}, 256 queries)"
+        "Table 3: baseline vs RAFT-style hybrid (simulated GPU seconds, k-NN k={KNN_K}, 256 queries,\n\
+         device top-k selection billed in both columns; sel% = RAFT's selection share)"
     );
     for profile in bench_profiles(scale) {
         let index = profile.generate(seed);
@@ -113,47 +58,59 @@ fn main() {
             index.density() * 100.0
         );
         println!(
-            "{:<16} {:>14} {:>14} {:>9}  {:>9}",
-            "Distance", "Baseline(s)", "RAFT(s)", "Speedup", "host(s)"
+            "{:<16} {:>14} {:>14} {:>9} {:>6}  {:>9}",
+            "Distance", "Baseline(s)", "RAFT(s)", "Speedup", "sel%", "host(s)"
         );
-
-        println!("-- Dot Product Based ------------------------------------------------");
-        let mut group_speedups = Vec::new();
-        for d in dot_based_distances() {
-            let c = run_cell(&dev, &queries, &index, d, &params);
-            let speedup = c.baseline_sim / c.raft_sim.max(1e-12);
-            group_speedups.push(speedup);
-            println!(
-                "{:<16} {:>14.6} {:>14.6} {:>8.2}x  {:>9.2}",
-                d.name(),
-                c.baseline_sim,
-                c.raft_sim,
-                speedup,
-                c.host_seconds
-            );
-            report.push(cell_row(profile.name, "dot-product", d.name(), &c, speedup));
+        for (group, title, distances) in [
+            ("dot-product", "Dot Product Based", dot_based_distances()),
+            (
+                "non-trivial",
+                "Non-Trivial Metrics",
+                non_trivial_distances(),
+            ),
+        ] {
+            println!("-- {title} {}", "-".repeat(65 - title.len()));
+            let mut group_speedups = Vec::new();
+            for d in distances {
+                let base = run_knn_cell(&dev, &queries, &index, d, &params, Column::Baseline);
+                let raft = run_knn_cell(&dev, &queries, &index, d, &params, Column::Hybrid);
+                let host = base.host_seconds + raft.host_seconds;
+                let (base, raft) = (base.value, raft.value);
+                let speedup = base.sim_seconds / raft.sim_seconds.max(1e-12);
+                group_speedups.push(speedup);
+                println!(
+                    "{:<16} {:>14.6} {:>14.6} {:>8.2}x {:>5.1}%  {:>9.2}",
+                    d.name(),
+                    base.sim_seconds,
+                    raft.sim_seconds,
+                    speedup,
+                    100.0 * raft.select_sim_seconds / raft.sim_seconds.max(1e-12),
+                    host
+                );
+                report.push(
+                    MetricRow::new()
+                        .label("dataset", profile.name)
+                        .label("group", group)
+                        .label("distance", d.name())
+                        .value("baseline_sim_seconds", base.sim_seconds)
+                        .value("raft_sim_seconds", raft.sim_seconds)
+                        .value("baseline_select_sim_seconds", base.select_sim_seconds)
+                        .value("raft_select_sim_seconds", raft.select_sim_seconds)
+                        .value("speedup", speedup)
+                        .value("host_seconds", host),
+                );
+                for (column, run) in [("baseline", &base), ("raft", &raft)] {
+                    let context = [
+                        ("dataset", profile.name),
+                        ("distance", d.name()),
+                        ("column", column),
+                    ];
+                    report.push_launches(&context, &run.launches);
+                }
+            }
+            let gm = geometric_mean(&group_speedups);
+            println!("{:<16} {:>38} {:>8.2}x", "(geo-mean)", "", gm);
         }
-        let gm = geometric_mean(&group_speedups);
-        println!("{:<16} {:>38} {:>8.2}x", "(geo-mean)", "", gm);
-
-        println!("-- Non-Trivial Metrics ----------------------------------------------");
-        let mut group_speedups = Vec::new();
-        for d in non_trivial_distances() {
-            let c = run_cell(&dev, &queries, &index, d, &params);
-            let speedup = c.baseline_sim / c.raft_sim.max(1e-12);
-            group_speedups.push(speedup);
-            println!(
-                "{:<16} {:>14.6} {:>14.6} {:>8.2}x  {:>9.2}",
-                d.name(),
-                c.baseline_sim,
-                c.raft_sim,
-                speedup,
-                c.host_seconds
-            );
-            report.push(cell_row(profile.name, "non-trivial", d.name(), &c, speedup));
-        }
-        let gm = geometric_mean(&group_speedups);
-        println!("{:<16} {:>38} {:>8.2}x", "(geo-mean)", "", gm);
     }
     println!(
         "\npaper shape targets: RAFT dominates every Non-Trivial cell (4-30x);\n\
@@ -163,22 +120,4 @@ fn main() {
         report.write(&path);
         println!("wrote {path}");
     }
-}
-
-fn cell_row(dataset: &str, group: &str, distance: &str, c: &Cell, speedup: f64) -> MetricRow {
-    MetricRow::new()
-        .label("dataset", dataset)
-        .label("group", group)
-        .label("distance", distance)
-        .value("baseline_sim_seconds", c.baseline_sim)
-        .value("raft_sim_seconds", c.raft_sim)
-        .value("speedup", speedup)
-        .value("host_seconds", c.host_seconds)
-}
-
-fn geometric_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / xs.len() as f64).exp()
 }

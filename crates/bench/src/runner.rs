@@ -23,28 +23,19 @@ impl<R> Timed<R> {
     }
 }
 
-/// One row of a benchmark report.
-#[derive(Debug, Clone)]
-pub struct BenchRow {
-    /// Dataset name.
-    pub dataset: String,
-    /// Distance name.
-    pub distance: String,
-    /// Method label ("Baseline" / "RAFT" / "CPU").
-    pub method: String,
-    /// Simulated GPU seconds (0 for CPU rows).
-    pub sim_seconds: f64,
-    /// Host wall-clock seconds spent producing the result.
-    pub host_seconds: f64,
+/// Parses the `--scale <f>` dataset down-scale flag from argv: `None`
+/// when absent. A value outside (0, 1] — the range
+/// `DatasetProfile::scaled_with` accepts — exits 2 like [`parse_u64`],
+/// so `--scale abc` cannot silently run the default scales and
+/// `--scale 0` cannot panic inside the generator.
+pub fn parse_scale(args: &[String]) -> Option<f64> {
+    parse_flag(args, "--scale", "a number in (0, 1]", scale_value)
 }
 
-/// Parses a `--scale <f>` style flag from argv, returning the default
-/// when absent or malformed.
-pub fn parse_scale(args: &[String], flag: &str, default: f64) -> f64 {
-    args.windows(2)
-        .find(|w| w[0] == flag)
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(default)
+/// `raw` as a scale factor, if it is a number in (0, 1] (NaN and the
+/// infinities fail the range test).
+fn scale_value(raw: &str) -> Option<f64> {
+    raw.parse::<f64>().ok().filter(|s| *s > 0.0 && *s <= 1.0)
 }
 
 /// Parses a `--seed <n>` style unsigned-integer flag from argv.
@@ -54,22 +45,25 @@ pub fn parse_scale(args: &[String], flag: &str, default: f64) -> f64 {
 /// code 2 instead of silently truncating or falling back, so a typo in a
 /// benchmark invocation cannot masquerade as a differently-seeded run.
 pub fn parse_u64(args: &[String], flag: &str, default: u64) -> u64 {
-    match try_parse_u64(args, flag) {
-        Ok(v) => v.unwrap_or(default),
-        Err(raw) => {
-            eprintln!("error: {flag} expects an unsigned integer, got {raw:?}");
-            std::process::exit(2);
-        }
-    }
+    parse_flag(args, flag, "an unsigned integer", |raw| raw.parse().ok()).unwrap_or(default)
 }
 
-/// Non-exiting form of [`parse_u64`]: `Ok(None)` when the flag is
-/// absent, `Err(raw_value)` when present but not a valid `u64`.
-pub fn try_parse_u64(args: &[String], flag: &str) -> Result<Option<u64>, String> {
-    match args.windows(2).find(|w| w[0] == flag) {
-        None => Ok(None),
-        Some(w) => w[1].parse::<u64>().map(Some).map_err(|_| w[1].clone()),
+/// `flag`'s operand as `read` reads it: `None` when the flag is absent.
+/// A present value `read` rejects terminates the process with exit
+/// code 2 and a message naming the flag.
+fn parse_flag<V>(
+    args: &[String],
+    flag: &str,
+    expects: &str,
+    read: impl Fn(&str) -> Option<V>,
+) -> Option<V> {
+    let raw = parse_path(args, flag)?;
+    let value = read(&raw);
+    if value.is_none() {
+        eprintln!("error: {flag} expects {expects}, got {raw:?}");
+        std::process::exit(2);
     }
+    value
 }
 
 /// Parses a `--json <path>` style flag taking a string operand,
@@ -103,23 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn try_parse_u64_rejects_non_integers() {
-        assert_eq!(
-            try_parse_u64(&argv(&["prog", "--seed", "1.7"]), "--seed"),
-            Err("1.7".to_string())
-        );
-        assert_eq!(
-            try_parse_u64(&argv(&["prog", "--seed", "-3"]), "--seed"),
-            Err("-3".to_string())
-        );
-        assert_eq!(try_parse_u64(&argv(&["prog"]), "--seed"), Ok(None));
-        assert_eq!(
-            try_parse_u64(&argv(&["prog", "--seed", "9"]), "--seed"),
-            Ok(Some(9))
-        );
-    }
-
-    #[test]
     fn parse_path_reads_operand() {
         assert_eq!(
             parse_path(&argv(&["prog", "--json", "out.json"]), "--json"),
@@ -129,17 +106,18 @@ mod tests {
     }
 
     #[test]
-    fn parse_scale_reads_flag_or_default() {
-        let args: Vec<String> = ["prog", "--scale", "0.02"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(parse_scale(&args, "--scale", 0.01), 0.02);
-        assert_eq!(parse_scale(&args, "--seed", 7.0), 7.0);
-        let bad: Vec<String> = ["prog", "--scale", "abc"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(parse_scale(&bad, "--scale", 0.01), 0.01);
+    fn parse_scale_reads_flag_or_none() {
+        assert_eq!(parse_scale(&argv(&["prog", "--scale", "0.02"])), Some(0.02));
+        assert_eq!(parse_scale(&argv(&["prog", "--seed", "7"])), None);
+    }
+
+    #[test]
+    fn scale_value_accepts_only_the_unit_interval() {
+        for ok in ["1", "0.5", "1e-3"] {
+            assert!(scale_value(ok).is_some(), "{ok}");
+        }
+        for bad in ["abc", "", "0", "-1", "1.5", "1e300", "nan", "inf", "-inf"] {
+            assert_eq!(scale_value(bad), None, "{bad}");
+        }
     }
 }

@@ -1,10 +1,16 @@
 //! Shared benchmark-suite configuration: which datasets, at which scales,
 //! with which distance groups — one place so every harness binary agrees
-//! with the others and with EXPERIMENTS.md.
+//! with the others and with EXPERIMENTS.md — and [`run_knn_cell`], the
+//! one k-NN runner behind every Table 3, speedup and arch_compare cell.
 
+use crate::runner::Timed;
+use baseline::cusparse::{baseline_supports, csrgemm_pairwise};
 use datasets::DatasetProfile;
-use semiring::Distance;
-use sparse::CsrMatrix;
+use gpu_sim::{Device, LaunchStats};
+use kernels::{top_k_kernel, PairwiseOptions, SmemMode, Strategy};
+use neighbors::NearestNeighbors;
+use semiring::{Distance, DistanceParams};
+use sparse::{CsrMatrix, Real};
 
 /// Query rows per k-NN benchmark (the paper queries the full dataset; we
 /// subsample queries so the simulator finishes in minutes — ratios are
@@ -58,7 +64,7 @@ pub fn bench_profiles(scale: Option<f64>) -> Vec<DatasetProfile> {
 }
 
 /// Slices the first [`QUERY_ROWS`] rows as the query set.
-pub fn query_slab(index: &CsrMatrix<f32>) -> CsrMatrix<f32> {
+pub fn query_slab<T: Real>(index: &CsrMatrix<T>) -> CsrMatrix<T> {
     index.slice_rows(0..QUERY_ROWS.min(index.rows()))
 }
 
@@ -86,6 +92,105 @@ pub fn non_trivial_distances() -> Vec<Distance> {
         Distance::Manhattan,
         Distance::Minkowski,
     ]
+}
+
+/// Geometric mean of `xs` (each clamped to 1e-12), 0 when empty.
+pub fn geometric_mean(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    (xs.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / xs.len() as f64).exp()
+}
+
+/// A column of Table 3.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Column {
+    /// The paper's baseline: cuSPARSE-style `csrgemm()` where it supports
+    /// the distance, the naive full-union CSR kernel (Alg 2) elsewhere.
+    Baseline,
+    /// RAFT (ours): the hybrid CSR+COO kernel with hash-table smem (§4.2).
+    Hybrid,
+}
+
+/// One Table 3 cell's answer and billing, as [`run_knn_cell`] returns it.
+#[derive(Debug, Clone)]
+pub struct KnnCell<T> {
+    /// Per query row, the [`KNN_K`] nearest distances in ascending order.
+    pub distances: Vec<Vec<T>>,
+    /// Simulated seconds, selection included.
+    pub sim_seconds: f64,
+    /// Simulated seconds of the `top_k_select` launches alone.
+    pub select_sim_seconds: f64,
+    /// Every launch, in execution order.
+    pub launches: Vec<LaunchStats>,
+    /// Query tiles, each ending in one `top_k_select`.
+    pub batches: usize,
+}
+
+/// Runs one Table 3 cell: the [`KNN_K`] nearest neighbors of `queries`
+/// in `index` as `column` computes `distance`, selected on the device as
+/// cuML's `NearestNeighbors` does. Hybrid and naive-CSR cells are the
+/// served [`NearestNeighbors::kneighbors`]; a csrgemm cell runs
+/// [`top_k_kernel`] over its uploaded distances, and its multiply, costed
+/// from counters rather than launched, bills `sim_seconds` without a
+/// launch. Panics if a launch fails (the harness devices inject no
+/// faults).
+pub fn run_knn_cell<T: Real>(
+    dev: &Device,
+    queries: &CsrMatrix<T>,
+    index: &CsrMatrix<T>,
+    distance: Distance,
+    params: &DistanceParams,
+    column: Column,
+) -> Timed<KnnCell<T>> {
+    Timed::run(|| {
+        if column == Column::Hybrid || !baseline_supports(distance) {
+            let strategy = match column {
+                Column::Baseline => Strategy::NaiveCsr,
+                Column::Hybrid => Strategy::HybridCooSpmv,
+            };
+            let r = NearestNeighbors::new(dev.clone(), distance)
+                .with_params(*params)
+                .with_options(PairwiseOptions {
+                    strategy,
+                    smem_mode: SmemMode::Hash,
+                    resilience: None,
+                })
+                .fit(index.clone())
+                .kneighbors(queries, KNN_K)
+                .expect("k-NN runs");
+            let select = r.launches.iter().filter(|l| l.name == "top_k_select");
+            return KnnCell {
+                select_sim_seconds: select.map(LaunchStats::sim_seconds).sum(),
+                distances: r.distances,
+                sim_seconds: r.sim_seconds,
+                launches: r.launches,
+                batches: r.batches,
+            };
+        }
+        // csrgemm's distances end on the host: upload them as one tile.
+        let r = csrgemm_pairwise(dev, queries, index, distance, params);
+        let (rows, cols) = (r.distances.rows(), r.distances.cols());
+        let k = KNN_K.min(cols.max(1));
+        let tile = dev.buffer_from_slice(r.distances.as_slice());
+        let (idx, val, select) = top_k_kernel(dev, &tile, rows, cols, k).expect("selection runs");
+        let (idx, val) = (idx.to_vec(), val.to_vec());
+        let distances = (0..rows)
+            .map(|q| {
+                (q * k..(q + 1) * k)
+                    .filter(|&s| idx[s] != u32::MAX)
+                    .map(|s| val[s])
+                    .collect()
+            })
+            .collect();
+        KnnCell {
+            distances,
+            sim_seconds: r.report.sim_seconds + select.sim_seconds(),
+            select_sim_seconds: select.sim_seconds(),
+            launches: vec![select],
+            batches: 1,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -117,6 +222,80 @@ mod tests {
         assert!(ps.iter().all(|p| p.rows < 1000));
         let defaults = bench_profiles(None);
         assert!(defaults[0].rows > ps[0].rows);
+    }
+
+    /// Each side of Table 3 bills exactly its parts, selects once per
+    /// tile on the device, and answers what the CPU brute force answers.
+    #[test]
+    fn knn_cell_bills_its_selection_and_matches_the_cpu() {
+        let dev = Device::volta();
+        let params = DistanceParams { minkowski_p: 3.0 };
+        let cpu = baseline::CpuBruteForce::new(2);
+        for profile in bench_profiles(Some(0.001)) {
+            // f64 end to end, so the comparison tests the pipeline, not
+            // f32 summation order.
+            let index = to_f64(&profile.generate(1));
+            let queries = query_slab(&index);
+            for (distance, column) in [
+                (Distance::Cosine, Column::Baseline),
+                (Distance::Cosine, Column::Hybrid),
+                (Distance::Manhattan, Column::Baseline),
+                (Distance::Manhattan, Column::Hybrid),
+            ] {
+                let at = format!("{} {distance} {column:?}", profile.name);
+                let cell = run_knn_cell(&dev, &queries, &index, distance, &params, column).value;
+                let unlaunched = if column == Column::Baseline && baseline_supports(distance) {
+                    csrgemm_pairwise(&dev, &queries, &index, distance, &params)
+                        .report
+                        .sim_seconds
+                } else {
+                    0.0
+                };
+                let billed: f64 = unlaunched
+                    + cell
+                        .launches
+                        .iter()
+                        .map(LaunchStats::sim_seconds)
+                        .sum::<f64>();
+                assert!(
+                    (billed - cell.sim_seconds).abs() <= 1e-12 * billed,
+                    "{at}: {billed} billed vs {} reported",
+                    cell.sim_seconds
+                );
+                let selects = cell.launches.iter().filter(|l| l.name == "top_k_select");
+                assert_eq!(
+                    selects.count(),
+                    cell.batches,
+                    "{at}: one selection per tile"
+                );
+                assert!(cell.select_sim_seconds > 0.0, "{at}");
+
+                let want = cpu.knn(&queries, &index, KNN_K, distance, &params);
+                assert_eq!(cell.distances.len(), want.len(), "{at}");
+                for (q, (got, want)) in cell.distances.iter().zip(&want).enumerate() {
+                    assert_eq!(got.len(), want.len(), "{at} query {q}");
+                    for (rank, (g, w)) in got.iter().zip(want).enumerate() {
+                        assert!(
+                            (g - w.1).abs() < 1e-6,
+                            "{at} query {q} rank {rank}: {g} vs {}",
+                            w.1
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn to_f64(m: &CsrMatrix<f32>) -> CsrMatrix<f64> {
+        let values = m.values().iter().map(|&v| f64::from(v)).collect();
+        CsrMatrix::from_parts(
+            m.rows(),
+            m.cols(),
+            m.indptr().to_vec(),
+            m.indices().to_vec(),
+            values,
+        )
+        .expect("valid structure is preserved")
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! nearest. Every visited list is then scanned *exactly* — the same
 //! `pairwise_distances_prepared` tiles and the same per-slab top-k the
 //! brute-force path uses — and the per-list candidates are merged
-//! under the canonical [`crate::cmp_dist_idx`] total order.
+//! under the canonical [`sparse::cmp_dist_idx`] total order.
 //!
 //! Two properties follow by construction rather than by tuning:
 //!

@@ -28,8 +28,8 @@ pub struct KnnResult<T> {
     pub batches: usize,
     /// Peak per-batch device memory accounting.
     pub peak_memory: MemoryFootprint,
-    /// Every kernel launch, in execution order (distance tiles,
-    /// selection kernels, norm passes). Carries per-range
+    /// Every kernel launch, in execution order: per tile, its norm and
+    /// distance kernels, then its `top_k_select`. Carries per-range
     /// profiles when the device profiler is enabled.
     pub launches: Vec<LaunchStats>,
     /// One resilience report per distance tile when the estimator runs
@@ -329,6 +329,15 @@ mod tests {
         let select = r.launches.iter().filter(|l| l.name == "top_k_select");
         assert_eq!(select.clone().count(), r.batches, "one selection per tile");
         assert!(select.map(LaunchStats::sim_seconds).sum::<f64>() > 0.0);
+        // Launches are listed in execution order: each tile's selection
+        // runs after the kernels that produce its distances.
+        for tile in r.launches.split_inclusive(|l| l.name == "top_k_select") {
+            assert_eq!(tile.last().map(|l| l.name.as_str()), Some("top_k_select"));
+            assert!(
+                tile.len() > 1,
+                "a selection with no distance launch before it"
+            );
+        }
         let billed: f64 = r.launches.iter().map(LaunchStats::sim_seconds).sum();
         assert!((billed - r.sim_seconds).abs() <= 1e-12 * billed);
     }

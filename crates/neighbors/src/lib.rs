@@ -36,11 +36,9 @@ pub mod ivf;
 pub mod knn;
 pub mod multi;
 pub mod prepared;
-pub mod topk;
 
 pub use graph::{kneighbors_graph, GraphMode};
 pub use ivf::{IvfAnswer, IvfIndex, IvfParams, IvfPrepared, IvfQueryStats};
 pub use knn::{KnnResult, NearestNeighbors};
 pub use multi::MultiDevice;
 pub use prepared::{PreparedShard, PreparedShards};
-pub use topk::{cmp_dist_idx, top_k_smallest};

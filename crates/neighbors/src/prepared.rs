@@ -18,20 +18,19 @@
 //! sees so the dense distance tile fits the estimator's byte budget
 //! (§4.2), runs the distance tile and the device top-k selection, maps
 //! the shard's local rows back to global row ids, and merges every
-//! shard's candidates under the canonical [`crate::topk::cmp_dist_idx`]
+//! shard's candidates under the canonical [`sparse::cmp_dist_idx`]
 //! order. Results from a prepared query are therefore byte-identical to
 //! the one-shot paths on the same pool by construction — the DESIGN §10
 //! determinism contract extended to the serving layer.
 
 use crate::knn::{KnnResult, NearestNeighbors};
 use crate::multi::MultiDevice;
-use crate::topk::cmp_dist_idx;
 use gpu_sim::{Device, LaunchStats};
 use kernels::{
     pairwise_distances_prepared, retry_transient, top_k_kernel, KernelError, MemoryFootprint,
     PreparedIndex, ResiliencePolicy, ResilienceReport,
 };
-use sparse::{CsrMatrix, Idx, Real, RowBatches};
+use sparse::{cmp_dist_idx, CsrMatrix, Idx, Real, RowBatches};
 use std::sync::Arc;
 
 /// One index slab, pinned to a device in the pool.
@@ -224,8 +223,8 @@ impl<'a, T: Real> ShardRunner<'a, T> {
                         }
                     }
                 }
-                self.launches.push(sel_stats);
                 self.launches.extend(tile.launches);
+                self.launches.push(sel_stats);
             }
             self.per_device_seconds[shard.device_slot] += seconds;
         }

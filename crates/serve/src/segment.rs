@@ -22,8 +22,7 @@
 //! answer over the rebuilt matrix bit for bit.
 
 use crate::wal::{WalError, WalOp, WalRecord};
-use neighbors::cmp_dist_idx;
-use sparse::{CsrMatrix, Idx, Real};
+use sparse::{cmp_dist_idx, CsrMatrix, Idx, Real};
 use std::collections::BTreeSet;
 
 /// One fresh (not-yet-compacted) row.

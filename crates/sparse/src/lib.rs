@@ -46,6 +46,7 @@ pub mod io;
 pub mod norms;
 pub mod real;
 pub mod stats;
+pub mod topk;
 
 pub use batch::RowBatches;
 pub use builder::CsrBuilder;
@@ -58,6 +59,7 @@ pub use io::{read_matrix_market, write_matrix_market, MmError};
 pub use norms::{row_norms, NormKind, RowNorms};
 pub use real::Real;
 pub use stats::{degree_cdf, DegreeStats};
+pub use topk::{cmp_dist_idx, top_k_smallest};
 
 /// Column/row index type used by all sparse formats.
 ///

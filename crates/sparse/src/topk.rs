@@ -1,15 +1,15 @@
 //! Top-k selection over a distance row, and the canonical candidate
 //! ordering shared by every merge path.
 
-use sparse::Real;
+use crate::Real;
 use std::cmp::Ordering;
 
 /// The canonical total order on `(index, distance)` candidates: ascending
 /// by distance, NaNs after every finite value, and *all* ties — equal
 /// values and NaN–NaN pairs alike — broken by lower index.
 ///
-/// Every candidate merge in this crate (per-row top-k, slab merges,
-/// multi-device shard merges, the serving layer's micro-batch path) must
+/// Every candidate merge (per-row top-k, slab merges, multi-device shard
+/// merges, the serving layer's micro-batch path, the CPU brute force) must
 /// sort with this comparator: it is a total order, so the k smallest
 /// candidates of a row are a pure function of the row's contents,
 /// independent of how the row was split into batches or shards. That is
