@@ -21,6 +21,7 @@
 
 use bench::report::{BenchReport, MetricRow};
 use bench::suite::query_slab;
+use bench::{Flag, JSON, K, SCALE, SEED};
 use datasets::DatasetProfile;
 use gpu_sim::Device;
 use neighbors::{IvfIndex, IvfParams, KnnResult, NearestNeighbors};
@@ -46,12 +47,14 @@ fn recall_at_k(ivf: &KnnResult<f32>, exact: &KnnResult<f32>) -> f64 {
     total / ivf.indices.len() as f64
 }
 
+const FLAGS: &[Flag] = &[SCALE.default("0.004"), SEED, K, JSON];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed = bench::parse_u64(&args, "--seed", 1);
-    let scale = bench::parse_scale(&args).unwrap_or(0.004);
-    let k = bench::parse_u64(&args, "--k", 10) as usize;
-    let json_path = bench::parse_path(&args, "--json");
+    let args = bench::parse_args(FLAGS);
+    let seed = args.uint("--seed");
+    let scale = args.real("--scale");
+    let k = args.uint("--k") as usize;
+    let json_path = args.text("--json");
     let mut report = BenchReport::new("ann_recall");
 
     println!("IVF recall@{k} vs simulated throughput (exact rerank)");
@@ -151,7 +154,7 @@ fn main() {
          curve is the tier's useful operating range."
     );
     if let Some(path) = json_path {
-        report.write(&path);
+        report.write(path);
         println!("wrote {path}");
     }
 }

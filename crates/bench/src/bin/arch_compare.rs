@@ -7,22 +7,27 @@
 //! Volta architectures and 5K on Ampere". This harness prints those
 //! derived limits from the device models, then runs the same hybrid
 //! k-NN ([`bench::suite::run_knn_cell`], device selection included) on
-//! both simulated devices.
+//! both simulated devices, over the NY Times profile at `--scale`
+//! ([`bench::suite::scaled`]; the default 0.01 keeps a tenth of its
+//! degrees).
 //!
 //! Usage: `cargo run --release -p bench --bin arch_compare \
-//!   [-- --seed 1] [--json out.json]`
+//!   [-- --scale 0.01 --seed 1] [--json out.json]`
 
 use bench::report::{BenchReport, MetricRow};
-use bench::suite::{query_slab, run_knn_cell, Column};
+use bench::suite::{query_slab, run_knn_cell, scaled, Column};
+use bench::{Flag, JSON, SCALE, SEED};
 use datasets::DatasetProfile;
 use gpu_sim::{Device, SmemHashTable};
 use kernels::hybrid::{resolve_config, smem_budget};
 use semiring::{Distance, DistanceParams};
 
+const FLAGS: &[Flag] = &[SCALE.default("0.01"), SEED, JSON];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed = bench::parse_u64(&args, "--seed", 1);
-    let json_path = bench::parse_path(&args, "--json");
+    let args = bench::parse_args(FLAGS);
+    let seed = args.uint("--seed");
+    let json_path = args.text("--json");
     let mut report = BenchReport::new("arch_compare");
     let devices = [Device::volta(), Device::ampere()];
 
@@ -74,7 +79,7 @@ fn main() {
     }
 
     // Same workload on both devices.
-    let profile = DatasetProfile::nytimes_bow().scaled_with(0.01, 0.1);
+    let profile = scaled(&DatasetProfile::nytimes_bow(), args.real("--scale"));
     let index = profile.generate(seed);
     let queries = query_slab(&index);
     let params = DistanceParams::default();
@@ -121,7 +126,7 @@ fn main() {
     }
     println!("* vs V100 total; A100's gain tracks its SM count and bandwidth.");
     if let Some(path) = json_path {
-        report.write(&path);
+        report.write(path);
         println!("wrote {path}");
     }
 }

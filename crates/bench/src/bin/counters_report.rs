@@ -18,6 +18,7 @@
 
 use bench::report::{BenchReport, MetricRow};
 use bench::suite::query_slab;
+use bench::{Flag, JSON, SCALE, SEED};
 use datasets::DatasetProfile;
 use gpu_sim::{Counters, Device};
 use kernels::{pairwise_distances, PairwiseOptions, SmemMode, Strategy};
@@ -31,11 +32,13 @@ fn merged(launches: &[gpu_sim::LaunchStats]) -> Counters {
     c
 }
 
+const FLAGS: &[Flag] = &[SCALE.default("0.004"), SEED, JSON];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed = bench::parse_u64(&args, "--seed", 1);
-    let scale = bench::parse_scale(&args).unwrap_or(0.004);
-    let json_path = bench::parse_path(&args, "--json");
+    let args = bench::parse_args(FLAGS);
+    let seed = args.uint("--seed");
+    let scale = args.real("--scale");
+    let json_path = args.text("--json");
     let mut dev = Device::volta();
     if json_path.is_some() {
         // The JSON document carries per-range rows, so profile every
@@ -115,7 +118,7 @@ fn main() {
          traffic of its in-block sort (§3.2.1)."
     );
     if let Some(path) = json_path {
-        report.write(&path);
+        report.write(path);
         println!("wrote {path}");
     }
 }

@@ -8,13 +8,16 @@
 
 use bench::report::{BenchReport, MetricRow};
 use bench::suite::default_scale;
+use bench::{Flag, JSON, SCALE, SEED};
 use sparse::degree_cdf;
 
+const FLAGS: &[Flag] = &[SCALE, SEED, JSON];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = bench::parse_scale(&args);
-    let seed = bench::parse_u64(&args, "--seed", 1);
-    let json_path = bench::parse_path(&args, "--json");
+    let args = bench::parse_args(FLAGS);
+    let scale = args.opt_real("--scale");
+    let seed = args.uint("--seed");
+    let json_path = args.text("--json");
     let mut report = BenchReport::new("figure1");
 
     println!("Figure 1: degree-distribution CDFs (percentile -> degree)");
@@ -93,7 +96,7 @@ fn main() {
                 );
             }
         }
-        report.write(&path);
+        report.write(path);
         println!("wrote {path}");
     }
 }

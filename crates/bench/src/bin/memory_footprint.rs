@@ -18,15 +18,18 @@
 use baseline::cusparse::csrgemm_pairwise;
 use bench::report::{BenchReport, MetricRow};
 use bench::suite::{default_scale, query_slab};
+use bench::{Flag, JSON, SCALE, SEED};
 use gpu_sim::Device;
 use kernels::{pairwise_distances, PairwiseOptions, SmemMode, Strategy};
 use semiring::{Distance, DistanceParams};
 
+const FLAGS: &[Flag] = &[SCALE, SEED, JSON];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = bench::parse_scale(&args);
-    let seed = bench::parse_u64(&args, "--seed", 1);
-    let json_path = bench::parse_path(&args, "--json");
+    let args = bench::parse_args(FLAGS);
+    let scale = args.opt_real("--scale");
+    let seed = args.uint("--seed");
+    let json_path = args.text("--json");
     let mut report = BenchReport::new("memory_footprint");
     let dev = Device::volta();
     let params = DistanceParams::default();
@@ -143,7 +146,7 @@ fn main() {
          EXPERIMENTS.md."
     );
     if let Some(path) = json_path {
-        report.write(&path);
+        report.write(path);
         println!("wrote {path}");
     }
 }

@@ -14,6 +14,7 @@
 //!   [-- --seed 1 --scale 0.004] [--json out.json]`
 
 use bench::report::{BenchReport, MetricRow};
+use bench::{Flag, JSON, SCALE, SEED};
 use datasets::DatasetProfile;
 use gpu_sim::{Device, FaultPlan};
 use kernels::{pairwise_distances, PairwiseOptions, ResiliencePolicy, SmemMode, Strategy};
@@ -61,11 +62,13 @@ fn scenarios(seed: u64) -> Vec<Scenario> {
     ]
 }
 
+const FLAGS: &[Flag] = &[SCALE.default("0.004"), SEED, JSON];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed = bench::parse_u64(&args, "--seed", 1);
-    let scale = bench::parse_scale(&args).unwrap_or(0.004);
-    let json_path = bench::parse_path(&args, "--json");
+    let args = bench::parse_args(FLAGS);
+    let seed = args.uint("--seed");
+    let scale = args.real("--scale");
+    let json_path = args.text("--json");
     let mut report = BenchReport::new("resilience_report");
 
     let index = DatasetProfile::movielens().scaled(scale).generate(seed);
@@ -147,7 +150,7 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        report.write(&path);
+        report.write(path);
         println!("wrote {path}");
     }
 }

@@ -4,11 +4,13 @@
 //! `bench.v1` document to `experiments_output/BENCH_<name>.json`, which
 //! `xtask check_bench_json` validates in CI.
 //!
-//! Usage: `cargo run --release -p bench --bin run_all [-- --seed 1]`
+//! Usage: `cargo run --release -p bench --bin run_all [-- --scale 0.005 --seed 1]`
 //!
-//! (Each harness is invoked as a subprocess of the same build, so their
-//! `--scale`/`--seed` defaults and flags apply unchanged.)
+//! (Each harness is invoked as a subprocess of the same build. A given
+//! `--scale` or `--seed` is forwarded to every harness; an absent one
+//! leaves each harness at its own default.)
 
+use bench::{Flag, SCALE, SEED};
 use std::fs;
 use std::path::Path;
 use std::process::Command;
@@ -29,7 +31,10 @@ const HARNESSES: [&str; 13] = [
     "serve_ingest",
 ];
 
+const FLAGS: &[Flag] = &[SCALE, SEED];
+
 fn main() {
+    bench::parse_args(FLAGS);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let out_dir = Path::new("experiments_output");
     fs::create_dir_all(out_dir).expect("can create experiments_output/");

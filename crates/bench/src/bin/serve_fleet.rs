@@ -29,6 +29,7 @@
 
 use bench::report::{BenchReport, MetricRow};
 use bench::suite::query_slab;
+use bench::{Flag, JSON, K, SCALE, SEED};
 use datasets::DatasetProfile;
 use gpu_sim::{Device, FaultPlan};
 use kernels::{PairwiseOptions, ResiliencePolicy};
@@ -102,12 +103,14 @@ fn describe(mult: f64, r: &FleetReport<f32>, arrived: usize) -> String {
     )
 }
 
+const FLAGS: &[Flag] = &[SCALE.default("0.004"), SEED, K, JSON];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed = bench::parse_u64(&args, "--seed", 1);
-    let scale = bench::parse_scale(&args).unwrap_or(0.004);
-    let k = bench::parse_u64(&args, "--k", 10) as usize;
-    let json_path = bench::parse_path(&args, "--json");
+    let args = bench::parse_args(FLAGS);
+    let seed = args.uint("--seed");
+    let scale = args.real("--scale");
+    let k = args.uint("--k") as usize;
+    let json_path = args.text("--json");
     let mut report = BenchReport::new("serve_fleet");
 
     let profile = DatasetProfile::movielens();
@@ -276,7 +279,7 @@ fn main() {
          and windows, never bytes."
     );
     if let Some(path) = json_path {
-        report.write(&path);
+        report.write(path);
         println!("wrote {path}");
     }
 }

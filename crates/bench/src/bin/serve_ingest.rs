@@ -27,6 +27,7 @@
 
 use bench::report::{BenchReport, MetricRow};
 use bench::suite::query_slab;
+use bench::{Flag, DEVICES, JSON, K, SCALE, SEED};
 use datasets::DatasetProfile;
 use gpu_sim::Device;
 use neighbors::{MultiDevice, NearestNeighbors};
@@ -153,13 +154,15 @@ fn push_row(
     );
 }
 
+const FLAGS: &[Flag] = &[SCALE.default("0.004"), SEED, K, DEVICES, JSON];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed = bench::parse_u64(&args, "--seed", 1);
-    let scale = bench::parse_scale(&args).unwrap_or(0.004);
-    let k = bench::parse_u64(&args, "--k", 10) as usize;
-    let devices = bench::parse_u64(&args, "--devices", 2) as usize;
-    let json_path = bench::parse_path(&args, "--json");
+    let args = bench::parse_args(FLAGS);
+    let seed = args.uint("--seed");
+    let scale = args.real("--scale");
+    let k = args.uint("--k") as usize;
+    let devices = args.uint("--devices") as usize;
+    let json_path = args.text("--json");
     let mut report = BenchReport::new("serve_ingest");
 
     println!("Streaming ingest (Euclidean, k={k}, {devices} device(s), naive-CSR)");
@@ -289,7 +292,7 @@ fn main() {
          delta is segment engineering, not a quality trade."
     );
     if let Some(path) = json_path {
-        report.write(&path);
+        report.write(path);
         println!("wrote {path}");
     }
 }

@@ -14,6 +14,7 @@
 
 use bench::report::{BenchReport, MetricRow};
 use bench::suite::query_slab;
+use bench::{Flag, JSON, K, SCALE, SEED};
 use datasets::DatasetProfile;
 use gpu_sim::{Counters, Device};
 use neighbors::{MultiDevice, NearestNeighbors};
@@ -27,12 +28,14 @@ fn merged(launches: &[gpu_sim::LaunchStats]) -> Counters {
     c
 }
 
+const FLAGS: &[Flag] = &[SCALE.default("0.004"), SEED, K.default("8"), JSON];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed = bench::parse_u64(&args, "--seed", 1);
-    let scale = bench::parse_scale(&args).unwrap_or(0.004);
-    let k = bench::parse_u64(&args, "--k", 8) as usize;
-    let json_path = bench::parse_path(&args, "--json");
+    let args = bench::parse_args(FLAGS);
+    let seed = args.uint("--seed");
+    let scale = args.real("--scale");
+    let k = args.uint("--k") as usize;
+    let json_path = args.text("--json");
     let mut report = BenchReport::new("shard_scaling");
 
     println!("Sharded k-NN scaling (Euclidean, k={k})");
@@ -90,7 +93,7 @@ fn main() {
          dataset's heavy rows cluster in one slab)."
     );
     if let Some(path) = json_path {
-        report.write(&path);
+        report.write(path);
         println!("wrote {path}");
     }
 }

@@ -7,13 +7,16 @@
 
 use bench::report::{BenchReport, MetricRow};
 use bench::suite::default_scale;
+use bench::{Flag, JSON, SCALE, SEED};
 use sparse::DegreeStats;
 
+const FLAGS: &[Flag] = &[SCALE, SEED, JSON];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = bench::parse_scale(&args);
-    let seed = bench::parse_u64(&args, "--seed", 1);
-    let json_path = bench::parse_path(&args, "--json");
+    let args = bench::parse_args(FLAGS);
+    let scale = args.opt_real("--scale");
+    let seed = args.uint("--seed");
+    let json_path = args.text("--json");
     let mut report = BenchReport::new("table2");
 
     println!("Table 2: Datasets used in experiments (synthetic replicas)");
@@ -71,7 +74,7 @@ fn main() {
          preserved under scaling while min/max degree scale with the factor."
     );
     if let Some(path) = json_path {
-        report.write(&path);
+        report.write(path);
         println!("wrote {path}");
     }
 }

@@ -30,14 +30,17 @@ use bench::suite::{
     bench_profiles, dot_based_distances, geometric_mean, non_trivial_distances, query_slab,
     run_knn_cell, Column, KNN_K,
 };
+use bench::{Flag, JSON, SCALE, SEED};
 use gpu_sim::Device;
 use semiring::DistanceParams;
 
+const FLAGS: &[Flag] = &[SCALE, SEED, JSON];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = bench::parse_scale(&args);
-    let seed = bench::parse_u64(&args, "--seed", 1);
-    let json_path = bench::parse_path(&args, "--json");
+    let args = bench::parse_args(FLAGS);
+    let scale = args.opt_real("--scale");
+    let seed = args.uint("--seed");
+    let json_path = args.text("--json");
     let mut report = BenchReport::new("table3");
     let dev = Device::volta();
     let params = DistanceParams { minkowski_p: 3.0 };
@@ -117,7 +120,7 @@ fn main() {
          the Dot Product group is competitive (RAFT wins 2 of 4 datasets)."
     );
     if let Some(path) = json_path {
-        report.write(&path);
+        report.write(path);
         println!("wrote {path}");
     }
 }

@@ -25,5 +25,6 @@ pub use report::{validate_report, BenchReport, Json, MetricRow};
 // Re-exported so sibling tooling (xtask's schema gates and diag.v1
 // writer) reaches every schema's reader through this crate.
 pub use gpu_sim::{json_escape, validate_chrome_trace};
-pub use runner::{parse_path, parse_scale, parse_u64, Timed};
+pub use runner::{parse_args, Timed, DEVICES, JSON, K, SCALE, SEED};
+pub use sparse_dist::cli::Flag;
 pub use sparse_dist::{validate_metrics, MetricsSnapshot};

@@ -1,5 +1,6 @@
 //! Small helpers shared by the harness binaries.
 
+use sparse_dist::cli::{Args, Flag, MAX_DEVICES};
 use std::time::Instant;
 
 /// Wall-clock measurement of a closure.
@@ -23,53 +24,36 @@ impl<R> Timed<R> {
     }
 }
 
-/// Parses the `--scale <f>` dataset down-scale flag from argv: `None`
-/// when absent. A value outside (0, 1] — the range
-/// `DatasetProfile::scaled_with` accepts — exits 2 like [`parse_u64`],
-/// so `--scale abc` cannot silently run the default scales and
-/// `--scale 0` cannot panic inside the generator.
-pub fn parse_scale(args: &[String]) -> Option<f64> {
-    parse_flag(args, "--scale", "a number in (0, 1]", scale_value)
-}
+/// `--seed <n>`: the dataset generator's seed.
+pub const SEED: Flag = Flag::uint("--seed", 0, u64::MAX).default("1");
 
-/// `raw` as a scale factor, if it is a number in (0, 1] (NaN and the
-/// infinities fail the range test).
-fn scale_value(raw: &str) -> Option<f64> {
-    raw.parse::<f64>().ok().filter(|s| *s > 0.0 && *s <= 1.0)
-}
+/// `--json <path>`: where to write the harness's `bench.v1` document.
+pub const JSON: Flag = Flag::text("--json");
 
-/// Parses a `--seed <n>` style unsigned-integer flag from argv.
-///
-/// Returns the default when the flag is absent. A present-but-malformed
-/// value (`--seed 1.7`, `--seed abc`) terminates the process with exit
-/// code 2 instead of silently truncating or falling back, so a typo in a
-/// benchmark invocation cannot masquerade as a differently-seeded run.
-pub fn parse_u64(args: &[String], flag: &str, default: u64) -> u64 {
-    parse_flag(args, flag, "an unsigned integer", |raw| raw.parse().ok()).unwrap_or(default)
-}
+/// `--k <n>`: neighbors per query.
+pub const K: Flag = Flag::uint("--k", 0, u64::MAX).default("10");
 
-/// `flag`'s operand as `read` reads it: `None` when the flag is absent.
-/// A present value `read` rejects terminates the process with exit
-/// code 2 and a message naming the flag.
-fn parse_flag<V>(
-    args: &[String],
-    flag: &str,
-    expects: &str,
-    read: impl Fn(&str) -> Option<V>,
-) -> Option<V> {
-    let raw = parse_path(args, flag)?;
-    let value = read(&raw);
-    if value.is_none() {
-        eprintln!("error: {flag} expects {expects}, got {raw:?}");
+/// `--devices <n>`: simulated devices to shard or serve across (0 reads
+/// as 1), at most [`MAX_DEVICES`] like `spdist`'s.
+pub const DEVICES: Flag = Flag::uint("--devices", 0, MAX_DEVICES).default("2");
+
+/// `--scale <f>`: the dataset down-scale factor, in (0, 1] — the range
+/// `DatasetProfile::scaled_with` accepts. A harness adds its default
+/// with [`Flag::default`]; without one, each dataset keeps its own
+/// default scales ([`crate::suite::bench_profiles`]).
+pub const SCALE: Flag = Flag::positive("--scale", 1.0);
+
+/// Parses the process's arguments against the harness's flag `table`.
+/// A command line that breaks it — an unknown flag, a missing or
+/// malformed value, a repeated flag — exits 2 with a message naming the
+/// flag, so a typo cannot run a different experiment than the one
+/// asked for.
+pub fn parse_args(table: &'static [Flag]) -> Args {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    Args::parse(table, &argv).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
         std::process::exit(2);
-    }
-    value
-}
-
-/// Parses a `--json <path>` style flag taking a string operand,
-/// returning `None` when absent.
-pub fn parse_path(args: &[String], flag: &str) -> Option<String> {
-    args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
+    })
 }
 
 #[cfg(test)]
@@ -84,40 +68,5 @@ mod tests {
         });
         assert_eq!(t.value, 42);
         assert!(t.host_seconds >= 0.009);
-    }
-
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn parse_u64_reads_flag_or_default() {
-        assert_eq!(parse_u64(&argv(&["prog", "--seed", "42"]), "--seed", 7), 42);
-        assert_eq!(parse_u64(&argv(&["prog"]), "--seed", 7), 7);
-    }
-
-    #[test]
-    fn parse_path_reads_operand() {
-        assert_eq!(
-            parse_path(&argv(&["prog", "--json", "out.json"]), "--json"),
-            Some("out.json".to_string())
-        );
-        assert_eq!(parse_path(&argv(&["prog"]), "--json"), None);
-    }
-
-    #[test]
-    fn parse_scale_reads_flag_or_none() {
-        assert_eq!(parse_scale(&argv(&["prog", "--scale", "0.02"])), Some(0.02));
-        assert_eq!(parse_scale(&argv(&["prog", "--seed", "7"])), None);
-    }
-
-    #[test]
-    fn scale_value_accepts_only_the_unit_interval() {
-        for ok in ["1", "0.5", "1e-3"] {
-            assert!(scale_value(ok).is_some(), "{ok}");
-        }
-        for bad in ["abc", "", "0", "-1", "1.5", "1e300", "nan", "inf", "-inf"] {
-            assert_eq!(scale_value(bad), None, "{bad}");
-        }
     }
 }

@@ -50,17 +50,22 @@ pub fn default_degree_scale(name: &str) -> f64 {
     }
 }
 
-/// The benchmark datasets. With an explicit `scale`, dimensions shrink by
-/// `scale` and degrees by `sqrt(scale)`; otherwise the per-dataset
-/// defaults apply.
+/// The benchmark datasets. With an explicit `scale`, each is
+/// [`scaled`]; otherwise the per-dataset defaults apply.
 pub fn bench_profiles(scale: Option<f64>) -> Vec<DatasetProfile> {
     datasets::all_profiles()
         .into_iter()
         .map(|p| match scale {
-            Some(s) => p.scaled_with(s, s.sqrt().min(1.0)),
+            Some(s) => scaled(&p, s),
             None => p.scaled_with(default_scale(p.name), default_degree_scale(p.name)),
         })
         .collect()
+}
+
+/// `profile` at an explicit `--scale`: dimensions shrink by `scale`
+/// and degrees by `sqrt(scale)`.
+pub fn scaled(profile: &DatasetProfile, scale: f64) -> DatasetProfile {
+    profile.scaled_with(scale, scale.sqrt().min(1.0))
 }
 
 /// Slices the first [`QUERY_ROWS`] rows as the query set.

@@ -82,15 +82,27 @@
 //! values `ivf`/`exact` select the tier;
 //! any other `--index` value remains the index-matrix path.
 //!
-//! Unknown flags, misspelled flags, and flags missing their value are
-//! config errors (exit 2) — never silently ignored.
+//! Each command checks its command line against one flag table
+//! (`spdist/flags.rs`, parsed by [`sparse_dist::cli`]) before it runs.
+//! Unknown, misspelled, repeated and valueless flags, values outside a
+//! flag's domain (malformed, out of range, not finite, not a listed
+//! choice), and flags given without a flag they require are config
+//! errors (exit 2) — never silently ignored. The requirements:
+//!
+//! - `knn`/`serve`: `--nlist` and `--nprobe` require `--index` (and a
+//!   value other than `ivf` is still refused);
+//! - `serve`: `--admit-burst` requires `--admit-qps`, `--duration-ms`
+//!   requires `--workload`, `--seed` requires `--workload` or
+//!   `--chaos`, `--window-ms` and `--chaos` require `--fleet`, and
+//!   `--compact-threshold` and `--manifest` require `--ingest`;
+//! - `profile`: `--seed` requires `--replica`.
 //!
 //! Common flags: `--metric <name>` (any Table 1 distance plus
 //! `braycurtis`; see `Distance::from_name`), `--p <f>` (Minkowski
 //! degree), `--strategy hybrid|naive|esc`, `--smem auto|dense|hash|bloom`,
 //! `--device volta|ampere`, `--host-threads <m>` (execute each
-//! launch's blocks on `m` host threads; results are bit-identical to
-//! serial, and `GPU_SIM_HOST_THREADS` overrides the flag),
+//! launch's blocks on `m` ≤ 64 host threads; results are bit-identical
+//! to serial, and `GPU_SIM_HOST_THREADS` overrides the flag),
 //! `--devices <n>` (knn only: shard index slabs round-robin across `n`
 //! ≤ 1024 simulated devices, merging per-slab top-k), `--profile[=trace.json]` (knn/pairwise:
 //! enable the per-range profiler, print a hot-spot report per launch,
@@ -107,8 +119,12 @@
 //! unwritable files exit 3, and kernel/launch failures (including an
 //! exhausted fallback cascade) exit 4.
 
+#[path = "spdist/flags.rs"]
+mod flags;
+
 use semiring::{Distance, DistanceParams};
 use sparse::{read_matrix_market, write_matrix_market, CsrMatrix, DegreeStats};
+use sparse_dist::cli::Args;
 use sparse_dist::{
     chaos_drill, chrome_trace, fingerprint_with_generation, kneighbors_graph, replay_rows,
     request_chrome_trace, AdmissionConfig, ChaosPlan, Device, FaultPlan, Fleet, FleetConfig,
@@ -155,6 +171,12 @@ impl CliError {
     }
 }
 
+impl From<sparse_dist::cli::Error> for CliError {
+    fn from(e: sparse_dist::cli::Error) -> Self {
+        Self::config(e.to_string())
+    }
+}
+
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -162,240 +184,6 @@ impl std::fmt::Display for CliError {
             Self::Input(m) => write!(f, "input error: {m}"),
             Self::Launch(m) => write!(f, "launch error: {m}"),
         }
-    }
-}
-
-/// Per-command flag grammar: which `--flag <value>` and bare `--switch`
-/// names a command accepts, and whether it takes the profiler's
-/// `--profile[=trace.json]` form.
-struct FlagSpec {
-    values: &'static [&'static str],
-    switches: &'static [&'static str],
-    /// Flags taking an *optional* `=value` (`--metrics` or
-    /// `--metrics=out.json`), like the profiler's `--profile` form.
-    optionals: &'static [&'static str],
-    profiler: bool,
-}
-
-/// Value flags shared by every kernel-running command (`knn`,
-/// `pairwise`, `serve`).
-const COMMON_VALUES: &[&str] = &[
-    "--metric",
-    "--p",
-    "--strategy",
-    "--smem",
-    "--device",
-    "--host-threads",
-    "--retries",
-];
-const COMMON_SWITCHES: &[&str] = &["--resilience", "--no-fallback"];
-
-impl FlagSpec {
-    fn for_command(cmd: &str) -> Option<Self> {
-        let (values, switches, optionals, profiler): (&[&str], &[&str], &[&str], bool) = match cmd {
-            "knn" => (
-                &[
-                    "--input",
-                    "--index",
-                    "--k",
-                    "--devices",
-                    "--output",
-                    "--graph",
-                    "--nlist",
-                    "--nprobe",
-                ],
-                &[],
-                &[],
-                true,
-            ),
-            "pairwise" => (&["--input", "--index", "--output"], &[], &[], true),
-            "serve" => (
-                &[
-                    "--input",
-                    "--index",
-                    "--nlist",
-                    "--nprobe",
-                    "--queries",
-                    "--k",
-                    "--devices",
-                    "--max-batch",
-                    "--max-wait-us",
-                    "--max-queue",
-                    "--arrival-gap-us",
-                    "--cache-budget-mb",
-                    "--slo-p99-us",
-                    "--admit-qps",
-                    "--admit-burst",
-                    "--degrade-watermark",
-                    "--shed-watermark",
-                    "--workload",
-                    "--duration-ms",
-                    "--seed",
-                    "--fleet",
-                    "--window-ms",
-                    "--ingest",
-                    "--compact-threshold",
-                    "--manifest",
-                    "--output",
-                ],
-                &["--per-query-prepare", "--chaos"],
-                &["--metrics", "--trace-requests"],
-                false,
-            ),
-            "wal" => (
-                &[
-                    "--input",
-                    "--base-rows",
-                    "--delete-every",
-                    "--prefix",
-                    "--output",
-                    "--base",
-                    "--rebuilt",
-                ],
-                &[],
-                &[],
-                false,
-            ),
-            "info" => (&["--input"], &[], &[], false),
-            "gen" => (
-                &["--profile", "--scale", "--seed", "--output"],
-                &[],
-                &[],
-                false,
-            ),
-            "profile" => (&["--input", "--replica", "--seed"], &[], &[], false),
-            _ => return None,
-        };
-        Some(Self {
-            values,
-            switches,
-            optionals,
-            profiler,
-        })
-    }
-}
-
-/// Parsed command line: every flag validated against the command's
-/// [`FlagSpec`] up front, so a typo is a config error (exit 2) instead
-/// of a silently applied default.
-struct Args {
-    values: Vec<(String, String)>,
-    switches: Vec<String>,
-    optionals: Vec<(String, Option<String>)>,
-    profile: Option<Option<String>>,
-}
-
-impl Args {
-    fn parse(cmd: &str, argv: &[String]) -> Result<Self, CliError> {
-        let spec = FlagSpec::for_command(cmd)
-            .ok_or_else(|| CliError::config(format!("unknown command {cmd}")))?;
-        let kernel_cmd = matches!(cmd, "knn" | "pairwise" | "serve");
-        let accepts_value = |name: &str| {
-            spec.values.contains(&name) || (kernel_cmd && COMMON_VALUES.contains(&name))
-        };
-        let accepts_switch = |name: &str| {
-            spec.switches.contains(&name) || (kernel_cmd && COMMON_SWITCHES.contains(&name))
-        };
-        let mut args = Self {
-            values: Vec::new(),
-            switches: Vec::new(),
-            optionals: Vec::new(),
-            profile: None,
-        };
-        let mut i = 0;
-        while i < argv.len() {
-            let tok = &argv[i];
-            if spec.profiler && tok == "--profile" {
-                args.profile = Some(None);
-                i += 1;
-                continue;
-            }
-            if let Some(path) = tok.strip_prefix("--profile=") {
-                if spec.profiler {
-                    args.profile = Some(Some(path.to_string()));
-                    i += 1;
-                    continue;
-                }
-                return Err(CliError::config(format!(
-                    "unknown flag --profile= for {cmd}"
-                )));
-            }
-            if let Some(name) = spec
-                .optionals
-                .iter()
-                .find(|n| tok == **n || tok.strip_prefix(**n).is_some_and(|r| r.starts_with('=')))
-            {
-                let value = tok.strip_prefix(*name).and_then(|r| r.strip_prefix('='));
-                if value == Some("") {
-                    return Err(CliError::config(format!(
-                        "empty path in {name}= (use bare {name} or {name}=<file>)"
-                    )));
-                }
-                args.optionals
-                    .push((name.to_string(), value.map(str::to_string)));
-                i += 1;
-                continue;
-            }
-            if !tok.starts_with("--") {
-                return Err(CliError::config(format!(
-                    "unexpected argument {tok} (flags start with --)"
-                )));
-            }
-            if accepts_value(tok) {
-                match argv.get(i + 1) {
-                    Some(_) if args.flag(tok).is_some() => {
-                        return Err(CliError::config(format!("{tok} given more than once")));
-                    }
-                    Some(v) if !v.starts_with("--") => {
-                        args.values.push((tok.clone(), v.clone()));
-                        i += 2;
-                    }
-                    _ => return Err(CliError::config(format!("missing value for {tok}"))),
-                }
-                continue;
-            }
-            if accepts_switch(tok) {
-                args.switches.push(tok.clone());
-                i += 1;
-                continue;
-            }
-            return Err(CliError::config(format!(
-                "unknown flag {tok} for {cmd} (run with no arguments for usage)"
-            )));
-        }
-        Ok(args)
-    }
-
-    fn flag(&self, name: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn switch(&self, name: &str) -> bool {
-        self.switches.iter().any(|a| a == name)
-    }
-
-    fn required(&self, name: &str) -> Result<&str, CliError> {
-        self.flag(name)
-            .ok_or_else(|| CliError::config(format!("missing {name} <value>")))
-    }
-
-    /// `--profile` / `--profile=trace.json`: `None` = profiler off,
-    /// `Some(None)` = report only, `Some(Some(path))` = report + trace.
-    fn profile(&self) -> Option<Option<String>> {
-        self.profile.clone()
-    }
-
-    /// An optional-value flag (`--metrics[=path]` shape): `None` = flag
-    /// absent, `Some(None)` = bare form, `Some(Some(path))` = with a
-    /// destination path.
-    fn optional(&self, name: &str) -> Option<Option<&str>> {
-        self.optionals
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_deref())
     }
 }
 
@@ -450,16 +238,25 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     };
-    let result = Args::parse(&cmd, &argv[1..]).and_then(|args| match cmd.as_str() {
-        "knn" => cmd_knn(&args),
-        "pairwise" => cmd_pairwise(&args),
-        "serve" => cmd_serve(&args),
-        "wal" => cmd_wal(&args),
-        "info" => cmd_info(&args),
-        "gen" => cmd_gen(&args),
-        "profile" => cmd_profile(&args),
-        other => Err(CliError::config(format!("unknown command {other}"))),
-    });
+    let Some((_, table)) = flags::COMMANDS.iter().find(|(name, _)| *name == cmd) else {
+        eprintln!(
+            "spdist: {}",
+            CliError::config(format!("unknown command {cmd}"))
+        );
+        return ExitCode::from(2);
+    };
+    let result = Args::parse(table, &argv[1..])
+        .map_err(CliError::from)
+        .and_then(|args| match cmd.as_str() {
+            "knn" => cmd_knn(&args),
+            "pairwise" => cmd_pairwise(&args),
+            "serve" => cmd_serve(&args),
+            "wal" => cmd_wal(&args),
+            "info" => cmd_info(&args),
+            "gen" => cmd_gen(&args),
+            "profile" => cmd_profile(&args),
+            other => Err(CliError::config(format!("unknown command {other}"))),
+        });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -476,60 +273,49 @@ fn load(path: &str) -> Result<CsrMatrix<f32>, CliError> {
 
 /// Parsed resilience flags: the policy for the kernels plus whether the
 /// report should be rendered.
-fn parse_resilience(args: &Args) -> Result<(Option<ResiliencePolicy>, bool), CliError> {
-    let show = args.switch("--resilience");
-    let retries = args
-        .flag("--retries")
-        .map(|r| {
-            r.parse::<u32>()
-                .map_err(|_| CliError::config(format!("bad --retries {r}")))
-        })
-        .transpose()?;
-    let no_fallback = args.switch("--no-fallback");
+fn parse_resilience(args: &Args) -> (Option<ResiliencePolicy>, bool) {
+    let show = args.given("--resilience");
+    let retries = args.opt_uint("--retries");
+    let no_fallback = args.given("--no-fallback");
     if !show && retries.is_none() && !no_fallback {
-        return Ok((None, false));
+        return (None, false);
     }
     let mut policy = match retries {
-        Some(r) => ResiliencePolicy::with_retries(r),
+        // The flag table bounds the budget to `u32`.
+        Some(r) => ResiliencePolicy::with_retries(r as u32),
         None => ResiliencePolicy::default(),
     };
     if no_fallback {
         policy = policy.without_fallback();
     }
-    Ok((Some(policy), show))
+    (Some(policy), show)
 }
 
 fn parse_common(
     args: &Args,
 ) -> Result<(Distance, DistanceParams, PairwiseOptions, Device, bool), CliError> {
-    let metric = args.flag("--metric").unwrap_or("euclidean");
+    let metric = args.required("--metric")?;
     let distance = Distance::from_name(metric)
         .ok_or_else(|| CliError::config(format!("unknown metric {metric}")))?;
-    let minkowski_p: f64 = parse_num(args, "--p", "2")?;
-    if !(minkowski_p.is_finite() && minkowski_p > 0.0) {
-        return Err(CliError::config(format!(
-            "bad --p {} (must be finite and > 0)",
-            args.flag("--p").unwrap_or("2")
-        )));
-    }
-    let params = DistanceParams { minkowski_p };
-    let strategy = match args.flag("--strategy").unwrap_or("hybrid") {
-        "hybrid" => Strategy::HybridCooSpmv,
-        "naive" => Strategy::NaiveCsr,
-        "esc" => Strategy::ExpandSortContract,
-        other => return Err(CliError::config(format!("unknown strategy {other}"))),
+    let params = DistanceParams {
+        minkowski_p: args.real("--p"),
     };
-    let smem_mode = match args.flag("--smem").unwrap_or("auto") {
-        "auto" => SmemMode::Auto,
-        "dense" => SmemMode::Dense,
-        "hash" => SmemMode::Hash,
-        "bloom" => SmemMode::Bloom,
-        other => return Err(CliError::config(format!("unknown smem mode {other}"))),
+    // The flag table admits only the listed words; each match's last
+    // arm is the table default.
+    let strategy = match args.text("--strategy") {
+        Some("naive") => Strategy::NaiveCsr,
+        Some("esc") => Strategy::ExpandSortContract,
+        _ => Strategy::HybridCooSpmv,
     };
-    let device = match args.flag("--device").unwrap_or("volta") {
-        "volta" | "v100" => Device::volta(),
-        "ampere" | "a100" => Device::ampere(),
-        other => return Err(CliError::config(format!("unknown device {other}"))),
+    let smem_mode = match args.text("--smem") {
+        Some("dense") => SmemMode::Dense,
+        Some("hash") => SmemMode::Hash,
+        Some("bloom") => SmemMode::Bloom,
+        _ => SmemMode::Auto,
+    };
+    let device = match args.text("--device") {
+        Some("ampere" | "a100") => Device::ampere(),
+        _ => Device::volta(),
     };
     // Same CI hook the fault-matrix tests honor: run every launch under
     // the requested sanitizer mode (the chaos-smoke job sets `fail`).
@@ -538,21 +324,16 @@ fn parse_common(
         Ok("warn") => device.with_sanitizer(sparse_dist::SanitizerMode::Warn),
         _ => device,
     };
-    let device = if args.profile().is_some() {
+    let device = if args.optional("--profile").is_some() {
         device.with_profiler(true)
     } else {
         device
     };
-    let device = match args.flag("--host-threads") {
-        Some(m) => {
-            let m: usize = m
-                .parse()
-                .map_err(|_| CliError::config(format!("bad --host-threads {m}")))?;
-            device.with_host_threads(m.max(1))
-        }
+    let device = match args.opt_uint("--host-threads") {
+        Some(m) => device.with_host_threads(m as usize),
         None => device,
     };
-    let (resilience, show_resilience) = parse_resilience(args)?;
+    let (resilience, show_resilience) = parse_resilience(args);
     Ok((
         distance,
         params,
@@ -579,17 +360,9 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
             )))
         }
     };
-    let scale: f64 = args
-        .flag("--scale")
-        .unwrap_or("0.01")
-        .parse()
-        .map_err(|_| CliError::config("bad --scale"))?;
-    let seed: u64 = args
-        .flag("--seed")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| CliError::config("bad --seed"))?;
-    let m = profile.scaled(scale).generate(seed);
+    let m = profile
+        .scaled(args.real("--scale"))
+        .generate(args.uint("--seed"));
     let out = args.required("--output")?;
     let f = File::create(out).map_err(|e| CliError::input(format!("cannot create {out}: {e}")))?;
     write_matrix_market(&m, BufWriter::new(f))
@@ -624,13 +397,8 @@ fn cmd_profile(args: &Args) -> Result<(), CliError> {
         p.degree.mu, p.degree.sigma, p.degree.min, p.degree.max, p.degree.p_empty
     ));
     out(format!("  col skew:  {:.2}", p.col_skew));
-    if let Some(out) = args.flag("--replica") {
-        let seed: u64 = args
-            .flag("--seed")
-            .unwrap_or("2")
-            .parse()
-            .map_err(|_| CliError::config("bad --seed"))?;
-        let replica = p.generate(seed);
+    if let Some(out) = args.text("--replica") {
+        let replica = p.generate(args.uint("--seed"));
         let f =
             File::create(out).map_err(|e| CliError::input(format!("cannot create {out}: {e}")))?;
         write_matrix_market(&replica, BufWriter::new(f))
@@ -668,18 +436,14 @@ fn cmd_knn(args: &Args) -> Result<(), CliError> {
     // `--index` doubles as the candidate-tier selector: the literal
     // values `ivf` / `exact` pick a tier over the self-index, anything
     // else is the historical index-matrix path.
-    let (ivf_mode, index) = match args.flag("--index") {
+    let (ivf_mode, index) = match args.text("--index") {
         Some("ivf") => (true, query.clone()),
         Some("exact") | None => (false, query.clone()),
         Some(p) => (false, load(p)?),
     };
-    let (nlist, nprobe) = parse_ivf_knobs(args, ivf_mode)?;
-    let k: usize = args
-        .flag("--k")
-        .unwrap_or("10")
-        .parse()
-        .map_err(|_| CliError::config("bad --k"))?;
-    let devices = parse_devices(args)?;
+    let (nlist, nprobe) = ivf_knobs(args, ivf_mode)?;
+    let k = args.uint("--k") as usize;
+    let devices = devices(args);
     let nn = NearestNeighbors::new(device.clone(), distance)
         .with_params(params)
         .with_options(options)
@@ -733,20 +497,20 @@ fn cmd_knn(args: &Args) -> Result<(), CliError> {
     if show_resilience {
         emit_resilience(&result.resilience);
     }
-    if let Some(trace) = args.profile() {
-        emit_profiles(&result.launches, trace.as_deref())?;
+    if let Some(trace) = args.optional("--profile") {
+        emit_profiles(&result.launches, trace)?;
     }
 
-    match args.flag("--graph") {
+    match args.text("--graph") {
         Some(mode) => {
-            let gm = match mode {
-                "connectivity" => GraphMode::Connectivity,
-                "distance" => GraphMode::Distance,
-                other => return Err(CliError::config(format!("unknown graph mode {other}"))),
+            let gm = if mode == "distance" {
+                GraphMode::Distance
+            } else {
+                GraphMode::Connectivity
             };
             let g = kneighbors_graph(&result, index.rows(), gm)
                 .map_err(|e| CliError::launch(format!("graph build failed: {e}")))?;
-            let out = args.flag("--output").unwrap_or("knn_graph.mtx");
+            let out = args.text("--output").unwrap_or("knn_graph.mtx");
             let f = File::create(out)
                 .map_err(|e| CliError::input(format!("cannot create {out}: {e}")))?;
             write_matrix_market(&g, BufWriter::new(f))
@@ -754,14 +518,7 @@ fn cmd_knn(args: &Args) -> Result<(), CliError> {
             eprintln!("spdist: wrote {} edges to {out}", g.nnz());
         }
         None => {
-            let mut sink: Box<dyn Write> = match args.flag("--output") {
-                Some(p) => {
-                    Box::new(BufWriter::new(File::create(p).map_err(|e| {
-                        CliError::input(format!("cannot create {p}: {e}"))
-                    })?))
-                }
-                None => Box::new(std::io::stdout().lock()),
-            };
+            let mut sink = output(args)?;
             for (q, (idx, dist)) in result.indices.iter().zip(&result.distances).enumerate() {
                 let cols: Vec<String> = idx
                     .iter()
@@ -776,65 +533,33 @@ fn cmd_knn(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn parse_num<T: std::str::FromStr>(args: &Args, name: &str, default: &str) -> Result<T, CliError> {
-    args.flag(name)
-        .unwrap_or(default)
-        .parse()
-        .map_err(|_| CliError::config(format!("bad {name} {}", args.flag(name).unwrap_or(default))))
-}
-
-/// Parses a duration flag in microseconds: finite and non-negative
-/// (`-0` reads as 0).
-fn parse_micros(args: &Args, name: &str, default: &str) -> Result<f64, CliError> {
-    let us: f64 = parse_num(args, name, default)?;
-    if !(us.is_finite() && us >= 0.0) {
-        let raw = args.flag(name).unwrap_or(default);
-        return Err(CliError::config(format!(
-            "bad {name} {raw} (must be finite and >= 0)"
-        )));
-    }
-    Ok(us.abs())
-}
-
-/// Most simulated devices (or fleet replicas) one command may build.
-const MAX_DEVICES: usize = 1024;
-
-/// Parses `--devices` (0 reads as 1), at most [`MAX_DEVICES`].
-fn parse_devices(args: &Args) -> Result<usize, CliError> {
-    let n: usize = parse_num(args, "--devices", "1")?;
-    if n > MAX_DEVICES {
-        return Err(CliError::config(format!(
-            "bad --devices {n} (at most {MAX_DEVICES})"
-        )));
-    }
-    Ok(n.max(1))
+/// `--devices` (0 reads as 1; the flag table caps it at
+/// [`sparse_dist::cli::MAX_DEVICES`]).
+fn devices(args: &Args) -> usize {
+    (args.uint("--devices") as usize).max(1)
 }
 
 /// Most requests a generated `--workload` stream may hold: the
 /// generator materialises every arrival before serving starts.
 const MAX_WORKLOAD_REQUESTS: f64 = 1e6;
 
-/// Parses `--nlist`/`--nprobe` for the IVF tier. `nlist` defaults to 0
-/// (auto: `ceil(sqrt(index rows))`), `nprobe` to the [`IvfParams`]
-/// default. Both flags are config errors unless the IVF tier is
-/// selected — misreading an approximate-index knob as a no-op would
-/// silently change answers.
-fn parse_ivf_knobs(args: &Args, ivf: bool) -> Result<(usize, usize), CliError> {
+/// `--nlist`/`--nprobe` for the IVF tier. `nlist` 0 means auto
+/// (`ceil(sqrt(index rows))`); `nprobe` defaults to the [`IvfParams`]
+/// default. The flag table makes both require `--index`; any `--index`
+/// but `ivf` is still a config error here — misreading an
+/// approximate-index knob as a no-op would silently change answers.
+fn ivf_knobs(args: &Args, ivf: bool) -> Result<(usize, usize), CliError> {
     if !ivf {
         for knob in ["--nlist", "--nprobe"] {
-            if args.flag(knob).is_some() {
+            if args.given(knob) {
                 return Err(CliError::config(format!("{knob} requires --index ivf")));
             }
         }
-        return Ok((0, 0));
     }
-    let nlist: usize = parse_num(args, "--nlist", "0")?;
-    let default_nprobe = IvfParams::default().nprobe.to_string();
-    let nprobe: usize = parse_num(args, "--nprobe", &default_nprobe)?;
-    if nprobe == 0 {
-        return Err(CliError::config("bad --nprobe 0 (must probe at least 1)"));
-    }
-    Ok((nlist, nprobe))
+    let nprobe = args
+        .opt_uint("--nprobe")
+        .map_or(IvfParams::default().nprobe, |n| n as usize);
+    Ok((args.uint("--nlist") as usize, nprobe))
 }
 
 /// Auto `nlist` (the IVF sweet spot `ceil(sqrt(n))`) when the flag was
@@ -848,40 +573,17 @@ fn resolve_nlist(nlist: usize, index_rows: usize) -> usize {
     n.clamp(1, index_rows.max(1))
 }
 
-/// Parses the serve admission flags into an [`AdmissionConfig`], or
-/// `None` when none are present (admit everything, queue cliff only).
-fn parse_admission(args: &Args) -> Result<Option<AdmissionConfig>, CliError> {
-    let mut admission = None;
-    if let Some(r) = args.flag("--admit-qps") {
-        let rate: f64 = r
-            .parse()
-            .map_err(|_| CliError::config(format!("bad --admit-qps {r}")))?;
-        if !(rate > 0.0 && rate.is_finite()) {
-            return Err(CliError::config(format!("bad --admit-qps {r}")));
-        }
-        let burst: f64 = parse_num(args, "--admit-burst", "8")?;
-        if !(burst >= 1.0 && burst.is_finite()) {
-            return Err(CliError::config(format!("bad --admit-burst {burst}")));
-        }
-        admission = Some(AdmissionConfig::default().with_rate(rate, burst));
-    }
-    let degrade = args
-        .flag("--degrade-watermark")
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|_| CliError::config(format!("bad --degrade-watermark {v}")))
-        })
-        .transpose()?;
-    let shed = args
-        .flag("--shed-watermark")
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|_| CliError::config(format!("bad --shed-watermark {v}")))
-        })
-        .transpose()?;
+/// The serve admission flags as an [`AdmissionConfig`], or `None` when
+/// none are present (admit everything, queue cliff only).
+fn admission(args: &Args) -> Result<Option<AdmissionConfig>, CliError> {
+    let mut admission = args
+        .opt_real("--admit-qps")
+        .map(|rate| AdmissionConfig::default().with_rate(rate, args.real("--admit-burst")));
+    let degrade = args.opt_uint("--degrade-watermark");
+    let shed = args.opt_uint("--shed-watermark");
     if degrade.is_some() || shed.is_some() {
-        let degrade = degrade.unwrap_or(usize::MAX);
-        let shed = shed.unwrap_or(usize::MAX);
+        let degrade = degrade.map_or(usize::MAX, |d| d as usize);
+        let shed = shed.map_or(usize::MAX, |s| s as usize);
         if degrade > shed {
             return Err(CliError::config(format!(
                 "--degrade-watermark {degrade} must not exceed --shed-watermark {shed}"
@@ -892,6 +594,18 @@ fn parse_admission(args: &Args) -> Result<Option<AdmissionConfig>, CliError> {
     Ok(admission)
 }
 
+/// Where `--output` sends results: the named file, or stdout.
+fn output(args: &Args) -> Result<Box<dyn Write>, CliError> {
+    Ok(match args.text("--output") {
+        Some(p) => {
+            Box::new(BufWriter::new(File::create(p).map_err(|e| {
+                CliError::input(format!("cannot create {p}: {e}"))
+            })?))
+        }
+        None => Box::new(std::io::stdout().lock()),
+    })
+}
+
 /// Writes served `id\tindex:distance...` rows to `--output` or stdout,
 /// sorted by request id — shared by the engine and fleet serve paths.
 fn write_responses<T: sparse::Real>(
@@ -900,14 +614,7 @@ fn write_responses<T: sparse::Real>(
 ) -> Result<(), CliError> {
     let mut responses: Vec<_> = responses.iter().collect();
     responses.sort_by_key(|r| r.id);
-    let mut sink: Box<dyn Write> = match args.flag("--output") {
-        Some(p) => {
-            Box::new(BufWriter::new(File::create(p).map_err(|e| {
-                CliError::input(format!("cannot create {p}: {e}"))
-            })?))
-        }
-        None => Box::new(std::io::stdout().lock()),
-    };
+    let mut sink = output(args)?;
     for r in responses {
         let cols: Vec<String> = r
             .indices
@@ -928,24 +635,15 @@ fn serve_requests<T: sparse::Real>(
     args: &Args,
     queries: &CsrMatrix<T>,
 ) -> Result<Vec<sparse_dist::Request<T>>, CliError> {
-    match args.flag("--workload") {
-        Some(q) => {
-            let qps: f64 = q
-                .parse()
-                .map_err(|_| CliError::config(format!("bad --workload {q}")))?;
-            if !(qps > 0.0 && qps.is_finite()) {
-                return Err(CliError::config(format!("bad --workload {q}")));
-            }
-            let duration_ms: f64 = parse_num(args, "--duration-ms", "5")?;
-            if !(duration_ms > 0.0 && duration_ms.is_finite()) {
-                return Err(CliError::config(format!("bad --duration-ms {duration_ms}")));
-            }
-            let seed: u64 = parse_num(args, "--seed", "1")?;
+    match args.opt_real("--workload") {
+        Some(qps) => {
+            let duration_ms = args.real("--duration-ms");
+            let seed = args.uint("--seed");
             let duration_s = duration_ms * 1e-3;
             let swell = 0.3;
             if qps * (1.0 + swell) * duration_s > MAX_WORKLOAD_REQUESTS {
                 return Err(CliError::config(format!(
-                    "--workload {q} over --duration-ms {duration_ms} asks for more than \
+                    "--workload {qps} over --duration-ms {duration_ms} asks for more than \
                      {MAX_WORKLOAD_REQUESTS} requests"
                 )));
             }
@@ -954,10 +652,7 @@ fn serve_requests<T: sparse::Real>(
                 .with_diurnal(swell, duration_s / 2.0);
             Ok(workload.generate(std::slice::from_ref(queries)))
         }
-        None => {
-            let gap_us = parse_micros(args, "--arrival-gap-us", "50")?;
-            Ok(replay_rows(queries, gap_us * 1e-6))
-        }
+        None => Ok(replay_rows(queries, args.real("--arrival-gap-us") * 1e-6)),
     }
 }
 
@@ -967,37 +662,24 @@ fn serve_requests<T: sparse::Real>(
 /// byte-compared, and any divergence is a launch error (exit 4).
 fn cmd_serve_fleet<T: sparse::Real>(
     args: &Args,
-    spec: &str,
+    (min, max): (u64, u64),
     device: &Device,
     nn: NearestNeighbors<T>,
     config: ServeConfig,
     slo: Option<SloBudget>,
     requests: &[sparse_dist::Request<T>],
 ) -> Result<(), CliError> {
-    let (min, max) = spec
-        .split_once(':')
-        .and_then(|(a, b)| Some((a.parse::<usize>().ok()?, b.parse::<usize>().ok()?)))
-        .filter(|&(min, max)| min >= 1 && min <= max && max <= MAX_DEVICES)
-        .ok_or_else(|| {
-            CliError::config(format!(
-                "bad --fleet {spec} (expected min:max with 1 <= min <= max <= {MAX_DEVICES})"
-            ))
-        })?;
-    let window_ms: f64 = parse_num(args, "--window-ms", "1")?;
-    if !(window_ms > 0.0 && window_ms.is_finite()) {
-        return Err(CliError::config(format!("bad --window-ms {window_ms}")));
-    }
     let fleet_config = FleetConfig {
-        min_replicas: min,
-        max_replicas: max,
-        window_s: window_ms * 1e-3,
+        min_replicas: min as usize,
+        max_replicas: max as usize,
+        window_s: args.real("--window-ms") * 1e-3,
         serve: config,
         ..FleetConfig::default()
     };
     let slos: Vec<(usize, SloBudget)> = slo.map(|budget| (0, budget)).into_iter().collect();
 
-    if args.switch("--chaos") {
-        let seed: u64 = parse_num(args, "--seed", "1")?;
+    if args.given("--chaos") {
+        let seed = args.uint("--seed");
         let span_s = requests.iter().map(|r| r.arrival_s).fold(0.0, f64::max);
         let chaos = ChaosPlan {
             start_s: span_s * 0.25,
@@ -1139,41 +821,28 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let (distance, params, mut options, device, show_resilience) = parse_common(args)?;
     let index = load(args.required("--input")?)?;
     let queries = load(args.required("--queries")?)?;
-    let k: usize = parse_num(args, "--k", "10")?;
-    let devices = parse_devices(args)?;
-    let max_batch: usize = parse_num(args, "--max-batch", "8")?;
-    let max_wait_us = parse_micros(args, "--max-wait-us", "200")?;
-    let max_queue: usize = parse_num(args, "--max-queue", "1024")?;
+    let devices = devices(args);
 
-    if args.switch("--chaos") && options.resilience.is_none() {
+    if args.given("--chaos") && options.resilience.is_none() {
         // The chaos drill injects transient launch faults mid-run; only
         // a retry budget lets it measure degradation and recovery
         // instead of dying on the first fault.
         options.resilience = Some(ResiliencePolicy::with_retries(8));
         eprintln!("spdist: --chaos implies --resilience (retry budget 8)");
     }
-    let ivf_mode = match args.flag("--index") {
-        Some("ivf") => true,
-        Some("exact") | None => false,
-        Some(other) => {
-            return Err(CliError::config(format!(
-                "bad --index {other} (serve accepts exact or ivf; \
-                 the index matrix is --input)"
-            )))
-        }
-    };
-    let (nlist, nprobe) = parse_ivf_knobs(args, ivf_mode)?;
+    let ivf_mode = args.text("--index") == Some("ivf");
+    let (nlist, nprobe) = ivf_knobs(args, ivf_mode)?;
     let nn = NearestNeighbors::new(device.clone(), distance)
         .with_params(params)
         .with_options(options)
         .fit(index.clone());
     let config = ServeConfig {
-        k,
-        max_batch: max_batch.max(1),
-        max_wait_s: max_wait_us * 1e-6,
-        max_queue: max_queue.max(1),
-        per_query_prepare: args.switch("--per-query-prepare"),
-        admission: parse_admission(args)?,
+        k: args.uint("--k") as usize,
+        max_batch: (args.uint("--max-batch") as usize).max(1),
+        max_wait_s: args.real("--max-wait-us") * 1e-6,
+        max_queue: (args.uint("--max-queue") as usize).max(1),
+        per_query_prepare: args.given("--per-query-prepare"),
+        admission: admission(args)?,
         index: if ivf_mode {
             IndexMode::Ivf { nlist, nprobe }
         } else {
@@ -1182,18 +851,12 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     };
     let requests = serve_requests(args, &queries)?;
     let slo = args
-        .flag("--slo-p99-us")
-        .map(|us| {
-            us.parse::<f64>()
-                .ok()
-                .filter(|us| *us > 0.0 && us.is_finite())
-                .map(|us| SloBudget::p99(us * 1e-6))
-                .ok_or_else(|| CliError::config(format!("bad --slo-p99-us {us}")))
-        })
-        .transpose()?;
+        .opt_real("--slo-p99-us")
+        .map(|us| SloBudget::p99(us * 1e-6));
 
-    if args.flag("--ingest").is_some() {
-        if args.flag("--fleet").is_some() || args.switch("--chaos") {
+    if args.given("--ingest") {
+        // `--chaos` requires `--fleet`, so this refuses both.
+        if args.given("--fleet") {
             return Err(CliError::config(
                 "--ingest serves a single mutable engine (drop --fleet/--chaos)",
             ));
@@ -1203,37 +866,22 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 "--ingest serves the exact tier (drop --index ivf)",
             ));
         }
-    } else {
-        for knob in ["--compact-threshold", "--manifest"] {
-            if args.flag(knob).is_some() {
-                return Err(CliError::config(format!("{knob} requires --ingest")));
-            }
-        }
     }
 
-    if let Some(spec) = args.flag("--fleet") {
-        return cmd_serve_fleet(args, spec, &device, nn, config, slo, &requests);
-    }
-    if args.switch("--chaos") {
-        return Err(CliError::config(
-            "--chaos requires --fleet min:max (the drill runs through the fleet)",
-        ));
+    if let Some(range) = args.uint_range("--fleet") {
+        return cmd_serve_fleet(args, range, &device, nn, config, slo, &requests);
     }
 
     let multi = MultiDevice::replicate(&device, devices);
     let mut engine = ServeEngine::new(multi, config);
-    if let Some(mb) = args.flag("--cache-budget-mb") {
-        let bytes = mb
-            .parse::<usize>()
-            .ok()
-            .and_then(|mb| mb.checked_mul(1024 * 1024))
-            .ok_or_else(|| CliError::config(format!("bad --cache-budget-mb {mb}")))?;
-        engine = engine.with_cache_budget(bytes);
+    if let Some(mb) = args.opt_uint("--cache-budget-mb") {
+        // The flag table bounds `mb` so the product fits a `usize`.
+        engine = engine.with_cache_budget(mb as usize * 1024 * 1024);
     }
     if let Some(budget) = slo {
         engine.set_slo(0, budget);
     }
-    let report = match args.flag("--ingest") {
+    let report = match args.text("--ingest") {
         Some(wal_path) => serve_ingest_replay(args, wal_path, &mut engine, &nn, &index, &requests)?,
         None => engine
             .replay(std::slice::from_ref(&nn), &requests)
@@ -1335,7 +983,7 @@ fn serve_ingest_replay(
             index.cols()
         )));
     }
-    let threshold: usize = parse_num(args, "--compact-threshold", "0")?;
+    let threshold = args.uint("--compact-threshold") as usize;
     let mut ds = MutableDataset::new(index.clone());
     let writes: Vec<TimedRecord<f32>> = wal
         .records()
@@ -1367,7 +1015,7 @@ fn serve_ingest_replay(
     for (seq, err) in &report.wal_errors {
         eprintln!("spdist: ingest rejected record {seq}: {err}");
     }
-    if let Some(path) = args.flag("--manifest") {
+    if let Some(path) = args.text("--manifest") {
         let manifest = Manifest {
             generation: ds.generation(),
             base_rows: ds.base().rows(),
@@ -1396,15 +1044,16 @@ fn cmd_wal(args: &Args) -> Result<(), CliError> {
     if m.rows() == 0 {
         return Err(CliError::input("--input matrix has no rows"));
     }
-    let default_base = (m.rows() / 2).max(1).to_string();
-    let base_rows: usize = parse_num(args, "--base-rows", &default_base)?;
-    if base_rows == 0 || base_rows > m.rows() {
+    let base_rows = args
+        .opt_uint("--base-rows")
+        .map_or((m.rows() / 2).max(1), |n| n as usize);
+    if base_rows > m.rows() {
         return Err(CliError::config(format!(
             "bad --base-rows {base_rows} (need 1..={} for this matrix)",
             m.rows()
         )));
     }
-    let delete_every: usize = parse_num(args, "--delete-every", "4")?;
+    let delete_every = args.uint("--delete-every") as usize;
     let base = m.slice_rows(0..base_rows);
     let mut wal: Wal<f32> = Wal::new(m.cols());
     let mut live: Vec<u64> = (0..base_rows as u64).collect();
@@ -1418,16 +1067,14 @@ fn cmd_wal(args: &Args) -> Result<(), CliError> {
         // Deletes never consume logical ids: insert i is id base_rows + i.
         live.push((base_rows + i) as u64);
     }
-    if let Some(p) = args.flag("--prefix") {
-        let n: usize = p
-            .parse()
-            .map_err(|_| CliError::config(format!("bad --prefix {p}")))?;
-        if n > wal.len() {
+    if let Some(n) = args.opt_uint("--prefix") {
+        if n > wal.len() as u64 {
             return Err(CliError::config(format!(
                 "bad --prefix {n} (the log has {} record(s))",
                 wal.len()
             )));
         }
+        let n = n as usize;
         wal.truncate(n);
     }
     let out_path = args.required("--output")?;
@@ -1448,13 +1095,13 @@ fn cmd_wal(args: &Args) -> Result<(), CliError> {
         base_rows,
         ds.live_rows(),
     );
-    if let Some(path) = args.flag("--base") {
+    if let Some(path) = args.text("--base") {
         let f = File::create(path)
             .map_err(|e| CliError::input(format!("cannot create {path}: {e}")))?;
         write_matrix_market(&base, BufWriter::new(f))
             .map_err(|e| CliError::input(format!("write failed: {e}")))?;
     }
-    if let Some(path) = args.flag("--rebuilt") {
+    if let Some(path) = args.text("--rebuilt") {
         let f = File::create(path)
             .map_err(|e| CliError::input(format!("cannot create {path}: {e}")))?;
         write_matrix_market(&ds.rebuild(), BufWriter::new(f))
@@ -1466,7 +1113,7 @@ fn cmd_wal(args: &Args) -> Result<(), CliError> {
 fn cmd_pairwise(args: &Args) -> Result<(), CliError> {
     let (distance, params, options, device, show_resilience) = parse_common(args)?;
     let a = load(args.required("--input")?)?;
-    let b = match args.flag("--index") {
+    let b = match args.text("--index") {
         Some(p) => load(p)?,
         None => a.clone(),
     };
@@ -1484,21 +1131,14 @@ fn cmd_pairwise(args: &Args) -> Result<(), CliError> {
             emit_resilience(std::slice::from_ref(report));
         }
     }
-    if let Some(trace) = args.profile() {
-        emit_profiles(&r.launches, trace.as_deref())?;
+    if let Some(trace) = args.optional("--profile") {
+        emit_profiles(&r.launches, trace)?;
     }
     // Dense output as mtx (store all cells, including zeros, as explicit
     // entries would be wasteful — convert through CSR, dropping exact
     // zeros, which for distances means self-pairs and exact ties only).
     let csr = CsrMatrix::from_dense(a.rows(), b.rows(), r.distances.as_slice());
-    let mut sink: Box<dyn Write> = match args.flag("--output") {
-        Some(p) => {
-            Box::new(BufWriter::new(File::create(p).map_err(|e| {
-                CliError::input(format!("cannot create {p}: {e}"))
-            })?))
-        }
-        None => Box::new(std::io::stdout().lock()),
-    };
+    let mut sink = output(args)?;
     write_matrix_market(&csr, &mut sink)
         .map_err(|e| CliError::input(format!("write failed: {e}")))?;
     Ok(())

@@ -31,11 +31,12 @@
 #![deny(missing_docs)]
 
 pub mod api;
+pub mod cli;
 pub mod validate;
 
 pub use gpu_sim::{
     chrome_trace, chrome_trace_envelope, CheckerKind, Device, DeviceSpec, FaultPlan, LaunchProfile,
-    LaunchStats, SanitizerMode, SanitizerReport, SimError,
+    LaunchStats, SanitizerMode, SanitizerReport, SimError, MAX_HOST_THREADS,
 };
 pub use kernels::{
     FallbackCascade, KernelError, MemoryFootprint, PairwiseOptions, PairwiseResult,

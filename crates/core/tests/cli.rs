@@ -5,6 +5,10 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use proptest::prelude::*;
+use sparse_dist::cli::{Flag, Kind};
+
+#[path = "../src/bin/spdist/flags.rs"]
+mod flags;
 
 fn spdist() -> Command {
     Command::new(env!("CARGO_BIN_EXE_spdist"))
@@ -270,33 +274,6 @@ fn unknown_and_malformed_flags_exit_with_config_code() {
     let _ = std::fs::remove_file(&data);
 }
 
-/// Every numeric `serve` flag, with the flags it needs beside it to be
-/// read at all. `--compact-threshold` also gets the `--ingest` files.
-const SERVE_NUMERIC_FLAGS: &[(&str, &[&str])] = &[
-    ("--k", &[]),
-    ("--devices", &[]),
-    ("--max-batch", &[]),
-    ("--max-wait-us", &[]),
-    ("--max-queue", &[]),
-    ("--arrival-gap-us", &[]),
-    ("--cache-budget-mb", &[]),
-    ("--slo-p99-us", &[]),
-    ("--admit-qps", &[]),
-    ("--admit-burst", &["--admit-qps", "1000"]),
-    ("--degrade-watermark", &[]),
-    ("--shed-watermark", &[]),
-    ("--workload", &[]),
-    ("--duration-ms", &["--workload", "1000"]),
-    ("--seed", &["--workload", "1000"]),
-    ("--window-ms", &["--fleet", "1:2"]),
-    ("--nlist", &["--index", "ivf"]),
-    ("--nprobe", &["--index", "ivf"]),
-    ("--compact-threshold", &[]),
-    ("--p", &["--metric", "minkowski"]),
-    ("--host-threads", &[]),
-    ("--retries", &[]),
-];
-
 /// Numerals that parse to NaN, infinities, signed zero, values past
 /// `f64::MAX` or `u64::MAX`, or nothing at all.
 const GARBAGE_NUMERALS: &[&str] = &[
@@ -332,41 +309,168 @@ fn garbage_numeral() -> impl Strategy<Value = String> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// Every numeric flag of every command, read from the flag tables.
+fn numeric_flags() -> Vec<(&'static str, &'static Flag)> {
+    flags::COMMANDS
+        .iter()
+        .flat_map(|&(cmd, table)| {
+            table
+                .iter()
+                .filter(|f| {
+                    matches!(
+                        f.kind,
+                        Kind::Uint(..) | Kind::UintRange(..) | Kind::Real(..)
+                    )
+                })
+                .map(move |f| (cmd, f))
+        })
+        .collect()
+}
 
-    /// No garbage numeral makes `spdist serve` panic (exit 101): each is
-    /// served or refused with a typed exit code.
+/// `spdist <cmd>` with the operands it needs to run on the fixture.
+fn command(cmd: &str, files: &GarbageFixture) -> Command {
+    let mut c = spdist();
+    c.arg(cmd);
+    match cmd {
+        "gen" => c
+            .args(["--profile", "movielens", "--output"])
+            .arg(&files.out),
+        "serve" => c
+            .arg("--input")
+            .arg(&files.data)
+            .arg("--queries")
+            .arg(&files.data),
+        "wal" => c
+            .arg("--input")
+            .arg(&files.data)
+            .arg("--output")
+            .arg(&files.out),
+        _ => c.arg("--input").arg(&files.data),
+    };
+    c
+}
+
+/// An in-domain value for `flag` that lets the command run on the
+/// fixture, or `None` for a switch.
+fn valid_value(flag: &Flag, files: &GarbageFixture) -> Option<std::ffi::OsString> {
+    let value = match flag.kind {
+        Kind::Switch | Kind::OptionalPath => return None,
+        Kind::OneOf(choices) => choices[choices.len() - 1].to_string(),
+        Kind::Uint(min, _) => min.to_string(),
+        Kind::UintRange(min, max) => format!("{min}:{}", max.min(min + 1)),
+        Kind::Real(min, max, _) => (min + 1000.0).min(max).to_string(),
+        Kind::Text => match flag.name {
+            "--index" => "ivf".to_string(),
+            "--ingest" => return Some(files.wal.clone().into()),
+            "--replica" | "--manifest" => return Some(files.out.clone().into()),
+            other => panic!("no fixture value for {other}"),
+        },
+    };
+    Some(value.into())
+}
+
+/// The first flag `flag` requires, as arguments with a valid value.
+fn requirement(cmd: &str, flag: &Flag, files: &GarbageFixture) -> Vec<std::ffi::OsString> {
+    let Some(name) = flag.requires.first() else {
+        return Vec::new();
+    };
+    let table = flags::COMMANDS.iter().find(|(c, _)| *c == cmd).unwrap().1;
+    let row = table.iter().find(|f| f.name == *name).unwrap();
+    std::iter::once((*name).into())
+        .chain(valid_value(row, files))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// No garbage numeral in any numeric flag of any command makes
+    /// `spdist` panic (exit 101): each is run or refused with a typed
+    /// exit code. The flags come from the commands' flag tables, each
+    /// given with the flag it requires.
     #[test]
-    fn serve_numeric_flags_never_panic_on_garbage(
-        flag in 0..SERVE_NUMERIC_FLAGS.len(),
+    fn numeric_flags_never_panic_on_garbage(
+        flag in 0..numeric_flags().len(),
         value in garbage_numeral(),
     ) {
         let files = garbage_fixture();
-        let (name, context) = SERVE_NUMERIC_FLAGS[flag];
-        let mut cmd = spdist();
-        cmd.args(["serve", name, &value]).args(context);
-        if name == "--compact-threshold" {
-            cmd.arg("--input").arg(&files.base).arg("--ingest").arg(&files.wal);
-        } else {
-            cmd.arg("--input").arg(&files.data);
-        }
-        let out = cmd.arg("--queries").arg(&files.data).output().expect("runs");
+        let (cmd, flag) = numeric_flags()[flag];
+        let out = command(cmd, files)
+            .arg(flag.name)
+            .arg(&value)
+            .args(requirement(cmd, flag, files))
+            .output()
+            .expect("runs");
         let code = out.status.code();
         prop_assert!(
             matches!(code, Some(0 | 2 | 3 | 4)),
-            "{name} {value:?} exited {code:?}: {}",
+            "{cmd} {} {value:?} exited {code:?}: {}",
+            flag.name,
             String::from_utf8_lossy(&out.stderr)
         );
     }
 }
 
-/// A 4 × 3 index, its first two rows as a base and a `wal.v1` log of
-/// the rest, written once per test process.
+/// A flag given without any flag it requires is a config error (exit
+/// 2) naming both, for every such row of every command's table —
+/// never a value silently left unread.
+#[test]
+fn flags_without_their_required_flag_exit_with_config_code() {
+    let files = garbage_fixture();
+    let mut checked = 0;
+    for &(cmd, table) in flags::COMMANDS {
+        for flag in table.iter().filter(|f| !f.requires.is_empty()) {
+            let out = command(cmd, files)
+                .arg(flag.name)
+                .args(valid_value(flag, files))
+                .output()
+                .expect("runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{cmd} {}: {stderr}", flag.name);
+            assert!(
+                stderr.contains(&format!("config error: {} requires", flag.name)),
+                "{cmd} {}: {stderr}",
+                flag.name
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 10, "only {checked} rows carry a requirement");
+}
+
+/// Values that used to panic or go unread are config errors (exit 2).
+#[test]
+fn out_of_domain_and_unread_values_exit_with_config_code() {
+    let files = garbage_fixture();
+    let max_threads = (sparse_dist::MAX_HOST_THREADS + 1).to_string();
+    let cases: &[(&str, &[&str])] = &[
+        // `DatasetProfile::scaled` used to panic on these.
+        ("gen", &["--scale", "0"]),
+        ("gen", &["--scale", "nan"]),
+        // Read only beside the flag they require, so once ignored.
+        ("serve", &["--admit-burst", "abc"]),
+        ("serve", &["--window-ms", "abc"]),
+        ("serve", &["--duration-ms", "abc"]),
+        ("serve", &["--seed", "abc"]),
+        ("profile", &["--seed", "abc"]),
+        // The block pool never spawns past its bound.
+        ("knn", &["--host-threads", &max_threads]),
+        ("serve", &["--fleet", "1:2000"]),
+    ];
+    for (cmd, args) in cases {
+        let out = command(cmd, files).args(*args).output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd} {args:?}: {stderr}");
+        assert!(stderr.contains("config error:"), "{cmd} {args:?}: {stderr}");
+    }
+}
+
+/// A 4 × 3 index and a `wal.v1` log of its last two rows, written once
+/// per test process, plus a path commands may write to.
 struct GarbageFixture {
     data: PathBuf,
-    base: PathBuf,
     wal: PathBuf,
+    out: PathBuf,
 }
 
 fn garbage_fixture() -> &'static GarbageFixture {
@@ -374,8 +478,8 @@ fn garbage_fixture() -> &'static GarbageFixture {
     FIXTURE.get_or_init(|| {
         let files = GarbageFixture {
             data: tmp("garbage-data.mtx"),
-            base: tmp("garbage-base.mtx"),
             wal: tmp("garbage-wal.tsv"),
+            out: tmp("garbage-out"),
         };
         std::fs::write(
             &files.data,
@@ -388,8 +492,6 @@ fn garbage_fixture() -> &'static GarbageFixture {
             .arg(&files.data)
             .arg("--output")
             .arg(&files.wal)
-            .arg("--base")
-            .arg(&files.base)
             .output()
             .expect("runs");
         assert!(

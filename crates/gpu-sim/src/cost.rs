@@ -44,21 +44,11 @@ pub fn estimate(
     estimate_with_blocks(spec, blocks, occupancy, counters, 0)
 }
 
-/// Estimates the simulated execution time of a launch.
-///
-/// `max_block_issues` is the effective issue count of the heaviest block
-/// (0 = unknown). The compute term is the classic makespan lower bound
-/// `max(total work / machine slots, heaviest single job)`: a grid whose
-/// blocks are wildly imbalanced — a partitioned high-degree row next to
-/// thousands of near-empty rows — is bounded by its straggler, the
-/// load-balancing concern §3.3 is designed around.
-pub fn estimate_with_blocks(
-    spec: &DeviceSpec,
-    blocks: usize,
-    occupancy: &Occupancy,
-    counters: &Counters,
-    max_block_issues: u64,
-) -> CostBreakdown {
+/// How a launch's blocks occupy the machine: `(active SMs, machine-wide
+/// issue rate, per-block service rate a straggler is limited to)`.
+/// [`estimate_with_blocks`] and [`per_block_issue_budget`] both read
+/// this one formula.
+fn dispatch(spec: &DeviceSpec, blocks: usize, occupancy: &Occupancy) -> (usize, f64, f64) {
     // How many SMs actually have work (tail effect for tiny grids).
     let active_sms = if occupancy.blocks_per_sm == 0 {
         1
@@ -78,6 +68,25 @@ pub fn estimate_with_blocks(
     // blocks gives the per-block service rate a straggler is limited to.
     let per_block_rate =
         issue_rate / (active_sms as f64 * occupancy.blocks_per_sm.max(1) as f64).max(1.0);
+    (active_sms, issue_rate, per_block_rate)
+}
+
+/// Estimates the simulated execution time of a launch.
+///
+/// `max_block_issues` is the effective issue count of the heaviest block
+/// (0 = unknown). The compute term is the classic makespan lower bound
+/// `max(total work / machine slots, heaviest single job)`: a grid whose
+/// blocks are wildly imbalanced — a partitioned high-degree row next to
+/// thousands of near-empty rows — is bounded by its straggler, the
+/// load-balancing concern §3.3 is designed around.
+pub fn estimate_with_blocks(
+    spec: &DeviceSpec,
+    blocks: usize,
+    occupancy: &Occupancy,
+    counters: &Counters,
+    max_block_issues: u64,
+) -> CostBreakdown {
+    let (active_sms, issue_rate, per_block_rate) = dispatch(spec, blocks, occupancy);
     let balanced = counters.effective_issues() as f64 / issue_rate;
     let straggler = max_block_issues as f64 / per_block_rate.max(1.0);
     let compute_seconds = balanced.max(straggler);
@@ -116,19 +125,7 @@ pub fn per_block_issue_budget(
     occupancy: &Occupancy,
     seconds: f64,
 ) -> u64 {
-    let active_sms = if occupancy.blocks_per_sm == 0 {
-        1
-    } else {
-        spec.sm_count
-            .min(blocks.div_ceil(occupancy.blocks_per_sm).max(1))
-    }
-    .min(spec.sm_count)
-    .max(1);
-    let hiding = (occupancy.fraction / LATENCY_HIDING_KNEE).clamp(1.0 / 64.0, 1.0);
-    let issue_rate =
-        active_sms as f64 * spec.issue_slots_per_sm as f64 * hiding * spec.clock_ghz * 1e9;
-    let per_block_rate =
-        issue_rate / (active_sms as f64 * occupancy.blocks_per_sm.max(1) as f64).max(1.0);
+    let (_, _, per_block_rate) = dispatch(spec, blocks, occupancy);
     (seconds.max(0.0) * per_block_rate).ceil().max(1.0) as u64
 }
 

@@ -15,8 +15,15 @@ use crate::shared::{SharedArray, SharedMem};
 use crate::spec::{DeviceSpec, Occupancy};
 use crate::warp::{AtomicDefer, L2Tracker, WarpCtx, WARP_SIZE};
 
+/// Most host worker threads one launch may run its blocks on. Both
+/// [`Device::with_host_threads`] and `GPU_SIM_HOST_THREADS` clamp to
+/// it, because the pool spawns `min(host threads, blocks)` scoped
+/// threads for every multi-block launch.
+pub const MAX_HOST_THREADS: usize = 64;
+
 /// `GPU_SIM_HOST_THREADS` overrides the builder-configured host thread
-/// count process-wide (read once; `1` forces in-order execution).
+/// count process-wide (read once; `1` forces in-order execution;
+/// clamped to [`MAX_HOST_THREADS`]).
 fn env_host_threads() -> Option<usize> {
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
     *ENV.get_or_init(|| {
@@ -24,6 +31,7 @@ fn env_host_threads() -> Option<usize> {
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n >= 1)
+            .map(|n| n.min(MAX_HOST_THREADS))
     })
 }
 
@@ -348,9 +356,9 @@ impl Device {
     /// faults and every byte of output are identical. The environment
     /// variable `GPU_SIM_HOST_THREADS` overrides this setting
     /// process-wide — `GPU_SIM_HOST_THREADS=1` forces in-order
-    /// execution.
+    /// execution. Both clamp to `1..=`[`MAX_HOST_THREADS`].
     pub fn with_host_threads(mut self, threads: usize) -> Self {
-        self.host_threads = Some(threads.max(1));
+        self.host_threads = Some(threads.clamp(1, MAX_HOST_THREADS));
         self
     }
 
@@ -780,6 +788,17 @@ mod tests {
         assert_eq!(s1.cost.total_seconds, s8.cost.total_seconds);
         let (p1, p8) = (s1.profile.unwrap(), s8.profile.unwrap());
         assert_eq!(p1.ranges.len(), p8.ranges.len());
+    }
+
+    #[test]
+    fn host_threads_clamp_to_the_pool_bound() {
+        // Only the setting is read: no launch runs with these counts.
+        for (asked, expected) in [(0, 1), (3, 3), (MAX_HOST_THREADS + 1, MAX_HOST_THREADS)] {
+            let dev = Device::volta().with_host_threads(asked);
+            assert_eq!(dev.host_threads(), env_host_threads().unwrap_or(expected));
+        }
+        let huge = Device::volta().with_host_threads(usize::MAX);
+        assert!((1..=MAX_HOST_THREADS).contains(&huge.host_threads()));
     }
 
     #[test]

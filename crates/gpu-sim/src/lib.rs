@@ -56,7 +56,7 @@ pub mod warp;
 pub use collections::{SmemBloomFilter, SmemHashTable};
 pub use cost::CostBreakdown;
 pub use counters::Counters;
-pub use device::{BlockCtx, Device, LaunchConfig, LaunchStats};
+pub use device::{BlockCtx, Device, LaunchConfig, LaunchStats, MAX_HOST_THREADS};
 pub use fault::FaultPlan;
 pub use global::GlobalBuffer;
 pub use json::{chrome_trace_envelope, json_escape, json_number, validate_chrome_trace, Json};

@@ -15,7 +15,9 @@
 
 use crate::device_fmt::DeviceCsr;
 use crate::error::KernelError;
-use gpu_sim::{lanes_from_fn, Device, GlobalBuffer, LaunchConfig, LaunchStats, WARP_SIZE};
+use gpu_sim::{
+    lanes_from_fn, Device, GlobalBuffer, Lanes, LaunchConfig, LaunchStats, WarpCtx, WARP_SIZE,
+};
 use semiring::Semiring;
 use sparse::Real;
 
@@ -42,7 +44,6 @@ pub fn naive_csr_kernel<T: Real>(
     let out = dev.buffer::<T>(total);
     let blocks = total.div_ceil(BLOCK_THREADS).max(1);
     let sr = *sr;
-    let annihilating = sr.is_annihilating();
 
     let stats = dev.try_launch(
         "naive_csr",
@@ -70,76 +71,104 @@ pub fn naive_csr_kernel<T: Real>(
                     (a_start, a_end, b_start, b_end)
                 });
 
-                let mut ia = lanes_from_fn(|l| a_start[l] as usize);
-                let mut ib = lanes_from_fn(|l| b_start[l] as usize);
-                let mut acc = [sr.reduce_identity(); WARP_SIZE];
-
-                // Lockstep merge: iterate while any lane still has work.
-                w.range("merge_loop", |w| loop {
-                    let live = lanes_from_fn(|l| {
-                        pair[l].is_some()
-                            && (ia[l] < a_end[l] as usize || ib[l] < b_end[l] as usize)
-                    });
-                    if !live.iter().any(|&x| x) {
-                        break;
-                    }
-                    // Column loads are data-dependent gathers — the
-                    // uncoalesced pattern the paper describes.
-                    let col_a = w.global_gather(
-                        &a.indices,
-                        &lanes_from_fn(|l| (live[l] && ia[l] < a_end[l] as usize).then_some(ia[l])),
-                    );
-                    let col_b = w.global_gather(
-                        &b.indices,
-                        &lanes_from_fn(|l| (live[l] && ib[l] < b_end[l] as usize).then_some(ib[l])),
-                    );
-                    let eff_a = lanes_from_fn(|l| {
-                        if live[l] && ia[l] < a_end[l] as usize {
-                            col_a[l]
-                        } else {
-                            u32::MAX
-                        }
-                    });
-                    let eff_b = lanes_from_fn(|l| {
-                        if live[l] && ib[l] < b_end[l] as usize {
-                            col_b[l]
-                        } else {
-                            u32::MAX
-                        }
-                    });
-                    // Two data-dependent branches (advance A? advance B?).
-                    let take_a = lanes_from_fn(|l| live[l] && eff_a[l] <= eff_b[l]);
-                    let take_b = lanes_from_fn(|l| live[l] && eff_b[l] <= eff_a[l]);
-                    w.branch(&take_a);
-                    w.branch(&take_b);
-                    let val_a =
-                        w.global_gather(&a.values, &lanes_from_fn(|l| take_a[l].then_some(ia[l])));
-                    let val_b =
-                        w.global_gather(&b.values, &lanes_from_fn(|l| take_b[l].then_some(ib[l])));
-                    w.issue(2); // product + reduce
-                    for l in 0..WARP_SIZE {
-                        if !live[l] {
-                            continue;
-                        }
-                        let both = take_a[l] && take_b[l];
-                        if both || !annihilating {
-                            let va = if take_a[l] { val_a[l] } else { T::ZERO };
-                            let vb = if take_b[l] { val_b[l] } else { T::ZERO };
-                            acc[l] = sr.reduce(acc[l], sr.product(va, vb));
-                        }
-                        if take_a[l] {
-                            ia[l] += 1;
-                        }
-                        if take_b[l] {
-                            ib[l] += 1;
-                        }
-                    }
-                });
+                let active = lanes_from_fn(|l| pair[l].is_some());
+                let acc = merge_rows(
+                    w,
+                    &sr,
+                    &active,
+                    |w, idx| w.global_gather(&a.indices, idx),
+                    |w, idx| w.global_gather(&a.values, idx),
+                    lanes_from_fn(|l| a_start[l] as usize),
+                    lanes_from_fn(|l| a_end[l] as usize),
+                    b,
+                    lanes_from_fn(|l| b_start[l] as usize),
+                    lanes_from_fn(|l| b_end[l] as usize),
+                );
                 w.range("writeback", |w| w.global_scatter(&out, &pair, &acc));
             });
         },
     )?;
     Ok((out, stats))
+}
+
+/// The lockstep two-pointer merge both naive kernels run: each `active`
+/// lane walks its `A` row over `ia..a_end` and its `B` row over
+/// `ib..b_end`, applying `⊗` across the column union (or only the
+/// intersection when the product annihilates) and `⊕`-reducing into
+/// its accumulator, while any lane still has work. `a_cols`/`a_vals`
+/// load the `A` side: global gathers in Algorithm 2, shared-memory
+/// gathers from the staged row in [`crate::naive_shared`].
+pub(crate) fn merge_rows<T: Real>(
+    w: &mut WarpCtx<'_>,
+    sr: &Semiring<T>,
+    active: &Lanes<bool>,
+    a_cols: impl Fn(&mut WarpCtx<'_>, &Lanes<Option<usize>>) -> Lanes<u32>,
+    a_vals: impl Fn(&mut WarpCtx<'_>, &Lanes<Option<usize>>) -> Lanes<T>,
+    mut ia: Lanes<usize>,
+    a_end: Lanes<usize>,
+    b: &DeviceCsr<T>,
+    mut ib: Lanes<usize>,
+    b_end: Lanes<usize>,
+) -> Lanes<T> {
+    let annihilating = sr.is_annihilating();
+    let mut acc = [sr.reduce_identity(); WARP_SIZE];
+    w.range("merge_loop", |w| loop {
+        let live = lanes_from_fn(|l| active[l] && (ia[l] < a_end[l] || ib[l] < b_end[l]));
+        if !live.iter().any(|&x| x) {
+            break;
+        }
+        // Column loads are data-dependent gathers — the uncoalesced
+        // pattern the paper describes (on the shared `A` side, bank
+        // conflicts instead: lanes sit at different offsets).
+        let col_a = a_cols(
+            w,
+            &lanes_from_fn(|l| (live[l] && ia[l] < a_end[l]).then_some(ia[l])),
+        );
+        let col_b = w.global_gather(
+            &b.indices,
+            &lanes_from_fn(|l| (live[l] && ib[l] < b_end[l]).then_some(ib[l])),
+        );
+        let eff_a = lanes_from_fn(|l| {
+            if live[l] && ia[l] < a_end[l] {
+                col_a[l]
+            } else {
+                u32::MAX
+            }
+        });
+        let eff_b = lanes_from_fn(|l| {
+            if live[l] && ib[l] < b_end[l] {
+                col_b[l]
+            } else {
+                u32::MAX
+            }
+        });
+        // Two data-dependent branches (advance A? advance B?).
+        let take_a = lanes_from_fn(|l| live[l] && eff_a[l] <= eff_b[l]);
+        let take_b = lanes_from_fn(|l| live[l] && eff_b[l] <= eff_a[l]);
+        w.branch(&take_a);
+        w.branch(&take_b);
+        let val_a = a_vals(w, &lanes_from_fn(|l| take_a[l].then_some(ia[l])));
+        let val_b = w.global_gather(&b.values, &lanes_from_fn(|l| take_b[l].then_some(ib[l])));
+        w.issue(2); // product + reduce
+        for l in 0..WARP_SIZE {
+            if !live[l] {
+                continue;
+            }
+            let both = take_a[l] && take_b[l];
+            if both || !annihilating {
+                let va = if take_a[l] { val_a[l] } else { T::ZERO };
+                let vb = if take_b[l] { val_b[l] } else { T::ZERO };
+                acc[l] = sr.reduce(acc[l], sr.product(va, vb));
+            }
+            if take_a[l] {
+                ia[l] += 1;
+            }
+            if take_b[l] {
+                ib[l] += 1;
+            }
+        }
+    });
+    acc
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 
 use crate::device_fmt::DeviceCsr;
 use crate::error::KernelError;
+use crate::naive::merge_rows;
 use gpu_sim::{lanes_from_fn, Device, GlobalBuffer, LaunchConfig, LaunchStats, WARP_SIZE};
 use semiring::Semiring;
 use sparse::Real;
@@ -44,7 +45,6 @@ pub fn naive_shared_kernel<T: Real>(
     }
     let out = GlobalBuffer::from_vec(vec![sr.reduce_identity(); m * n]);
     let sr = *sr;
-    let annihilating = sr.is_annihilating();
 
     let stats = dev.try_launch(
         "naive_csr_shared",
@@ -99,71 +99,19 @@ pub fn naive_shared_kernel<T: Real>(
                             w.global_gather(&b.indptr, &lanes_from_fn(|l| j[l].map(|x| x + 1)));
                         (b_start, b_end)
                     });
-                    let mut ia = [0usize; WARP_SIZE]; // offset into smem row
-                    let mut ib = lanes_from_fn(|l| b_start[l] as usize);
-                    let mut acc = [sr.reduce_identity(); WARP_SIZE];
-                    w.range("merge_loop", |w| loop {
-                        let live = lanes_from_fn(|l| {
-                            j[l].is_some() && (ia[l] < da || ib[l] < b_end[l] as usize)
-                        });
-                        if !live.iter().any(|&x| x) {
-                            break;
-                        }
-                        // A side from shared memory (bank conflicts
-                        // possible — lanes sit at different offsets).
-                        let col_a_raw = w.smem_gather(
-                            &s_cols,
-                            &lanes_from_fn(|l| (live[l] && ia[l] < da).then_some(ia[l])),
-                        );
-                        let col_b_raw = w.global_gather(
-                            &b.indices,
-                            &lanes_from_fn(|l| {
-                                (live[l] && ib[l] < b_end[l] as usize).then_some(ib[l])
-                            }),
-                        );
-                        let eff_a = lanes_from_fn(|l| {
-                            if live[l] && ia[l] < da {
-                                col_a_raw[l]
-                            } else {
-                                u32::MAX
-                            }
-                        });
-                        let eff_b = lanes_from_fn(|l| {
-                            if live[l] && ib[l] < b_end[l] as usize {
-                                col_b_raw[l]
-                            } else {
-                                u32::MAX
-                            }
-                        });
-                        let take_a = lanes_from_fn(|l| live[l] && eff_a[l] <= eff_b[l]);
-                        let take_b = lanes_from_fn(|l| live[l] && eff_b[l] <= eff_a[l]);
-                        w.branch(&take_a);
-                        w.branch(&take_b);
-                        let val_a =
-                            w.smem_gather(&s_vals, &lanes_from_fn(|l| take_a[l].then_some(ia[l])));
-                        let val_b = w.global_gather(
-                            &b.values,
-                            &lanes_from_fn(|l| take_b[l].then_some(ib[l])),
-                        );
-                        w.issue(2);
-                        for l in 0..WARP_SIZE {
-                            if !live[l] {
-                                continue;
-                            }
-                            let both = take_a[l] && take_b[l];
-                            if both || !annihilating {
-                                let va = if take_a[l] { val_a[l] } else { T::ZERO };
-                                let vb = if take_b[l] { val_b[l] } else { T::ZERO };
-                                acc[l] = sr.reduce(acc[l], sr.product(va, vb));
-                            }
-                            if take_a[l] {
-                                ia[l] += 1;
-                            }
-                            if take_b[l] {
-                                ib[l] += 1;
-                            }
-                        }
-                    });
+                    // A side from shared memory: offsets into the staged row.
+                    let acc = merge_rows(
+                        w,
+                        &sr,
+                        &lanes_from_fn(|l| j[l].is_some()),
+                        |w, idx| w.smem_gather(&s_cols, idx),
+                        |w, idx| w.smem_gather(&s_vals, idx),
+                        [0; WARP_SIZE],
+                        [da; WARP_SIZE],
+                        b,
+                        lanes_from_fn(|l| b_start[l] as usize),
+                        lanes_from_fn(|l| b_end[l] as usize),
+                    );
                     let oidx = lanes_from_fn(|l| j[l].map(|x| i * n + x));
                     w.range("writeback", |w| w.global_scatter(&out, &oidx, &acc));
                     jbase += wpb * WARP_SIZE;
