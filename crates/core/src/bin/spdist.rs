@@ -59,14 +59,17 @@
 //! re-prepared as the next generation off the serving lane and swapped
 //! in atomically. `--manifest <path>` writes the generation-stamped
 //! `manifest.v1` line after the replay. A torn or corrupt WAL is an
-//! input error (exit 3), never a partial apply. `--ingest` serves the
-//! exact tier on a single engine (no `--fleet`/`--chaos`/`--index ivf`).
+//! input error (exit 3), never a partial apply; a log that names a base
+//! (by fingerprint) other than `--input` is a config error (exit 2).
+//! `--ingest` serves the exact tier on a single engine (no
+//! `--fleet`/`--chaos`/`--index ivf`).
 //! Served indices are live-rank positions: row `r` of the rebuilt
 //! matrix (base minus deletes, then surviving inserts, in id order).
 //!
 //! `spdist wal` derives a WAL fixture from a matrix: the first
-//! `--base-rows` rows form the base (written with `--base`), every
-//! later row becomes an insert, and every `--delete-every`-th operation
+//! `--base-rows` rows form the base (written with `--base`, named in
+//! the log's header by its fingerprint), every later row becomes an
+//! insert, and every `--delete-every`-th operation
 //! deletes a deterministically chosen live row. `--prefix <n>` keeps
 //! only the first `n` records; `--rebuilt <path>` writes the matrix the
 //! log rebuilds to — the oracle the ingest-smoke CI job byte-compares
@@ -126,12 +129,12 @@ use semiring::{Distance, DistanceParams};
 use sparse::{read_matrix_market, write_matrix_market, CsrMatrix, DegreeStats};
 use sparse_dist::cli::Args;
 use sparse_dist::{
-    chaos_drill, chrome_trace, fingerprint_with_generation, kneighbors_graph, replay_rows,
-    request_chrome_trace, AdmissionConfig, ChaosPlan, Device, FaultPlan, Fleet, FleetConfig,
-    GraphMode, IndexMode, IvfIndex, IvfParams, LaunchStats, Manifest, MetricsRegistry, MultiDevice,
-    MutableDataset, NearestNeighbors, PairwiseOptions, ResiliencePolicy, ResilienceReport,
-    ServeConfig, ServeEngine, ServeReport, SloBudget, SmemMode, Strategy, TimedRecord, Wal,
-    Workload,
+    chaos_drill, chrome_trace, fingerprint, fingerprint_with_generation, kneighbors_graph,
+    replay_rows, request_chrome_trace, AdmissionConfig, ChaosPlan, Device, FaultPlan, Fleet,
+    FleetConfig, GraphMode, IndexMode, IvfIndex, IvfParams, LaunchStats, Manifest, MetricsRegistry,
+    MultiDevice, MutableDataset, NearestNeighbors, PairwiseOptions, ResiliencePolicy,
+    ResilienceReport, ServeConfig, ServeEngine, ServeReport, SloBudget, SmemMode, Strategy,
+    TimedRecord, Wal, Workload,
 };
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -983,6 +986,15 @@ fn serve_ingest_replay(
             index.cols()
         )));
     }
+    if let Some(base) = wal.base() {
+        let held = fingerprint(index);
+        if base != held {
+            return Err(CliError::config(format!(
+                "WAL {wal_path} was derived from base {base:016x} but --input has \
+                 fingerprint {held:016x}"
+            )));
+        }
+    }
     let threshold = args.uint("--compact-threshold") as usize;
     let mut ds = MutableDataset::new(index.clone());
     let writes: Vec<TimedRecord<f32>> = wal
@@ -1055,7 +1067,7 @@ fn cmd_wal(args: &Args) -> Result<(), CliError> {
     }
     let delete_every = args.uint("--delete-every") as usize;
     let base = m.slice_rows(0..base_rows);
-    let mut wal: Wal<f32> = Wal::new(m.cols());
+    let mut wal: Wal<f32> = Wal::new(m.cols()).with_base(fingerprint(&base));
     let mut live: Vec<u64> = (0..base_rows as u64).collect();
     for r in base_rows..m.rows() {
         let i = r - base_rows;

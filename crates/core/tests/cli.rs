@@ -465,13 +465,16 @@ fn out_of_domain_and_unread_values_exit_with_config_code() {
     }
 }
 
-/// A 4 × 3 index and a `wal.v1` log of its last two rows, written once
-/// per test process, plus a path commands may write to.
+/// A 4 × 3 index and a `wal.v1` log of two rows inserted over it,
+/// written once per test process, plus a path commands may write to.
 struct GarbageFixture {
     data: PathBuf,
     wal: PathBuf,
     out: PathBuf,
 }
+
+/// The fixture's index rows, as MatrixMarket entries.
+const FIXTURE_ROWS: &str = "1 1 1.0\n2 2 1.0\n3 3 2.0\n4 1 0.5\n4 3 1.5\n";
 
 fn garbage_fixture() -> &'static GarbageFixture {
     static FIXTURE: std::sync::OnceLock<GarbageFixture> = std::sync::OnceLock::new();
@@ -483,13 +486,23 @@ fn garbage_fixture() -> &'static GarbageFixture {
         };
         std::fs::write(
             &files.data,
-            "%%MatrixMarket matrix coordinate real general\n4 3 5\n\
-             1 1 1.0\n2 2 1.0\n3 3 2.0\n4 1 0.5\n4 3 1.5\n",
+            format!("%%MatrixMarket matrix coordinate real general\n4 3 5\n{FIXTURE_ROWS}"),
+        )
+        .expect("write");
+        // The index plus two rows: `wal` logs the rows as inserts over
+        // a base equal to the index.
+        let source = tmp("garbage-source.mtx");
+        std::fs::write(
+            &source,
+            format!(
+                "%%MatrixMarket matrix coordinate real general\n6 3 7\n{FIXTURE_ROWS}\
+                 5 2 3.0\n6 1 1.0\n"
+            ),
         )
         .expect("write");
         let out = spdist()
-            .args(["wal", "--base-rows", "2", "--input"])
-            .arg(&files.data)
+            .args(["wal", "--base-rows", "4", "--input"])
+            .arg(&source)
             .arg("--output")
             .arg(&files.wal)
             .output()
@@ -501,6 +514,55 @@ fn garbage_fixture() -> &'static GarbageFixture {
         );
         files
     })
+}
+
+/// A log names the base it was derived from; replaying it over another
+/// base of the same width is a config error (exit 2), not a dataset no
+/// rebuild matches.
+#[test]
+fn serve_ingest_refuses_a_log_derived_from_another_base() {
+    let files = garbage_fixture();
+    let (wal, base) = (tmp("other-base-wal.tsv"), tmp("other-base.mtx"));
+    let out = spdist()
+        .args(["wal", "--base-rows", "2", "--input"])
+        .arg(&files.data)
+        .arg("--output")
+        .arg(&wal)
+        .arg("--base")
+        .arg(&base)
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let serve = |input: &PathBuf| {
+        spdist()
+            .args(["serve", "--k", "2", "--queries"])
+            .arg(&files.data)
+            .arg("--input")
+            .arg(input)
+            .arg("--ingest")
+            .arg(&wal)
+            .output()
+            .expect("runs")
+    };
+    // The 4-row index is not the 2-row base the log was derived from.
+    let out = serve(&files.data);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("config error:") && stderr.contains("derived from base"),
+        "{stderr}"
+    );
+    // Its own base replays.
+    let out = serve(&base);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]

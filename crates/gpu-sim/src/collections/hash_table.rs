@@ -196,6 +196,8 @@ impl<T: Copy + Default> SmemHashTable<T> {
     pub fn lookup_warp(&self, w: &mut WarpCtx, keys: &Lanes<Option<u32>>) -> Lanes<Option<T>> {
         let mut pending = *keys;
         let mut out = [None; WARP_SIZE];
+        // The slot each hit was found in, for the value-read charge.
+        let mut hit_idx: Lanes<Option<usize>> = [None; WARP_SIZE];
         for probe in 0..=self.capacity {
             if pending.iter().all(Option::is_none) {
                 break;
@@ -217,6 +219,7 @@ impl<T: Copy + Default> SmemHashTable<T> {
                             continue;
                         };
                         out[l] = Some(self.vals.read(i));
+                        hit_idx[l] = Some(i);
                         pending[l] = None;
                     } else if found[l] == EMPTY {
                         pending[l] = None; // definitively absent
@@ -224,32 +227,20 @@ impl<T: Copy + Default> SmemHashTable<T> {
                 }
             }
         }
-        // Charge one value-read access for the hits. The recomputed slot
-        // walk is bounded by the capacity: a hit whose key can no longer
-        // be found indicates corrupted table state and is recorded as a
-        // fault rather than spinning forever.
-        let mut hit_idx: Lanes<Option<usize>> = [None; WARP_SIZE];
+        // Charge one value-read access for the hits. A hit whose key has
+        // left its slot indicates corrupted table state and is recorded
+        // as a fault.
         for l in 0..WARP_SIZE {
-            if out[l].is_none() {
+            let (Some(i), Some(k)) = (hit_idx[l], keys[l]) else {
                 continue;
-            }
-            let Some(k) = keys[l] else { continue };
-            // Recompute final slot for bank accounting only.
-            let mut slot = None;
-            for p in 0..self.capacity {
-                let s = self.slot(k, p);
-                if self.keys.read(s) == k {
-                    slot = Some(s);
-                    break;
-                }
-            }
-            if slot.is_none() {
+            };
+            if self.keys.read(i) != k {
                 w.record_corrupted_lane(format!(
                     "hash-table hit for key {k} that is no longer present (capacity {})",
                     self.capacity
                 ));
+                hit_idx[l] = None;
             }
-            hit_idx[l] = slot;
         }
         if hit_idx.iter().any(Option::is_some) {
             let _ = w.smem_gather(&self.vals, &hit_idx);

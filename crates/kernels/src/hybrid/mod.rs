@@ -5,7 +5,7 @@ pub mod pass;
 pub mod plan;
 pub mod smem_vec;
 
-pub use pass::{hybrid_pass, PassInputs, PassKind, BLOCK_THREADS};
+pub use pass::{hybrid_pass, PassInputs, PassKind, BLOCK_THREADS, STREAM_CHUNK};
 pub use plan::{PartitionEntry, PartitionPlan};
 pub use smem_vec::{Lookup, SmemVecKind, SmemVector};
 
@@ -147,7 +147,12 @@ pub fn hybrid_inner_terms_cached<T: Real>(
     // Annihilating semirings skip blocks for empty rows — nothing in the
     // intersection can contribute. NAMMs must visit them for the ā ∩ b
     // terms.
-    let plan_a = PartitionPlan::build(a_host.indptr(), cfg.max_entries, !sr.is_annihilating());
+    let plan_a = PartitionPlan::build(
+        a_host.indptr(),
+        cfg.max_entries,
+        !sr.is_annihilating(),
+        b_coo.nnz(),
+    );
     stats.push(hybrid_pass(
         dev,
         &PassInputs {
@@ -167,7 +172,7 @@ pub fn hybrid_inner_terms_cached<T: Real>(
     if !sr.is_annihilating() {
         let cfg_b = resolve_config::<T>(dev, b_host.cols(), forced)?;
         let a_coo = DeviceCoo::upload(dev, a_host);
-        let plan_b = PartitionPlan::build(b_host.indptr(), cfg_b.max_entries, true);
+        let plan_b = PartitionPlan::build(b_host.indptr(), cfg_b.max_entries, true, a_coo.nnz());
         stats.push(hybrid_pass(
             dev,
             &PassInputs {

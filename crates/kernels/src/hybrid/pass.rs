@@ -1,12 +1,16 @@
 //! The load-balanced hybrid CSR+COO SPMV pass (§3.3, Algorithm 3).
 //!
 //! Each block stages one row (or partition of a row, §3.3.3) of the
-//! *shared-memory side* matrix, then every warp strides over the
-//! *streamed side*'s COO nonzeros — coalesced loads of `rowidx`,
-//! `colidx`, and `values` — applying `⊗`, segment-reducing by the
-//! streamed row within the warp, and atomically `⊕`-combining segment
-//! results into the output ("bounding the number of potential writes to
-//! global memory by the number of active warps over each row of B").
+//! *shared-memory side* matrix, then every warp strides over one
+//! [`STREAM_CHUNK`] of the *streamed side*'s COO nonzeros — coalesced
+//! loads of `rowidx`, `colidx`, and `values` — applying `⊗`,
+//! segment-reducing by the streamed row within the warp, and atomically
+//! `⊕`-combining segment results into the output ("bounding the number
+//! of potential writes to global memory by the number of active warps
+//! over each row of B"). The paper's blocks stream the whole COO; here
+//! the grid holds one block per (partition, chunk) pair (see
+//! [`PartitionPlan`]), so a batch of a few staged rows still fills the
+//! device.
 //!
 //! Pass 1 (`PassKind::Products`) computes `a ∩ b` plus `ā ∩ b`; for NAMM
 //! distances a second launch with commuted operands and
@@ -26,6 +30,12 @@ use sparse::Real;
 /// Threads per block: 32 warps, the geometry §3.3 reports reaching full
 /// Volta occupancy with two resident blocks per SM.
 pub const BLOCK_THREADS: usize = 1024;
+
+/// Streamed nonzeros per block: eight coalesced strides of the block's
+/// 32 warps against one row staging. A multiple of `BLOCK_THREADS`, so
+/// chunk boundaries fall on 32-lane group boundaries and every warp's
+/// segmented reduction sees the same lanes as an unchunked sweep.
+pub const STREAM_CHUNK: usize = BLOCK_THREADS * 8;
 
 /// Which union component the pass contributes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,8 +58,8 @@ pub struct PassInputs<'x, T> {
     pub smem_side: &'x DeviceCsr<T>,
     /// Matrix streamed in COO order (`B` in pass 1, `A` in pass 2).
     pub stream_side: &'x DeviceCoo<T>,
-    /// Block assignment (one entry per block; see
-    /// [`PartitionPlan::build`]).
+    /// Block assignment: one block per (entry, chunk) pair, built for
+    /// `stream_side`'s nonzero count (see [`PartitionPlan::build`]).
     pub plan: &'x PartitionPlan,
     /// Shared-memory representation for the staged rows.
     pub kind: SmemVecKind,
@@ -77,6 +87,11 @@ pub struct PassInputs<'x, T> {
 /// Returns [`KernelError::Launch`] when the simulator rejects the launch
 /// (a shared-memory budget the plan under-provisioned, or sanitizer
 /// findings under [`gpu_sim::SanitizerMode::Fail`]).
+///
+/// # Panics
+///
+/// Panics if the plan was built for a streamed side of another nonzero
+/// count.
 pub fn hybrid_pass<T: Real>(
     dev: &Device,
     inp: &PassInputs<'_, T>,
@@ -84,8 +99,11 @@ pub fn hybrid_pass<T: Real>(
     let sr = inp.sr;
     let annihilating = sr.is_annihilating();
     let id = sr.reduce_identity();
-    let nnz_stream = inp.stream_side.nnz();
-    let entries = &inp.plan.entries;
+    assert_eq!(
+        inp.plan.stream_nnz,
+        inp.stream_side.nnz(),
+        "hybrid plan built for another streamed side"
+    );
     let name = match inp.kind {
         SmemVecKind::Dense => "hybrid_pass_dense",
         SmemVecKind::Hash => "hybrid_pass_hash",
@@ -94,9 +112,9 @@ pub fn hybrid_pass<T: Real>(
 
     let stats = dev.try_launch(
         name,
-        LaunchConfig::new(entries.len().max(1), BLOCK_THREADS, inp.smem_per_block),
+        LaunchConfig::new(inp.plan.blocks().max(1), BLOCK_THREADS, inp.smem_per_block),
         |block| {
-            let Some(entry) = entries.get(block.block_id) else {
+            let Some((entry, chunk)) = inp.plan.block(block.block_id) else {
                 return;
             };
             let (row_start, row_end) = inp.smem_side.row_extent(entry.row);
@@ -135,16 +153,16 @@ pub fn hybrid_pass<T: Real>(
             });
             block.sync();
 
-            // Stream the COO side.
+            // Stream this block's chunk of the COO side.
             let vec_ref = vec.clone();
             block.run_warps(|w| {
                 w.range("coo_sweep", |w| {
                     let wpb = BLOCK_THREADS / WARP_SIZE;
-                    let mut base = w.warp_id * WARP_SIZE;
-                    while base < nnz_stream {
+                    let mut base = chunk.start + w.warp_id * WARP_SIZE;
+                    while base < chunk.end {
                         let idx = lanes_from_fn(|l| {
                             let i = base + l;
-                            (i < nnz_stream).then_some(i)
+                            (i < chunk.end).then_some(i)
                         });
                         let srow = w.global_gather(&inp.stream_side.row_indices, &idx);
                         let scol = w.global_gather(&inp.stream_side.col_indices, &idx);
@@ -276,7 +294,7 @@ pub fn hybrid_pass<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semiring::{apply_semiring_pass, Distance, DistanceParams};
+    use semiring::{apply_semiring_pass, apply_semiring_union, Distance, DistanceParams};
     use sparse::CsrMatrix;
 
     fn sample() -> (CsrMatrix<f64>, CsrMatrix<f64>) {
@@ -300,7 +318,77 @@ mod tests {
         (a, b)
     }
 
+    /// A `rows × cols` matrix of small integers (so every ⊕ order sums
+    /// exactly) at about 19 % density, its pattern scrambled by `salt`.
+    fn integer_matrix(rows: usize, cols: usize, salt: usize) -> CsrMatrix<f64> {
+        let dense: Vec<f64> = (0..rows * cols)
+            .map(|i| {
+                let h = (i * 7919 + salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59;
+                if h < 6 {
+                    (h % 4 + 1) as f64
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        CsrMatrix::from_dense(rows, cols, &dense)
+    }
+
+    /// Launches one pass with `smem` in shared memory and `stream`
+    /// streamed, ⊕-accumulating into `out`. Returns the launch and its
+    /// plan.
+    #[allow(clippy::too_many_arguments)]
+    fn launch(
+        dev: &Device,
+        smem: &CsrMatrix<f64>,
+        stream: &CsrMatrix<f64>,
+        d: Distance,
+        kind: SmemVecKind,
+        max_entries: usize,
+        commuted: bool,
+        out: &GlobalBuffer<f64>,
+    ) -> (LaunchStats, PartitionPlan) {
+        let sr = d.semiring::<f64>(&DistanceParams::default());
+        let smem_side = DeviceCsr::upload(dev, smem);
+        let stream_side = DeviceCoo::upload(dev, stream);
+        let plan = PartitionPlan::build(
+            smem.indptr(),
+            max_entries,
+            !sr.is_annihilating(),
+            stream.nnz(),
+        );
+        let inp = PassInputs {
+            smem_side: &smem_side,
+            stream_side: &stream_side,
+            plan: &plan,
+            kind,
+            hash_capacity: 256,
+            smem_per_block: 48 * 1024,
+            sr,
+            out,
+            out_cols: if commuted { smem.rows() } else { stream.rows() },
+            commuted,
+        };
+        let stats = hybrid_pass(dev, &inp).expect("launch");
+        assert_eq!(stats.config.blocks, plan.entries.len() * plan.chunks());
+        (stats, plan)
+    }
+
     fn run_pass1(
+        a: &CsrMatrix<f64>,
+        b: &CsrMatrix<f64>,
+        d: Distance,
+        kind: SmemVecKind,
+        max_entries: usize,
+    ) -> (Vec<f64>, PartitionPlan) {
+        let dev = Device::volta();
+        let out = dev.buffer::<f64>(a.rows() * b.rows());
+        let (_, plan) = launch(&dev, a, b, d, kind, max_entries, false, &out);
+        (out.to_vec(), plan)
+    }
+
+    /// Both passes (the second only for NAMMs), into one buffer.
+    fn run_union(
         a: &CsrMatrix<f64>,
         b: &CsrMatrix<f64>,
         d: Distance,
@@ -308,44 +396,52 @@ mod tests {
         max_entries: usize,
     ) -> Vec<f64> {
         let dev = Device::volta();
-        let sr = d.semiring::<f64>(&DistanceParams::default());
-        let da = DeviceCsr::upload(&dev, a);
-        let db = DeviceCoo::upload(&dev, b);
-        let plan = PartitionPlan::build(a.indptr(), max_entries, false);
         let out = dev.buffer::<f64>(a.rows() * b.rows());
-        let capacity = 256;
-        let inp = PassInputs {
-            smem_side: &da,
-            stream_side: &db,
-            plan: &plan,
-            kind,
-            hash_capacity: capacity,
-            smem_per_block: 48 * 1024,
-            sr,
-            out: &out,
-            out_cols: b.rows(),
-            commuted: false,
-        };
-        hybrid_pass(&dev, &inp).expect("launch");
+        launch(&dev, a, b, d, kind, max_entries, false, &out);
+        if !d
+            .semiring::<f64>(&DistanceParams::default())
+            .is_annihilating()
+        {
+            launch(&dev, b, a, d, kind, max_entries, true, &out);
+        }
         out.to_vec()
     }
 
-    fn expect_pass1(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, d: Distance) -> Vec<f64> {
+    /// A host reference over one pair of rows.
+    type Reference = fn(&[(u32, f64)], &[(u32, f64)], &Semiring<f64>) -> f64;
+
+    /// The reference for every cell of `a × b`: `eval` over the two rows.
+    fn expect(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, d: Distance, eval: Reference) -> Vec<f64> {
         let sr = d.semiring::<f64>(&DistanceParams::default());
-        let mut out = vec![0.0; a.rows() * b.rows()];
+        let mut out = Vec::with_capacity(a.rows() * b.rows());
         for i in 0..a.rows() {
+            let av: Vec<_> = a.row(i).collect();
             for j in 0..b.rows() {
-                let av: Vec<_> = a.row(i).collect();
                 let bv: Vec<_> = b.row(j).collect();
-                out[i * b.rows() + j] = apply_semiring_pass(&av, &bv, &sr);
+                out.push(eval(&av, &bv, &sr));
             }
         }
         out
     }
 
+    fn expect_pass1(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, d: Distance) -> Vec<f64> {
+        expect(a, b, d, apply_semiring_pass)
+    }
+
     fn assert_close(got: &[f64], want: &[f64], what: &str) {
         for (i, (g, e)) in got.iter().zip(want).enumerate() {
             assert!((g - e).abs() < 1e-9, "{what} cell {i}: got {g}, want {e}");
+        }
+    }
+
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, e)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                e.to_bits(),
+                "{what} cell {i}: got {g}, want {e}"
+            );
         }
     }
 
@@ -357,7 +453,7 @@ mod tests {
             Distance::Manhattan,
             Distance::Chebyshev,
         ] {
-            let got = run_pass1(&a, &b, d, SmemVecKind::Dense, 1024);
+            let (got, _) = run_pass1(&a, &b, d, SmemVecKind::Dense, 1024);
             assert_close(&got, &expect_pass1(&a, &b, d), d.name());
         }
     }
@@ -366,7 +462,7 @@ mod tests {
     fn pass1_matches_reference_hash_mode() {
         let (a, b) = sample();
         for d in [Distance::DotProduct, Distance::Manhattan] {
-            let got = run_pass1(&a, &b, d, SmemVecKind::Hash, 1024);
+            let (got, _) = run_pass1(&a, &b, d, SmemVecKind::Hash, 1024);
             assert_close(&got, &expect_pass1(&a, &b, d), d.name());
         }
     }
@@ -375,7 +471,7 @@ mod tests {
     fn pass1_matches_reference_bloom_mode() {
         let (a, b) = sample();
         for d in [Distance::DotProduct, Distance::Manhattan] {
-            let got = run_pass1(&a, &b, d, SmemVecKind::Bloom, 1024);
+            let (got, _) = run_pass1(&a, &b, d, SmemVecKind::Bloom, 1024);
             assert_close(&got, &expect_pass1(&a, &b, d), d.name());
         }
     }
@@ -385,7 +481,7 @@ mod tests {
         let (a, b) = sample();
         // max_entries = 1 forces every row into per-nonzero partitions.
         for d in [Distance::Manhattan, Distance::DotProduct] {
-            let got = run_pass1(&a, &b, d, SmemVecKind::Hash, 1);
+            let (got, _) = run_pass1(&a, &b, d, SmemVecKind::Hash, 1);
             assert_close(&got, &expect_pass1(&a, &b, d), d.name());
         }
     }
@@ -394,59 +490,51 @@ mod tests {
     fn two_passes_compose_the_union() {
         let (a, b) = sample();
         let d = Distance::Manhattan;
-        let dev = Device::volta();
-        let params = DistanceParams::default();
-        let sr = d.semiring::<f64>(&params);
-        let da_csr = DeviceCsr::upload(&dev, &a);
-        let db_coo = DeviceCoo::upload(&dev, &b);
-        let db_csr = DeviceCsr::upload(&dev, &b);
-        let da_coo = DeviceCoo::upload(&dev, &a);
-        let out = dev.buffer::<f64>(a.rows() * b.rows());
-        let plan_a = PartitionPlan::build(a.indptr(), 512, false);
-        hybrid_pass(
-            &dev,
-            &PassInputs {
-                smem_side: &da_csr,
-                stream_side: &db_coo,
-                plan: &plan_a,
-                kind: SmemVecKind::Hash,
-                hash_capacity: 256,
-                smem_per_block: 48 * 1024,
-                sr,
-                out: &out,
-                out_cols: b.rows(),
-                commuted: false,
-            },
-        )
-        .expect("launch");
-        let plan_b = PartitionPlan::build(b.indptr(), 512, false);
-        hybrid_pass(
-            &dev,
-            &PassInputs {
-                smem_side: &db_csr,
-                stream_side: &da_coo,
-                plan: &plan_b,
-                kind: SmemVecKind::Hash,
-                hash_capacity: 256,
-                smem_per_block: 48 * 1024,
-                sr,
-                out: &out,
-                out_cols: b.rows(),
-                commuted: true,
-            },
-        )
-        .expect("launch");
-        let got = out.to_vec();
-        for i in 0..a.rows() {
-            for j in 0..b.rows() {
-                let av: Vec<_> = a.row(i).collect();
-                let bv: Vec<_> = b.row(j).collect();
-                let want = semiring::apply_semiring_union(&av, &bv, &sr);
-                let g = got[i * b.rows() + j];
-                assert!(
-                    (g - want).abs() < 1e-9,
-                    "cell ({i},{j}): got {g}, want {want}"
-                );
+        let got = run_union(&a, &b, d, SmemVecKind::Hash, 512);
+        assert_close(&got, &expect(&a, &b, d, apply_semiring_union), d.name());
+    }
+
+    /// Two staged rows against a streamed side of three chunks whose
+    /// boundaries fall inside rows: every mode, whole and partitioned
+    /// rows (the latter resolving misses per chunk), one annihilating
+    /// and one NAMM distance, bit for bit.
+    #[test]
+    fn multi_chunk_pass1_matches_reference_bit_for_bit() {
+        let a = integer_matrix(2, 256, 1);
+        let b = integer_matrix(420, 256, 2);
+        assert!(b.nnz() > 2 * STREAM_CHUNK);
+        assert!(!b.indptr().contains(&STREAM_CHUNK) && !b.indptr().contains(&(2 * STREAM_CHUNK)));
+        for kind in [SmemVecKind::Dense, SmemVecKind::Hash, SmemVecKind::Bloom] {
+            for max_entries in [128, 16] {
+                for d in [Distance::DotProduct, Distance::Manhattan] {
+                    let what = format!("{d} {kind:?} max_entries={max_entries}");
+                    let (got, plan) = run_pass1(&a, &b, d, kind, max_entries);
+                    assert_eq!(plan.chunks(), 3, "{what}");
+                    assert_eq!(plan.partitioned_rows > 0, max_entries == 16, "{what}");
+                    assert_bits(&got, &expect_pass1(&a, &b, d), &what);
+                }
+            }
+        }
+    }
+
+    /// The NAMM union with the multi-chunk side streamed in either pass:
+    /// pass 1 (queries staged) and pass 2 (commuted, index staged).
+    #[test]
+    fn multi_chunk_union_matches_reference_bit_for_bit() {
+        let small = integer_matrix(2, 256, 3);
+        let large = integer_matrix(420, 256, 4);
+        let d = Distance::Manhattan;
+        for (a, b) in [(&small, &large), (&large, &small)] {
+            for kind in [SmemVecKind::Dense, SmemVecKind::Hash, SmemVecKind::Bloom] {
+                for max_entries in [128, 16] {
+                    let what = format!(
+                        "{}x{} {kind:?} max_entries={max_entries}",
+                        a.rows(),
+                        b.rows()
+                    );
+                    let got = run_union(a, b, d, kind, max_entries);
+                    assert_bits(&got, &expect(a, b, d, apply_semiring_union), &what);
+                }
             }
         }
     }
@@ -455,27 +543,17 @@ mod tests {
     fn stream_loads_are_coalesced() {
         let (a, b) = sample();
         let dev = Device::volta();
-        let sr = Distance::DotProduct.semiring::<f64>(&DistanceParams::default());
-        let da = DeviceCsr::upload(&dev, &a);
-        let db = DeviceCoo::upload(&dev, &b);
-        let plan = PartitionPlan::build(a.indptr(), 512, false);
         let out = dev.buffer::<f64>(a.rows() * b.rows());
-        let stats = hybrid_pass(
+        let (stats, _) = launch(
             &dev,
-            &PassInputs {
-                smem_side: &da,
-                stream_side: &db,
-                plan: &plan,
-                kind: SmemVecKind::Dense,
-                hash_capacity: 0,
-                smem_per_block: 48 * 1024,
-                sr,
-                out: &out,
-                out_cols: b.rows(),
-                commuted: false,
-            },
-        )
-        .expect("launch");
+            &a,
+            &b,
+            Distance::DotProduct,
+            SmemVecKind::Dense,
+            512,
+            false,
+            &out,
+        );
         // COO arrays are read unit-stride: low overhead vs. the naive
         // kernel's data-dependent gathers.
         assert!(stats.counters.coalescing_overhead() < 6.0);

@@ -13,11 +13,16 @@
 //! request/response TSVs, so it diffs and `cmp`s cleanly in CI):
 //!
 //! ```text
-//! wal.v1 <tab> <cols> <tab> <fnv64-hex>
+//! wal.v1 <tab> <cols> [<tab> <base-fnv64-hex>] <tab> <fnv64-hex>
 //! <seq> <tab> i <tab> col:bits,col:bits,... <tab> <fnv64-hex>
 //! <seq> <tab> d <tab> <row-id> <tab> <fnv64-hex>
 //! ```
 //!
+//! * The optional header field names the base the log was derived from:
+//!   its [`crate::fingerprint`], the same hash `manifest.v1` stores. A
+//!   replayer checks it against the base it holds, because a log
+//!   replayed over another base of the same width applies cleanly and
+//!   serves a dataset no rebuild matches.
 //! * `seq` is a zero-based, strictly sequential record number; a gap or
 //!   repeat is a [`WalError::BadSequence`], never a silent skip.
 //! * Insert payloads carry ascending column indices with the value's
@@ -171,25 +176,41 @@ fn parse_canonical(field: &str, radix: u32) -> Option<u64> {
     (rendered == field).then_some(v)
 }
 
-/// An in-memory WAL: the dataset width it applies to plus its records.
+/// An in-memory WAL: the dataset width it applies to, the base it was
+/// derived from (when named), plus its records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Wal<T> {
     cols: usize,
+    base: Option<u64>,
     records: Vec<WalRecord<T>>,
 }
 
 impl<T: Real> Wal<T> {
-    /// An empty log for datasets of the given width.
+    /// An empty log for datasets of the given width, naming no base.
     pub fn new(cols: usize) -> Self {
         Self {
             cols,
+            base: None,
             records: Vec::new(),
         }
+    }
+
+    /// The log, naming the base it applies to by its
+    /// [`crate::fingerprint`].
+    #[must_use]
+    pub fn with_base(mut self, fingerprint: u64) -> Self {
+        self.base = Some(fingerprint);
+        self
     }
 
     /// Dataset width every insert must respect.
     pub fn cols(&self) -> usize {
         self.cols
+    }
+
+    /// Fingerprint of the base the log was derived from, if it names one.
+    pub fn base(&self) -> Option<u64> {
+        self.base
     }
 
     /// The records, in sequence order.
@@ -258,7 +279,10 @@ impl<T: Real> Wal<T> {
     /// each with its FNV checksum).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let header = format!("wal.v1\t{}", self.cols);
+        let mut header = format!("wal.v1\t{}", self.cols);
+        if let Some(base) = self.base {
+            header.push_str(&format!("\t{base:016x}"));
+        }
         out.push_str(&header);
         out.push('\t');
         out.push_str(&format!("{:016x}", line_checksum(&header)));
@@ -319,11 +343,10 @@ impl<T: Real> Wal<T> {
                 )
             }
         };
-        let cols = match Self::parse_header(header) {
-            Ok(c) => c,
+        let mut wal = match Self::parse_header(header) {
+            Ok(w) => w,
             Err(e) => return (Self::new(0), Some(e)),
         };
-        let mut wal = Self::new(cols);
         for (idx, line) in lines {
             // A trailing newline produces no empty element from
             // `lines()`, so an empty line mid-log is real corruption.
@@ -334,7 +357,8 @@ impl<T: Real> Wal<T> {
         (wal, None)
     }
 
-    fn parse_header(line: &str) -> Result<usize, WalError> {
+    /// The empty log a header line describes.
+    fn parse_header(line: &str) -> Result<Self, WalError> {
         let bad = |reason: &str| WalError::BadHeader {
             reason: reason.to_string(),
         };
@@ -356,10 +380,16 @@ impl<T: Real> Wal<T> {
             .and_then(|c| parse_canonical(c, 10))
             .and_then(|c| usize::try_from(c).ok())
             .ok_or_else(|| bad("missing or non-canonical column count"))?;
+        let mut wal = Self::new(cols);
+        if let Some(base) = parts.next() {
+            let fp = parse_canonical(base, 16)
+                .ok_or_else(|| bad("base fingerprint is not 16 lowercase hex digits"))?;
+            wal = wal.with_base(fp);
+        }
         if parts.next().is_some() {
             return Err(bad("trailing header fields"));
         }
-        Ok(cols)
+        Ok(wal)
     }
 
     fn parse_record_line(&mut self, line_no: usize, line: &str) -> Result<(), WalError> {
@@ -575,6 +605,29 @@ mod tests {
     }
 
     #[test]
+    fn base_fingerprint_round_trips_and_rejects_garbage() {
+        let w = sample().with_base(0x0123_4567_89ab_cdef);
+        let text = w.render();
+        assert!(text.starts_with("wal.v1\t6\t0123456789abcdef\t"), "{text}");
+        let back = Wal::<f32>::parse(&text).expect("valid log parses");
+        assert_eq!(back.base(), Some(0x0123_4567_89ab_cdef));
+        assert_eq!(back, w);
+        assert_eq!(Wal::<f32>::parse(&sample().render()).unwrap().base(), None);
+        for header in [
+            "wal.v1\t6\t123",
+            "wal.v1\t6\t0123456789ABCDEF",
+            "wal.v1\t6\t0123456789abcdef\t1",
+        ] {
+            let resealed = reseal(&format!("{header}\tchecksum"));
+            let err = Wal::<f32>::parse(&resealed).unwrap_err();
+            assert!(
+                matches!(err, WalError::BadHeader { .. }),
+                "{header}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn corrupted_bytes_fail_closed_with_typed_errors() {
         let text = sample().render();
         // Flip one payload byte on the third line: checksum mismatch.
@@ -640,6 +693,8 @@ mod tests {
         #[test]
         fn garbled_logs_never_panic_and_parsed_records_re_render(
             cols in 1usize..16,
+            // (0, _) logs name no base.
+            base in (0u8..2, 0u64..=u64::MAX),
             rows in proptest::collection::vec(
                 proptest::collection::vec((0u32..16, 1u32..1000), 0..5), 0..6),
             edits in proptest::collection::vec((
@@ -651,6 +706,9 @@ mod tests {
             ), 1..4),
         ) {
             let mut wal = Wal::<f64>::new(cols);
+            if base.0 == 1 {
+                wal = wal.with_base(base.1);
+            }
             for cells in rows {
                 // A row whose first cell is odd logs a delete instead.
                 if cells.first().is_some_and(|&(_, v)| v % 2 == 1) {
