@@ -128,7 +128,8 @@ pub struct KnnCell<T> {
     pub select_sim_seconds: f64,
     /// Every launch, in execution order.
     pub launches: Vec<LaunchStats>,
-    /// Query tiles, each ending in one `top_k_select`.
+    /// Query tiles, each ending in its `top_k_select` launches (two when
+    /// the selection splits its rows into column chunks).
     pub batches: usize,
 }
 
@@ -179,6 +180,7 @@ pub fn run_knn_cell<T: Real>(
         let k = KNN_K.min(cols.max(1));
         let tile = dev.buffer_from_slice(r.distances.as_slice());
         let (idx, val, select) = top_k_kernel(dev, &tile, rows, cols, k).expect("selection runs");
+        let select_sim_seconds = select.iter().map(LaunchStats::sim_seconds).sum::<f64>();
         let (idx, val) = (idx.to_vec(), val.to_vec());
         let distances = (0..rows)
             .map(|q| {
@@ -190,9 +192,9 @@ pub fn run_knn_cell<T: Real>(
             .collect();
         KnnCell {
             distances,
-            sim_seconds: r.report.sim_seconds + select.sim_seconds(),
-            select_sim_seconds: select.sim_seconds(),
-            launches: vec![select],
+            sim_seconds: r.report.sim_seconds + select_sim_seconds,
+            select_sim_seconds,
+            launches: select,
             batches: 1,
         }
     })
@@ -267,13 +269,7 @@ mod tests {
                     "{at}: {billed} billed vs {} reported",
                     cell.sim_seconds
                 );
-                let selects = cell.launches.iter().filter(|l| l.name == "top_k_select");
-                assert_eq!(
-                    selects.count(),
-                    cell.batches,
-                    "{at}: one selection per tile"
-                );
-                assert!(cell.select_sim_seconds > 0.0, "{at}");
+                assert_selection_billed(&cell, &at);
 
                 let want = cpu.knn(&queries, &index, KNN_K, distance, &params);
                 assert_eq!(cell.distances.len(), want.len(), "{at}");
@@ -286,6 +282,66 @@ mod tests {
                             w.1
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Every tile ends in one `top_k_select`, or two when its selection
+    /// splits, and `select_sim_seconds` sums all of them. Returns the
+    /// number of selection launches.
+    fn assert_selection_billed<T: Real>(cell: &KnnCell<T>, at: &str) -> usize {
+        let selects: Vec<_> = cell
+            .launches
+            .iter()
+            .filter(|l| l.name == "top_k_select")
+            .collect();
+        let n = selects.len();
+        assert!(
+            (cell.batches..=2 * cell.batches).contains(&n),
+            "{at}: {n} selection launches over {} tiles",
+            cell.batches
+        );
+        let sum: f64 = selects.iter().map(|l| l.sim_seconds()).sum();
+        assert_eq!(cell.select_sim_seconds.to_bits(), sum.to_bits(), "{at}");
+        assert!(cell.select_sim_seconds > 0.0, "{at}");
+        n
+    }
+
+    /// A full 256-query slab over 600 index rows splits its selection
+    /// (two column chunks per row, 512 blocks): both cell kinds carry
+    /// and bill the chunk scan and the merge, and still answer what
+    /// the CPU brute force answers.
+    #[test]
+    fn split_selection_is_carried_and_billed() {
+        let dev = Device::volta();
+        let params = DistanceParams::default();
+        let dense: Vec<f64> = (0..600 * 40)
+            .map(|i: usize| {
+                let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                if h % 5 == 0 {
+                    1.0 + (h % 89) as f64 / 8.0
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let index = CsrMatrix::from_dense(600, 40, &dense);
+        let queries = query_slab(&index);
+        assert_eq!(queries.rows(), QUERY_ROWS);
+        let want =
+            baseline::CpuBruteForce::new(2).knn(&queries, &index, KNN_K, Distance::Cosine, &params);
+        for column in [Column::Baseline, Column::Hybrid] {
+            let at = format!("Cosine {column:?}");
+            let cell =
+                run_knn_cell(&dev, &queries, &index, Distance::Cosine, &params, column).value;
+            assert_eq!(cell.batches, 1, "{at}");
+            assert_eq!(assert_selection_billed(&cell, &at), 2, "{at}");
+            for (q, (got, want)) in cell.distances.iter().zip(&want).enumerate() {
+                let want: Vec<f64> = want.iter().map(|w| w.1).collect();
+                assert_eq!(got.len(), want.len(), "{at} query {q}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert!((g - w).abs() < 1e-9, "{at} query {q}: {g} vs {w}");
                 }
             }
         }

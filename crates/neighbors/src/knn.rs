@@ -29,7 +29,9 @@ pub struct KnnResult<T> {
     /// Peak per-batch device memory accounting.
     pub peak_memory: MemoryFootprint,
     /// Every kernel launch, in execution order: per tile, its norm and
-    /// distance kernels, then its `top_k_select`. Carries per-range
+    /// distance kernels, then its `top_k_select` launches (one, or the
+    /// chunk scan and the merge when the selection splits its rows; see
+    /// [`kernels::top_k_kernel`]). Carries per-range
     /// profiles when the device profiler is enabled.
     pub launches: Vec<LaunchStats>,
     /// One resilience report per distance tile when the estimator runs

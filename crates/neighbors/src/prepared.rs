@@ -193,8 +193,9 @@ impl<'a, T: Real> ShardRunner<'a, T> {
                     &nn.params,
                     nn.pairwise_options(),
                 )?;
-                // The selection launch retries transient faults under the
-                // tile's policy, recorded in the tile's own report.
+                // The selection retries transient faults in any of its
+                // launches as a whole under the tile's policy, recorded
+                // in the tile's own report.
                 let kk = k.min(tile.cols.max(1));
                 let select = || top_k_kernel(&shard.device, &tile.buffer, tile.rows, tile.cols, kk);
                 let (didx, dval, sel_stats) =
@@ -203,7 +204,9 @@ impl<'a, T: Real> ShardRunner<'a, T> {
                         _ => select()?,
                     };
                 seconds += tile.sim_seconds();
-                seconds += sel_stats.sim_seconds();
+                for s in &sel_stats {
+                    seconds += s.sim_seconds();
+                }
                 self.batches += 1;
                 if let Some(r) = tile.resilience.take() {
                     self.resilience.push(r);
@@ -224,7 +227,7 @@ impl<'a, T: Real> ShardRunner<'a, T> {
                     }
                 }
                 self.launches.extend(tile.launches);
-                self.launches.push(sel_stats);
+                self.launches.extend(sel_stats);
             }
             self.per_device_seconds[shard.device_slot] += seconds;
         }
