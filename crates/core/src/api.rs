@@ -39,8 +39,9 @@ pub struct SemiringOutput<T> {
     /// `C_ij = ⊕_k ⊗(A_ik, B_jk)` over the intersection (annihilating)
     /// or union (NAMM) of nonzero columns.
     pub inner_terms: DenseMatrix<T>,
-    /// Per-pass launch statistics (one entry for annihilating semirings,
-    /// two for NAMMs).
+    /// Per-launch statistics: pass 1 alone for annihilating semirings;
+    /// for NAMMs, pass 1 then one (pass 2, `hybrid_combine`) pair per
+    /// slab of index rows.
     pub launches: Vec<LaunchStats>,
 }
 
@@ -123,7 +124,11 @@ mod tests {
         let out = SemiringRunner::new(Device::volta())
             .run(&x, &x, &sq)
             .expect("ok");
-        assert_eq!(out.launches.len(), 2);
+        let names: Vec<&str> = out.launches.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["hybrid_pass_dense", "hybrid_pass_dense", "hybrid_combine"]
+        );
         for i in 0..3 {
             for j in 0..3 {
                 let ai: Vec<_> = x.row(i).collect();

@@ -12,6 +12,7 @@ pub use smem_vec::{Lookup, SmemVecKind, SmemVector};
 use crate::device_fmt::{DeviceCoo, DeviceCsr};
 use crate::error::KernelError;
 use gpu_sim::{Device, GlobalBuffer, LaunchStats, SmemBloomFilter, SmemHashTable};
+use pass::{hybrid_combine, COMBINE_TILE};
 use semiring::Semiring;
 use sparse::{CsrMatrix, Real};
 
@@ -97,8 +98,79 @@ pub fn resolve_config<T: Real>(
     })
 }
 
+/// Bound on one pass-2 scratch slab. The scratch is transient memory
+/// beside the `m × n` output, so it comes in bounded slabs rather than
+/// as a second output-sized buffer; at 512 KiB a 64-query f32 batch
+/// still gets 2048-row slabs. A named constant, not a knob (DESIGN §5).
+pub(crate) const PASS2_SCRATCH_BYTES: usize = 512 * 1024;
+
+/// Index rows per pass-2 slab for a batch of `queries` streamed rows: the
+/// largest multiple of [`COMBINE_TILE`] whose `rows × queries` scratch of
+/// `T` fits [`PASS2_SCRATCH_BYTES`], and at least one tile.
+pub(crate) fn pass2_slab_rows<T>(queries: usize) -> usize {
+    let row_bytes = queries.max(1) * std::mem::size_of::<T>();
+    (PASS2_SCRATCH_BYTES / row_bytes / COMBINE_TILE * COMBINE_TILE).max(COMBINE_TILE)
+}
+
+/// Bytes of the largest pass-2 scratch slab of a `queries × index_rows`
+/// NAMM product.
+pub(crate) fn pass2_scratch_bytes<T>(queries: usize, index_rows: usize) -> usize {
+    pass2_slab_rows::<T>(queries).min(index_rows) * queries * std::mem::size_of::<T>()
+}
+
+/// Pass 2 of a NAMM union (`PassKind::Difference`): stages the rows of
+/// `index` under `plan` (built over every index row, `cfg`'s
+/// `max_entries`) and streams the `queries` COO, adding the terms pass 1
+/// left out into the query-major `out` of `queries.rows × index.rows`.
+///
+/// The index rows go in slabs of [`pass2_slab_rows`]. Each slab runs one
+/// pass-2 launch into an index-major scratch that starts at id⊕, so a
+/// block's atomics for its staged row cover `queries.rows` contiguous
+/// cells, then one [`hybrid_combine`] launch. A cell ends as pass 1 ⊕
+/// (its pass-2 terms folded in the scratch).
+///
+/// # Errors
+///
+/// Propagates launch failures.
+pub(crate) fn hybrid_difference_pass<T: Real>(
+    dev: &Device,
+    index: &DeviceCsr<T>,
+    queries: &DeviceCoo<T>,
+    plan: &PartitionPlan,
+    cfg: &HybridConfig,
+    sr: &Semiring<T>,
+    out: &GlobalBuffer<T>,
+) -> Result<Vec<LaunchStats>, KernelError> {
+    let (m, n) = (queries.rows, index.rows);
+    let slab = pass2_slab_rows::<T>(m);
+    let mut stats = Vec::with_capacity(2 * n.div_ceil(slab));
+    for start in (0..n).step_by(slab) {
+        let rows = start..(start + slab).min(n);
+        let scratch = GlobalBuffer::from_vec(vec![sr.reduce_identity(); rows.len() * m]);
+        stats.push(hybrid_pass(
+            dev,
+            &PassInputs {
+                smem_side: index,
+                stream_side: queries,
+                plan: &plan.rows(rows.clone()),
+                kind: cfg.kind,
+                hash_capacity: cfg.hash_capacity,
+                smem_per_block: cfg.smem_per_block,
+                sr: *sr,
+                pass: PassKind::Difference,
+                out: &scratch,
+                out_cols: m,
+                base: start,
+            },
+        )?);
+        stats.push(hybrid_combine(dev, sr, &scratch, rows, m, out, n)?);
+    }
+    Ok(stats)
+}
+
 /// Runs the hybrid strategy end to end on the inner terms: pass 1 always,
-/// pass 2 (commuted, difference-only) when the semiring is a NAMM.
+/// pass 2 (`hybrid_difference_pass`, slab by slab) when the semiring is
+/// a NAMM.
 ///
 /// Returns the `m × n` inner-term buffer and the per-launch stats.
 ///
@@ -163,9 +235,10 @@ pub fn hybrid_inner_terms_cached<T: Real>(
             hash_capacity: cfg.hash_capacity,
             smem_per_block: cfg.smem_per_block,
             sr: *sr,
+            pass: PassKind::Products,
             out: &out,
             out_cols: n,
-            commuted: false,
+            base: 0,
         },
     )?);
 
@@ -173,20 +246,8 @@ pub fn hybrid_inner_terms_cached<T: Real>(
         let cfg_b = resolve_config::<T>(dev, b_host.cols(), forced)?;
         let a_coo = DeviceCoo::upload(dev, a_host);
         let plan_b = PartitionPlan::build(b_host.indptr(), cfg_b.max_entries, true, a_coo.nnz());
-        stats.push(hybrid_pass(
-            dev,
-            &PassInputs {
-                smem_side: b_dev,
-                stream_side: &a_coo,
-                plan: &plan_b,
-                kind: cfg_b.kind,
-                hash_capacity: cfg_b.hash_capacity,
-                smem_per_block: cfg_b.smem_per_block,
-                sr: *sr,
-                out: &out,
-                out_cols: n,
-                commuted: true,
-            },
+        stats.extend(hybrid_difference_pass(
+            dev, b_dev, &a_coo, &plan_b, &cfg_b, sr, &out,
         )?);
     }
     Ok((out, stats))
@@ -283,7 +344,49 @@ mod tests {
         let da = DeviceCsr::upload(&dev, &a);
         let db = DeviceCsr::upload(&dev, &b);
         let (_, stats) = hybrid_inner_terms(&dev, &a, &b, &da, &db, &sr, None).expect("config ok");
-        assert_eq!(stats.len(), 2);
+        // Pass 1, then one (pass 2, combine) pair for the single slab.
+        let names: Vec<&str> = stats.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["hybrid_pass_dense", "hybrid_pass_dense", "hybrid_combine"]
+        );
+    }
+
+    /// A 420 × 420 Manhattan product over f32 rows of about 3 nonzeros
+    /// in 256 columns, like a k-NN batch over a sparse index. Pass 2
+    /// stages one index row per block and streams all 420 queries, so a
+    /// warp's flush spans about ten query rows.
+    #[test]
+    fn pass2_writes_are_coalesced() {
+        let dense: Vec<f32> = (0..420 * 256_usize)
+            .map(|i| {
+                let h = (i * 7919 + 8).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56;
+                if h < 3 {
+                    (h + 1) as f32
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let x = CsrMatrix::from_dense(420, 256, &dense);
+        assert_eq!(x.nnz(), 1260);
+        let dev = Device::volta();
+        let sr = Distance::Manhattan.semiring::<f32>(&DistanceParams::default());
+        let dx = DeviceCsr::upload(&dev, &x);
+        let (_, stats) = hybrid_inner_terms(&dev, &x, &x, &dx, &dx, &sr, None).expect("config ok");
+        // Two slabs, of 288 and 132 index rows.
+        assert_eq!(stats.len(), 5);
+        let pass2: u64 = stats[1..].iter().map(|s| s.counters.global_bytes).sum();
+        // Query-major, the single pass-2 launch moved 30,309,632 B: a
+        // warp's ten flushed cells lay 420 cells apart, one 128-byte
+        // segment each. Index-major, they share one or two segments:
+        // 9.3 MB, plus 4.1 MB for the two combines' transposes.
+        assert!(pass2 < 30_309_632 / 2, "pass 2 + combine moved {pass2} B");
+        // The padded tile keeps the transposed reads of f32 free of bank
+        // conflicts.
+        for s in stats.iter().filter(|s| s.name == "hybrid_combine") {
+            assert_eq!(s.counters.bank_conflict_extra, 0);
+        }
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //! distances a second launch with commuted operands and
 //! `PassKind::Difference` adds the remaining `a ∩ b̄` — Equation 3's
 //! union decomposition (§3.3.1).
+//!
+//! Either pass writes cell `(entry.row − base) × out_cols + streamed row`,
+//! so a block's atomics for its staged row cover `out_cols` contiguous
+//! cells. Pass 2 stages index rows, so it accumulates an index-major
+//! scratch slab that `hybrid_combine` folds into the query-major output
+//! with one tiled transpose.
 
 use crate::device_fmt::{DeviceCoo, DeviceCsr};
 use crate::error::KernelError;
@@ -26,6 +32,7 @@ use gpu_sim::{
 };
 use semiring::Semiring;
 use sparse::Real;
+use std::ops::Range;
 
 /// Threads per block: 32 warps, the geometry §3.3 reports reaching full
 /// Volta occupancy with two resident blocks per SM.
@@ -70,14 +77,16 @@ pub struct PassInputs<'x, T> {
     pub smem_per_block: usize,
     /// The distance's semiring.
     pub sr: Semiring<T>,
-    /// Output buffer of `out_rows × out_cols` inner terms.
+    /// Which union component the pass contributes.
+    pub pass: PassKind,
+    /// Output buffer, staged-row-major: cell `(smem_row − base) ×
+    /// out_cols + stream_row`.
     pub out: &'x GlobalBuffer<T>,
-    /// Output columns (the `B`-row count of the overall product).
+    /// Output columns: the streamed side's row count.
     pub out_cols: usize,
-    /// When true, output index is `stream_row * out_cols + smem_row`
-    /// (pass 2's commuted orientation); otherwise
-    /// `smem_row * out_cols + stream_row`.
-    pub commuted: bool,
+    /// First staged row `out` covers (a pass-2 slab's start; 0 in pass
+    /// 1).
+    pub base: usize,
 }
 
 /// Launches one hybrid pass and returns its stats.
@@ -192,8 +201,9 @@ pub fn hybrid_pass<T: Real>(
                         // over the *full* row — §3.3.3's "extra work in
                         // exchange for scale". Annihilating semirings skip
                         // the search entirely (a true miss contributes 0).
-                        let needs_resolve =
-                            entry.partitioned && entry.is_first && (!annihilating || inp.commuted);
+                        let needs_resolve = entry.partitioned
+                            && entry.is_first
+                            && (!annihilating || inp.pass == PassKind::Difference);
                         let unresolved = lanes_from_fn(|l| {
                             if needs_resolve && matches!(looked[l], Lookup::Miss) {
                                 cols[l]
@@ -223,10 +233,10 @@ pub fn hybrid_pass<T: Real>(
                             if idx[l].is_none() {
                                 return id;
                             }
-                            match (inp.commuted, looked[l]) {
+                            match (inp.pass, looked[l]) {
                                 // Pass 1: products with the streamed value.
-                                (false, Lookup::Hit(va)) => sr.product(va, sval[l]),
-                                (false, Lookup::Miss) => {
+                                (PassKind::Products, Lookup::Hit(va)) => sr.product(va, sval[l]),
+                                (PassKind::Products, Lookup::Miss) => {
                                     // Annihilating semirings: the missing side
                                     // is the annihilator, not a literal 0 —
                                     // the term vanishes (this is what lets
@@ -243,8 +253,8 @@ pub fn hybrid_pass<T: Real>(
                                     }
                                 }
                                 // Pass 2: only definitive misses contribute.
-                                (true, Lookup::Hit(_)) => id,
-                                (true, Lookup::Miss) => {
+                                (PassKind::Difference, Lookup::Hit(_)) => id,
+                                (PassKind::Difference, Lookup::Miss) => {
                                     if !entry.partitioned {
                                         sr.product(sval[l], T::ZERO)
                                     } else if entry.is_first && !in_full_row[l] {
@@ -264,14 +274,9 @@ pub fn hybrid_pass<T: Real>(
                                     w.warp_segmented_reduce(&keys, &terms, &active, id, |x, y| {
                                         sr.reduce(x, y)
                                     });
+                                let row = (entry.row - inp.base) * inp.out_cols;
                                 let out_idx = lanes_from_fn(|l| {
-                                    segs.get(l).map(|&(key, _)| {
-                                        if inp.commuted {
-                                            key as usize * inp.out_cols + entry.row
-                                        } else {
-                                            entry.row * inp.out_cols + key as usize
-                                        }
-                                    })
+                                    segs.get(l).map(|&(key, _)| row + key as usize)
                                 });
                                 let out_vals =
                                     lanes_from_fn(|l| segs.get(l).map(|&(_, v)| v).unwrap_or(id));
@@ -291,9 +296,87 @@ pub fn hybrid_pass<T: Real>(
     Ok(stats)
 }
 
+/// Side of the square [`hybrid_combine`] tile: one warp per tile row, so
+/// both the scratch reads and the output writes are one warp-wide
+/// coalesced stride.
+pub(crate) const COMBINE_TILE: usize = WARP_SIZE;
+
+/// Folds one pass-2 scratch slab into the query-major output: `out[q ×
+/// out_cols + r] ⊕= scratch[(r − rows.start) × queries + q]` for every
+/// index row `r` in `rows` and query `q < queries`.
+///
+/// One block of `COMBINE_TILE²` threads per tile: each warp reads one
+/// scratch row into a `32 × 33` shared tile (the pad column keeps the
+/// transposed reads free of bank conflicts), then after the barrier each
+/// warp folds one tile column into one `out` row. Each cell is owned by
+/// one lane, so plain loads and stores suffice.
+///
+/// # Errors
+///
+/// Returns [`KernelError::Launch`] when the simulator rejects the launch
+/// (sanitizer findings under [`gpu_sim::SanitizerMode::Fail`]).
+pub(crate) fn hybrid_combine<T: Real>(
+    dev: &Device,
+    sr: &Semiring<T>,
+    scratch: &GlobalBuffer<T>,
+    rows: Range<usize>,
+    queries: usize,
+    out: &GlobalBuffer<T>,
+    out_cols: usize,
+) -> Result<LaunchStats, KernelError> {
+    const PITCH: usize = COMBINE_TILE + 1;
+    let sr = *sr;
+    let slab = rows.len();
+    let query_tiles = queries.div_ceil(COMBINE_TILE);
+    let blocks = slab.div_ceil(COMBINE_TILE) * query_tiles;
+    let stats = dev.try_launch(
+        "hybrid_combine",
+        LaunchConfig::new(
+            blocks.max(1),
+            COMBINE_TILE * COMBINE_TILE,
+            COMBINE_TILE * PITCH * std::mem::size_of::<T>(),
+        ),
+        |block| {
+            if block.block_id >= blocks {
+                return;
+            }
+            let r0 = block.block_id / query_tiles * COMBINE_TILE;
+            let q0 = block.block_id % query_tiles * COMBINE_TILE;
+            let tile = block.alloc_shared::<T>(COMBINE_TILE * PITCH);
+
+            // Warp w: scratch row r0 + w, queries q0 + lane → tile row w.
+            block.run_warps(|w| {
+                let (wid, r) = (w.warp_id, r0 + w.warp_id);
+                let src =
+                    lanes_from_fn(|l| (r < slab && q0 + l < queries).then(|| r * queries + q0 + l));
+                let vals = w.global_gather(scratch, &src);
+                let dst = lanes_from_fn(|l| src[l].map(|_| wid * PITCH + l));
+                w.smem_scatter(&tile, &dst, &vals);
+            });
+            block.sync();
+
+            // Warp w: tile column w → out row q0 + w, index rows r0 + lane.
+            block.run_warps(|w| {
+                let (wid, q) = (w.warp_id, q0 + w.warp_id);
+                let cells = lanes_from_fn(|l| {
+                    (q < queries && r0 + l < slab).then(|| q * out_cols + rows.start + r0 + l)
+                });
+                let terms =
+                    w.smem_gather(&tile, &lanes_from_fn(|l| cells[l].map(|_| l * PITCH + wid)));
+                let cur = w.global_gather(out, &cells);
+                w.issue(1);
+                let folded = lanes_from_fn(|l| sr.reduce(cur[l], terms[l]));
+                w.global_scatter(out, &cells, &folded);
+            });
+        },
+    )?;
+    Ok(stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hybrid::{hybrid_difference_pass, HybridConfig};
     use semiring::{apply_semiring_pass, apply_semiring_union, Distance, DistanceParams};
     use sparse::CsrMatrix;
 
@@ -321,10 +404,20 @@ mod tests {
     /// A `rows × cols` matrix of small integers (so every ⊕ order sums
     /// exactly) at about 19 % density, its pattern scrambled by `salt`.
     fn integer_matrix(rows: usize, cols: usize, salt: usize) -> CsrMatrix<f64> {
+        integer_matrix_without(rows, cols, salt, &[])
+    }
+
+    /// [`integer_matrix`] with the rows in `empty` left empty.
+    fn integer_matrix_without(
+        rows: usize,
+        cols: usize,
+        salt: usize,
+        empty: &[usize],
+    ) -> CsrMatrix<f64> {
         let dense: Vec<f64> = (0..rows * cols)
             .map(|i| {
                 let h = (i * 7919 + salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59;
-                if h < 6 {
+                if h < 6 && !empty.contains(&(i / cols)) {
                     (h % 4 + 1) as f64
                 } else {
                     0.0
@@ -334,18 +427,26 @@ mod tests {
         CsrMatrix::from_dense(rows, cols, &dense)
     }
 
-    /// Launches one pass with `smem` in shared memory and `stream`
+    /// The test geometry: `kind` with a 256-slot hash and rows split past
+    /// `max_entries`.
+    fn config(kind: SmemVecKind, max_entries: usize) -> HybridConfig {
+        HybridConfig {
+            kind,
+            hash_capacity: 256,
+            max_entries,
+            smem_per_block: 48 * 1024,
+        }
+    }
+
+    /// Launches pass 1 with `smem` in shared memory and `stream`
     /// streamed, ⊕-accumulating into `out`. Returns the launch and its
     /// plan.
-    #[allow(clippy::too_many_arguments)]
     fn launch(
         dev: &Device,
         smem: &CsrMatrix<f64>,
         stream: &CsrMatrix<f64>,
         d: Distance,
-        kind: SmemVecKind,
-        max_entries: usize,
-        commuted: bool,
+        cfg: &HybridConfig,
         out: &GlobalBuffer<f64>,
     ) -> (LaunchStats, PartitionPlan) {
         let sr = d.semiring::<f64>(&DistanceParams::default());
@@ -353,7 +454,7 @@ mod tests {
         let stream_side = DeviceCoo::upload(dev, stream);
         let plan = PartitionPlan::build(
             smem.indptr(),
-            max_entries,
+            cfg.max_entries,
             !sr.is_annihilating(),
             stream.nnz(),
         );
@@ -361,13 +462,14 @@ mod tests {
             smem_side: &smem_side,
             stream_side: &stream_side,
             plan: &plan,
-            kind,
-            hash_capacity: 256,
-            smem_per_block: 48 * 1024,
+            kind: cfg.kind,
+            hash_capacity: cfg.hash_capacity,
+            smem_per_block: cfg.smem_per_block,
             sr,
+            pass: PassKind::Products,
             out,
-            out_cols: if commuted { smem.rows() } else { stream.rows() },
-            commuted,
+            out_cols: stream.rows(),
+            base: 0,
         };
         let stats = hybrid_pass(dev, &inp).expect("launch");
         assert_eq!(stats.config.blocks, plan.entries.len() * plan.chunks());
@@ -383,11 +485,35 @@ mod tests {
     ) -> (Vec<f64>, PartitionPlan) {
         let dev = Device::volta();
         let out = dev.buffer::<f64>(a.rows() * b.rows());
-        let (_, plan) = launch(&dev, a, b, d, kind, max_entries, false, &out);
+        let (_, plan) = launch(&dev, a, b, d, &config(kind, max_entries), &out);
         (out.to_vec(), plan)
     }
 
-    /// Both passes (the second only for NAMMs), into one buffer.
+    /// Both passes (the second, slab by slab, only for NAMMs) into one
+    /// buffer, on `dev`. Returns the cells and every launch.
+    fn run_union_on(
+        dev: &Device,
+        a: &CsrMatrix<f64>,
+        b: &CsrMatrix<f64>,
+        d: Distance,
+        kind: SmemVecKind,
+        max_entries: usize,
+    ) -> (Vec<f64>, Vec<LaunchStats>) {
+        let sr = d.semiring::<f64>(&DistanceParams::default());
+        let cfg = config(kind, max_entries);
+        let out = dev.buffer::<f64>(a.rows() * b.rows());
+        let mut stats = vec![launch(dev, a, b, d, &cfg, &out).0];
+        if !sr.is_annihilating() {
+            let plan = PartitionPlan::build(b.indptr(), max_entries, true, a.nnz());
+            let (index, queries) = (DeviceCsr::upload(dev, b), DeviceCoo::upload(dev, a));
+            stats.extend(
+                hybrid_difference_pass(dev, &index, &queries, &plan, &cfg, &sr, &out)
+                    .expect("launch"),
+            );
+        }
+        (out.to_vec(), stats)
+    }
+
     fn run_union(
         a: &CsrMatrix<f64>,
         b: &CsrMatrix<f64>,
@@ -395,16 +521,7 @@ mod tests {
         kind: SmemVecKind,
         max_entries: usize,
     ) -> Vec<f64> {
-        let dev = Device::volta();
-        let out = dev.buffer::<f64>(a.rows() * b.rows());
-        launch(&dev, a, b, d, kind, max_entries, false, &out);
-        if !d
-            .semiring::<f64>(&DistanceParams::default())
-            .is_annihilating()
-        {
-            launch(&dev, b, a, d, kind, max_entries, true, &out);
-        }
-        out.to_vec()
+        run_union_on(&Device::volta(), a, b, d, kind, max_entries).0
     }
 
     /// A host reference over one pair of rows.
@@ -539,6 +656,87 @@ mod tests {
         }
     }
 
+    fn names(stats: &[LaunchStats]) -> Vec<&str> {
+        stats.iter().map(|s| s.name.as_str()).collect()
+    }
+
+    /// 420 queries of f64 give 128-row slabs (128 × 420 × 8 B ≤ 512 KiB <
+    /// 160 × 420 × 8 B), so a 420-row index runs four slabs of 128, 128,
+    /// 128 and 36 rows. `kind` with whole and partitioned rows (about 6
+    /// nonzeros a row against `max_entries` 4), plus `extra` cases, bit
+    /// for bit against the union. 32 columns keep a debug build to
+    /// seconds; 256 took about 40 s per case.
+    fn check_multi_slab(kind: SmemVecKind, extra: &[(&CsrMatrix<f64>, usize)]) {
+        assert_eq!(crate::hybrid::pass2_slab_rows::<f64>(420), 128);
+        let d = Distance::Manhattan;
+        let full = integer_matrix(420, 32, 5);
+        let cases = [(&full, 128), (&full, 4)]
+            .into_iter()
+            .chain(extra.iter().copied());
+        for (x, max_entries) in cases {
+            let what = format!("{kind:?} max_entries={max_entries} nnz={}", x.nnz());
+            let plan = PartitionPlan::build(x.indptr(), max_entries, true, x.nnz());
+            assert_eq!(plan.partitioned_rows > 0, max_entries == 4, "{what}");
+            let (got, stats) = run_union_on(&Device::volta(), x, x, d, kind, max_entries);
+            let pass = stats[0].name.as_str();
+            let slab = [pass, "hybrid_combine"];
+            assert_eq!(
+                names(&stats),
+                [[pass].as_slice(), &slab, &slab, &slab, &slab].concat()
+            );
+            // Combine grids: ⌈rows / 32⌉ × ⌈420 / 32⌉ tiles per slab.
+            let tiles: Vec<usize> = stats[2..]
+                .iter()
+                .step_by(2)
+                .map(|s| s.config.blocks)
+                .collect();
+            assert_eq!(tiles, [4 * 14, 4 * 14, 4 * 14, 2 * 14], "{what}");
+            assert_bits(&got, &expect(x, x, d, apply_semiring_union), &what);
+        }
+    }
+
+    #[test]
+    fn multi_slab_union_matches_reference_dense() {
+        check_multi_slab(SmemVecKind::Dense, &[]);
+    }
+
+    /// With empty rows on both sides of slab boundaries, too.
+    #[test]
+    fn multi_slab_union_matches_reference_hash() {
+        let holes = integer_matrix_without(420, 32, 5, &[0, 127, 128, 300, 419]);
+        check_multi_slab(SmemVecKind::Hash, &[(&holes, 4)]);
+    }
+
+    #[test]
+    fn multi_slab_union_matches_reference_bloom() {
+        check_multi_slab(SmemVecKind::Bloom, &[]);
+    }
+
+    /// The tiled transpose under `SanitizerMode::Fail`, over two slabs of
+    /// 32 and 8 index rows: no memcheck, racecheck, synccheck or initcheck
+    /// finding, and the union still exact.
+    #[test]
+    fn combine_is_clean_under_sanitizer_fail() {
+        let queries = integer_matrix_without(1100, 16, 6, &[3]);
+        let index = integer_matrix_without(40, 16, 7, &[31, 32]);
+        let dev = Device::volta().with_sanitizer(gpu_sim::SanitizerMode::Fail);
+        let d = Distance::Canberra;
+        let (got, stats) = run_union_on(&dev, &queries, &index, d, SmemVecKind::Hash, 16);
+        assert_eq!(
+            names(&stats),
+            [
+                "hybrid_pass_hash",
+                "hybrid_pass_hash",
+                "hybrid_combine",
+                "hybrid_pass_hash",
+                "hybrid_combine"
+            ]
+        );
+        assert!(stats.iter().all(|s| s.sanitizer_reports.is_empty()));
+        let want = expect(&queries, &index, d, apply_semiring_union);
+        assert_close(&got, &want, "canberra");
+    }
+
     #[test]
     fn stream_loads_are_coalesced() {
         let (a, b) = sample();
@@ -549,9 +747,7 @@ mod tests {
             &a,
             &b,
             Distance::DotProduct,
-            SmemVecKind::Dense,
-            512,
-            false,
+            &config(SmemVecKind::Dense, 512),
             &out,
         );
         // COO arrays are read unit-stride: low overhead vs. the naive

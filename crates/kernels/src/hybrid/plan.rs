@@ -112,6 +112,24 @@ impl PartitionPlan {
         self.entries.len() * self.chunks()
     }
 
+    /// The sub-plan of the entries staging rows in `rows`, for the same
+    /// streamed side. Entries are grouped by row in order, so they form
+    /// one contiguous range and a partitioned row stays whole.
+    pub fn rows(&self, rows: Range<usize>) -> Self {
+        let lo = self.entries.partition_point(|e| e.row < rows.start);
+        let hi = self.entries.partition_point(|e| e.row < rows.end);
+        let entries = self.entries[lo..hi].to_vec();
+        let partitioned_rows = entries
+            .iter()
+            .filter(|e| e.partitioned && e.is_first)
+            .count();
+        Self {
+            entries,
+            partitioned_rows,
+            stream_nnz: self.stream_nnz,
+        }
+    }
+
     /// Block `block`'s entry and the streamed nonzeros it sweeps, or
     /// `None` past the grid.
     pub fn block(&self, block: usize) -> Option<(&PartitionEntry, Range<usize>)> {
@@ -201,5 +219,19 @@ mod tests {
         let empty = PartitionPlan::build(&indptr, 100, false, 0);
         assert_eq!((empty.chunks(), empty.blocks()), (1, 2));
         assert_eq!(empty.block(1).map(|(_, r)| r), Some(0..0));
+    }
+
+    #[test]
+    fn row_ranges_keep_partitioned_rows_whole() {
+        // Rows of degree 10, 0, 3 and 9 at max_entries 4: 3 + 1 + 1 + 3
+        // entries; rows 0 and 3 are partitioned.
+        let plan = PartitionPlan::build(&[0, 10, 10, 13, 22], 4, true, 50);
+        let head = plan.rows(0..2);
+        assert_eq!(head.entries, plan.entries[..4]);
+        assert_eq!(head.partitioned_rows, 1);
+        let tail = plan.rows(2..4);
+        assert_eq!(tail.entries, plan.entries[4..]);
+        assert_eq!((tail.partitioned_rows, tail.stream_nnz), (1, 50));
+        assert!(plan.rows(4..8).entries.is_empty());
     }
 }

@@ -5,7 +5,7 @@ use crate::device_fmt::{DeviceCoo, DeviceCsr};
 use crate::error::KernelError;
 use crate::esc::expand_sort_contract_kernel;
 use crate::expansion::{expansion_kernel, finalize_kernel};
-use crate::hybrid::{hybrid_inner_terms_cached, SmemVecKind};
+use crate::hybrid::{hybrid_inner_terms_cached, pass2_scratch_bytes, SmemVecKind};
 use crate::naive::naive_csr_kernel;
 use crate::naive_shared::naive_shared_kernel;
 use crate::norms::row_norms_kernel;
@@ -398,11 +398,11 @@ fn attempt_pairwise<T: Real>(
                 &sr,
                 smem_mode.forced(),
             )?;
-            // COO row-index workspace: nnz(B) (+ nnz(A) for the NAMM
-            // second pass).
+            // COO row-index workspace: nnz(B) (+ nnz(A) and the largest
+            // scratch slab for the NAMM second pass).
             workspace += b.host.nnz() * 4;
             if !sr.is_annihilating() {
-                workspace += a.nnz() * 4;
+                workspace += a.nnz() * 4 + pass2_scratch_bytes::<T>(m, n);
             }
             launches.extend(stats);
             out
@@ -568,14 +568,29 @@ mod tests {
         let dev = Device::volta();
         let params = DistanceParams::default();
         let opts = PairwiseOptions::default();
-        let manhattan =
-            pairwise_distances(&dev, &a, &b, Distance::Manhattan, &params, &opts).expect("ok");
-        // Two hybrid passes + finalize.
-        assert_eq!(manhattan.launches.len(), 3);
-        let cosine =
-            pairwise_distances(&dev, &a, &b, Distance::Cosine, &params, &opts).expect("ok");
-        // One hybrid pass + 2 norm launches + expansion.
-        assert_eq!(cosine.launches.len(), 4);
+        let names = |d: Distance| -> Vec<String> {
+            pairwise_distances(&dev, &a, &b, d, &params, &opts)
+                .expect("ok")
+                .launches
+                .into_iter()
+                .map(|s| s.name)
+                .collect()
+        };
+        // Pass 1, one (pass 2, combine) slab, finalize.
+        assert_eq!(
+            names(Distance::Manhattan),
+            [
+                "hybrid_pass_dense",
+                "hybrid_pass_dense",
+                "hybrid_combine",
+                "finalize"
+            ]
+        );
+        // One hybrid pass, the two operands' norms, expansion.
+        assert_eq!(
+            names(Distance::Cosine),
+            ["hybrid_pass_dense", "row_norms", "row_norms", "expansion"]
+        );
     }
 
     #[test]
@@ -591,8 +606,12 @@ mod tests {
             &PairwiseOptions::default(),
         )
         .expect("ok");
-        // NAMM hybrid: nnz(B)*4 + nnz(A)*4 of COO row workspace.
-        assert_eq!(r.memory.workspace_bytes, (a.nnz() + b.nnz()) * 4);
+        // NAMM hybrid: nnz(B)*4 + nnz(A)*4 of COO row workspace, plus
+        // one pass-2 scratch slab of all 4 index rows × 3 queries of f64.
+        assert_eq!(
+            r.memory.workspace_bytes,
+            (a.nnz() + b.nnz()) * 4 + 4 * 3 * 8
+        );
         assert_eq!(r.memory.output_bytes, 3 * 4 * 8);
         assert!(r.sim_seconds() > 0.0);
     }

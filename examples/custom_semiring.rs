@@ -46,15 +46,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Manhattan NAMM (Appendix A.1): ⊗ = |a − b| with id⊗ = 0, ⊕ = +.
     //    Non-annihilating, so the runner adds the commuted second pass
-    //    (Figure 3's second entry point).
+    //    (Figure 3's second entry point), which writes a scratch slab
+    //    that `hybrid_combine` folds into the output.
     let manhattan = Semiring::namm(
         Monoid::new(|a: f64, b: f64| (a - b).abs(), 0.0),
         Monoid::plus(),
     );
     let out = runner.run(&x, &x, &manhattan)?;
-    println!("\nManhattan NAMM ({} passes):", out.launches.len());
+    let names: Vec<&str> = out.launches.iter().map(|l| l.name.as_str()).collect();
+    println!("\nManhattan NAMM ({}):", names.join(", "));
     print_matrix(&out.inner_terms);
-    assert_eq!(out.launches.len(), 2);
+    assert_eq!(
+        names,
+        ["hybrid_pass_dense", "hybrid_pass_dense", "hybrid_combine"]
+    );
     assert_eq!(out.inner_terms.get(0, 1), 4.0); // |1-0|+|1-0|+|0-1|+|2-0|... = 1+1+0+2? -> columns 0,1,2,4
 
     // 3. Tropical semiring (Equation 1): (ℝ ∪ {+∞}, {min, +∞}, {+, 0}).

@@ -159,6 +159,39 @@ fn every_strategy_and_family_is_identical_across_thread_counts() {
 }
 
 #[test]
+fn namm_pass2_slabs_are_identical_across_thread_counts() {
+    // 1100 f64 queries give 32-row pass-2 slabs, so a 40-row index runs
+    // two (pass 2, combine) pairs: the slab loop and the tiled transpose
+    // race over blocks like every other launch.
+    let (queries, index) = (sample(1100, 14), sample(40, 14));
+    let run = |threads: usize| {
+        sparse_dist::pairwise_distances_with(
+            &device(threads).with_profiler(true),
+            &queries,
+            &index,
+            Distance::Canberra,
+            &DistanceParams::default(),
+            &PairwiseOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("canberra x{threads}: {e}"))
+    };
+    let serial = run(1);
+    let combines = serial
+        .launches
+        .iter()
+        .filter(|l| l.name == "hybrid_combine")
+        .count();
+    assert_eq!(combines, 2, "two pass-2 slabs");
+    for threads in THREADS {
+        assert_identical(
+            &format!("canberra slabs x{threads}"),
+            &serial,
+            &run(threads),
+        );
+    }
+}
+
+#[test]
 fn fault_injection_replays_identically_under_a_thread_pool() {
     // Injection-armed launches stay serial inside the executor, but the
     // surrounding retry/cascade engine must still see the exact same
