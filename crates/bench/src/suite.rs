@@ -319,7 +319,7 @@ mod tests {
         let dense: Vec<f64> = (0..600 * 40)
             .map(|i: usize| {
                 let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-                if h % 5 == 0 {
+                if h.is_multiple_of(5) {
                     1.0 + (h % 89) as f64 / 8.0
                 } else {
                     0.0

@@ -86,9 +86,23 @@ impl<T: Copy + Default> SmemHashTable<T> {
         self.len() as f64 / self.capacity as f64
     }
 
+    /// Each active lane's home slot, `murmur(key) % capacity`: where its
+    /// linear probe chain starts. Computed once per warp-op.
+    fn homes(&self, keys: &Lanes<Option<u32>>) -> Lanes<usize> {
+        lanes_from_fn(|l| keys[l].map_or(0, |k| murmur3_32(k, self.seed) as usize % self.capacity))
+    }
+
+    /// The slot `probe` steps along the chain from `home`, i.e.
+    /// `(home + probe) % capacity` for `probe < capacity`, with one
+    /// conditional subtract instead of a divide.
     #[inline]
-    fn slot(&self, key: u32, probe: usize) -> usize {
-        (murmur3_32(key, self.seed) as usize % self.capacity + probe) % self.capacity
+    fn probe_slot(&self, home: usize, probe: usize) -> usize {
+        let s = home + probe;
+        if s >= self.capacity {
+            s - self.capacity
+        } else {
+            s
+        }
     }
 
     /// Warp-parallel insert: each active lane inserts one `(key, value)`
@@ -116,6 +130,7 @@ impl<T: Copy + Default> SmemHashTable<T> {
             return;
         }
         let mut pending = *keys;
+        let homes = self.homes(keys);
         for probe in 0..=self.capacity {
             if pending.iter().all(Option::is_none) {
                 return;
@@ -134,7 +149,7 @@ impl<T: Copy + Default> SmemHashTable<T> {
                 );
                 return;
             }
-            let idx = lanes_from_fn(|l| pending[l].map(|k| self.slot(k, probe)));
+            let idx = lanes_from_fn(|l| pending[l].map(|_| self.probe_slot(homes[l], probe)));
             // Each lane claims its slot with an `atomicCAS` on the key
             // word; the returned old value tells it whether it won the
             // slot (`EMPTY`), found its key already present (a duplicate
@@ -198,6 +213,7 @@ impl<T: Copy + Default> SmemHashTable<T> {
         let mut out = [None; WARP_SIZE];
         // The slot each hit was found in, for the value-read charge.
         let mut hit_idx: Lanes<Option<usize>> = [None; WARP_SIZE];
+        let homes = self.homes(keys);
         for probe in 0..=self.capacity {
             if pending.iter().all(Option::is_none) {
                 break;
@@ -205,7 +221,7 @@ impl<T: Copy + Default> SmemHashTable<T> {
             if probe == self.capacity {
                 break; // full table, key absent everywhere
             }
-            let idx = lanes_from_fn(|l| pending[l].map(|k| self.slot(k, probe)));
+            let idx = lanes_from_fn(|l| pending[l].map(|_| self.probe_slot(homes[l], probe)));
             let found = w.smem_gather(&self.keys, &idx);
             w.issue(1);
             for l in 0..WARP_SIZE {
@@ -354,7 +370,6 @@ mod tests {
     fn fuzz_against_std_hashmap() {
         // Random distinct key sets and lookups, behaviour compared to a
         // std::HashMap oracle across many seeds.
-        use crate::murmur::murmur3_32;
         for seed in 0..40u32 {
             let dev = Device::volta();
             dev.launch("fuzz", LaunchConfig::new(1, 32, 48 * 1024), |block| {
@@ -393,6 +408,33 @@ mod tests {
                 assert_eq!(table.len(), oracle.len(), "seed {seed}");
             });
         }
+    }
+
+    #[test]
+    fn probe_chains_wrap_past_the_last_slot() {
+        // Three keys whose home slot is the last one: inserted together,
+        // lane order decides the CAS winners, so they take the slots
+        // `p = 0, 1, 2` steps along the shared chain, across the wrap.
+        // Each landing slot is the plain modular formula's.
+        run_in_block(|block| {
+            let cap = 32;
+            let table = SmemHashTable::<f32>::new(block, cap);
+            let slot = |k: u32, p: usize| (murmur3_32(k, table.seed) as usize % cap + p) % cap;
+            let wrapping: Vec<u32> = (0..).filter(|&k| slot(k, 0) == cap - 1).take(3).collect();
+            let t = table.clone();
+            block.run_warps(|w| {
+                let keys = lanes_from_fn(|l| wrapping.get(l).copied());
+                let vals = lanes_from_fn(|l| l as f32 + 0.5);
+                t.insert_warp(w, &keys, &vals);
+                let got = t.lookup_warp(w, &keys);
+                assert_eq!(&got[..3], &[Some(0.5), Some(1.5), Some(2.5)]);
+            });
+            let stored = table.keys.snapshot();
+            for (p, &k) in wrapping.iter().enumerate() {
+                assert_eq!(stored[slot(k, p)], k, "key {k} at probe {p}");
+            }
+            assert_eq!([slot(wrapping[1], 1), slot(wrapping[2], 2)], [0, 1]);
+        });
     }
 
     #[test]

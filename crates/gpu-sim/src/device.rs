@@ -413,9 +413,11 @@ impl Device {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible launch: invalid geometry, over-budget shared-memory
-    /// allocations, and (under [`SanitizerMode::Fail`]) sanitizer findings
-    /// come back as [`SimError`] values instead of panics.
+    /// Fallible launch: invalid geometry, a device spec whose
+    /// `mem_transaction_bytes` or `smem_banks` is not a power of two,
+    /// over-budget shared-memory allocations, and (under
+    /// [`SanitizerMode::Fail`]) sanitizer findings come back as
+    /// [`SimError`] values instead of panics.
     ///
     /// Every block runs through one executor (`run_block`) and folds
     /// into the launch through one ordered `merge`. Only the scheduler
@@ -438,6 +440,17 @@ impl Device {
                 "invalid threads_per_block {}",
                 config.threads_per_block
             )));
+        }
+        // The charge paths find a segment by shift and a bank by mask.
+        for (field, value) in [
+            ("mem_transaction_bytes", self.spec.mem_transaction_bytes),
+            ("smem_banks", self.spec.smem_banks),
+        ] {
+            if !value.is_power_of_two() {
+                return Err(SimError::InvalidLaunchConfig(format!(
+                    "DeviceSpec::{field} {value} is not a power of two"
+                )));
+            }
         }
         if config.smem_per_block > self.spec.shared_mem_per_block {
             return Err(SimError::InvalidLaunchConfig(format!(
@@ -466,16 +479,22 @@ impl Device {
         // "first access" state that per-block replicas would re-fire.
         let pooled = host_threads > 1 && config.blocks > 1 && inject.is_none();
         let (spec, warps_per_block) = (&self.spec, config.warps_per_block());
-        // One block, start to finish, against its own sanitizer, profiler,
-        // L2 tracker and (on the pool) atomic log. Panics are always
-        // caught here — they must not cross the pool's scope join — and
-        // classified by `merge`.
-        let run_block = |b: usize, faults: &Rc<LaunchFaults>| -> BlockOutcome {
+        // One block, start to finish, against its own sanitizer, profiler
+        // and (on the pool) atomic log. The L2 tracker belongs to the
+        // executor — the serial loop or one pool worker — and is emptied
+        // here, so each block still starts cold while its set keeps the
+        // capacity earlier blocks grew. Panics are always caught here —
+        // they must not cross the pool's scope join — and classified by
+        // `merge`.
+        let run_block = |b: usize, faults: &Rc<LaunchFaults>, l2: &mut L2Tracker| -> BlockOutcome {
             let bsan_root = Rc::new(LaunchSanitizer::new(mode, name));
             let bsan = Rc::new(BlockSanitizer::new(bsan_root.clone(), b, warps_per_block));
             let bprof = profiling.then(|| Rc::new(LaunchProfiler::new()));
             let defer = AtomicDefer::default();
-            let mut l2 = L2Tracker::default();
+            // `clear` rewrites every control byte even of an empty set.
+            if !l2.is_empty() {
+                l2.clear();
+            }
             let mut block = BlockCtx {
                 block_id: b,
                 grid_blocks: config.blocks,
@@ -483,7 +502,7 @@ impl Device {
                 spec,
                 shared: SharedMem::with_sanitizer(config.smem_per_block, bsan.clone()),
                 counters: Counters::new(),
-                l2: &mut l2,
+                l2,
                 san: bsan,
                 prof: bprof
                     .as_ref()
@@ -546,14 +565,17 @@ impl Device {
                 (0..config.blocks).map(|_| Mutex::new(None)).collect();
             std::thread::scope(|s| {
                 for _ in 0..host_threads.min(config.blocks) {
-                    s.spawn(|| loop {
-                        let b = queue.fetch_add(1, Ordering::Relaxed);
-                        if b >= config.blocks {
-                            break;
+                    s.spawn(|| {
+                        let mut l2 = L2Tracker::default();
+                        loop {
+                            let b = queue.fetch_add(1, Ordering::Relaxed);
+                            if b >= config.blocks {
+                                break;
+                            }
+                            let faults = Rc::new(LaunchFaults::new(name, None, watchdog));
+                            *slots[b].lock().unwrap_or_else(|e| e.into_inner()) =
+                                Some(run_block(b, &faults, &mut l2));
                         }
-                        let faults = Rc::new(LaunchFaults::new(name, None, watchdog));
-                        *slots[b].lock().unwrap_or_else(|e| e.into_inner()) =
-                            Some(run_block(b, &faults));
                     });
                 }
             });
@@ -570,8 +592,9 @@ impl Device {
             // by construction. Merging after each block lets a fault stop
             // the launch before later blocks run.
             let faults = Rc::new(LaunchFaults::new(name, inject, watchdog));
+            let mut l2 = L2Tracker::default();
             for b in 0..config.blocks {
-                merge(run_block(b, &faults))?;
+                merge(run_block(b, &faults, &mut l2))?;
             }
         }
         let sanitizer_reports = lsan.take_reports();
@@ -752,6 +775,63 @@ mod tests {
         // launch's touches did not carry over.
         assert_eq!(second.counters.global_bytes_unique, 128);
         assert_eq!(second.counters, first.counters);
+    }
+
+    #[test]
+    fn rejects_specs_whose_banks_or_segments_are_not_powers_of_two() {
+        let run = |spec: DeviceSpec| {
+            Device::new(spec)
+                .try_launch("spec", LaunchConfig::new(1, 32, 0), |_| {})
+                .unwrap_err()
+                .to_string()
+        };
+        let banks = run(DeviceSpec {
+            smem_banks: 24,
+            ..DeviceSpec::volta_v100()
+        });
+        assert!(banks.contains("smem_banks 24"), "{banks}");
+        let seg = run(DeviceSpec {
+            mem_transaction_bytes: 96,
+            ..DeviceSpec::volta_v100()
+        });
+        assert!(seg.contains("mem_transaction_bytes 96"), "{seg}");
+    }
+
+    #[test]
+    fn each_block_starts_with_an_empty_l2_tracker_under_reuse() {
+        // Each executor reuses one tracker across the blocks it runs, so
+        // this pins that it is emptied between them: every block pays
+        // its own compulsory misses, under both schedulers.
+        let buf = Device::volta().buffer_from_slice(&[1.0f32; 32 * 64]);
+        for threads in [1, 4] {
+            let dev = Device::volta().with_host_threads(threads);
+            let one_segment = dev.launch("shared_seg", LaunchConfig::new(2, 32, 0), |block| {
+                block.run_warps(|w| {
+                    let _ = w.global_gather(&buf, &lanes_from_fn(Some));
+                });
+            });
+            assert_eq!(
+                one_segment.counters.global_bytes_unique, 256,
+                "{threads} threads"
+            );
+            // Even blocks read all 64 segments, odd blocks only the
+            // first; 8 blocks over at most 4 workers put a light block
+            // after a heavy one on some executor, and each light block
+            // still pays its one compulsory segment.
+            let heavy_light = dev.launch("heavy_light", LaunchConfig::new(8, 32, 0), |block| {
+                let segments = if block.block_id % 2 == 0 { 64 } else { 1 };
+                block.run_warps(|w| {
+                    for s in 0..segments {
+                        let _ = w.global_gather(&buf, &lanes_from_fn(|l| Some(32 * s + l)));
+                    }
+                });
+            });
+            assert_eq!(
+                heavy_light.counters.global_bytes_unique,
+                4 * 65 * 128,
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use crate::sanitizer::{BlockSanitizer, SimError, SmemShadow};
+use crate::warp::{Lanes, WARP_SIZE};
 
 /// The shared-memory pool of one thread block.
 ///
@@ -82,7 +83,6 @@ impl SharedMem {
         SharedArray {
             data: Rc::new(RefCell::new(vec![T::default(); len])),
             base_byte: base,
-            elem_bytes: std::mem::size_of::<T>(),
             shadow,
         }
     }
@@ -124,7 +124,6 @@ impl SharedMem {
 pub struct SharedArray<T> {
     data: Rc<RefCell<Vec<T>>>,
     base_byte: usize,
-    elem_bytes: usize,
     shadow: Option<Rc<SmemShadow>>,
 }
 
@@ -141,10 +140,12 @@ impl<T: Copy> SharedArray<T> {
 
     /// The 4-byte word addresses an element occupies, as
     /// `(first_word, word_count)` — the unit of bank-conflict accounting.
+    #[inline]
     pub(crate) fn word_span(&self, idx: usize) -> (usize, usize) {
+        let elem_bytes = std::mem::size_of::<T>();
         (
-            (self.base_byte + idx * self.elem_bytes) / 4,
-            self.elem_bytes.div_ceil(4).max(1),
+            (self.base_byte + idx * elem_bytes) / 4,
+            elem_bytes.div_ceil(4).max(1),
         )
     }
 
@@ -163,6 +164,23 @@ impl<T: Copy> SharedArray<T> {
     /// accounting with warp/lane identity).
     pub(crate) fn raw_get(&self, idx: usize) -> T {
         self.data.borrow()[idx]
+    }
+
+    /// Reads each active lane's element under one storage borrow,
+    /// bypassing the shadow (see [`SharedArray::raw_get`]); inactive
+    /// lanes get `T::default()`.
+    pub(crate) fn gather_lanes(&self, idx: &Lanes<Option<usize>>) -> Lanes<T>
+    where
+        T: Default,
+    {
+        let data = self.data.borrow();
+        let mut out = [T::default(); WARP_SIZE];
+        for (slot, i) in out.iter_mut().zip(idx) {
+            if let Some(i) = *i {
+                *slot = data[i];
+            }
+        }
+        out
     }
 
     /// Storage write bypassing the shadow (see [`SharedArray::raw_get`]).

@@ -15,6 +15,7 @@ use crate::prof::BlockProfiler;
 use crate::sanitizer::{BlockSanitizer, CheckerKind, MemSpace, SimError};
 use crate::shared::SharedArray;
 use crate::spec::DeviceSpec;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -117,8 +118,8 @@ struct Tally<const N: usize> {
 
 impl<const N: usize> Tally<N> {
     /// Marks an empty slot; no key reaches it (segments, words and
-    /// banks are quotients or remainders, and an address that large is
-    /// out of bounds and panics the op).
+    /// banks are shifted or masked addresses, and an address that large
+    /// is out of bounds and panics the op).
     const EMPTY: usize = usize::MAX;
 
     fn new() -> Self {
@@ -329,17 +330,30 @@ impl<'a> WarpCtx<'a> {
     /// Memcheck: with the sanitizer enabled, out-of-bounds lanes are
     /// reported and squashed (excluded from cost and data movement)
     /// instead of panicking; with it off the legacy `Vec` index panic is
-    /// preserved downstream.
-    fn memcheck(
+    /// preserved downstream, and the lanes are borrowed, not copied.
+    #[inline]
+    fn memcheck<'i>(
+        &self,
+        len: usize,
+        idx: &'i Lanes<Option<usize>>,
+        space: MemSpace,
+        what: &str,
+    ) -> Cow<'i, Lanes<Option<usize>>> {
+        if self.san.enabled() {
+            Cow::Owned(self.squash_out_of_bounds(len, idx, space, what))
+        } else {
+            Cow::Borrowed(idx)
+        }
+    }
+
+    /// [`Self::memcheck`] under an enabled sanitizer.
+    fn squash_out_of_bounds(
         &self,
         len: usize,
         idx: &Lanes<Option<usize>>,
         space: MemSpace,
         what: &str,
     ) -> Lanes<Option<usize>> {
-        if !self.san.enabled() {
-            return *idx;
-        }
         let mut out = *idx;
         for (l, slot) in out.iter_mut().enumerate() {
             if let Some(i) = *slot {
@@ -467,7 +481,7 @@ impl<'a> WarpCtx<'a> {
                 // Parallel path: log the whole warp-op; the launch
                 // replays logs in block order after the grid finishes.
                 let storage = buf.shared_storage();
-                let vals = *vals;
+                let (idx, vals) = (*idx, *vals);
                 log.push(Box::new(move || {
                     crate::global::replay_rmw(&storage, &idx, &vals, op)
                 }));
@@ -497,12 +511,13 @@ impl<'a> WarpCtx<'a> {
             "shared gather",
         );
         self.charge_smem(arr, &idx);
+        let Some(sh) = arr.shadow() else {
+            return arr.gather_lanes(&idx);
+        };
         let mut out = [T::default(); WARP_SIZE];
         for (l, slot) in out.iter_mut().enumerate() {
             if let Some(i) = idx[l] {
-                if let Some(sh) = arr.shadow() {
-                    sh.warp_read(i, self.warp_id, l, false);
-                }
+                sh.warp_read(i, self.warp_id, l, false);
                 *slot = arr.raw_get(i);
             }
         }
@@ -639,26 +654,83 @@ impl<'a> WarpCtx<'a> {
         out
     }
 
+    /// Charges one warp-wide global access: one transaction per distinct
+    /// segment, and a compulsory (unique) segment per first touch in the
+    /// block's [`L2Tracker`].
+    ///
+    /// The segment size is a power of two (checked by
+    /// [`crate::Device::try_launch`]), so a segment is a shift, not a
+    /// divide. When the active lanes' segments never decrease — every
+    /// coalesced sweep, staging load and flush atomic — each change of
+    /// segment is a new one, so the run is collected directly and its
+    /// segments meet the L2 set after the scan (which keeps the set's
+    /// calls out of the per-lane loop). The first lane whose segment
+    /// falls below its predecessor's sends the whole warp-op through the
+    /// [`Tally`].
     fn charge_global<T>(&mut self, buf_id: u64, idx: &Lanes<Option<usize>>) {
         self.counters.issues += 1;
         self.watchdog_tick();
         let seg = self.spec.mem_transaction_bytes;
+        debug_assert!(seg.is_power_of_two(), "segment size {seg}");
+        let shift = seg.trailing_zeros();
         let esz = std::mem::size_of::<T>();
-        let mut segments = Tally::<{ 2 * WARP_SIZE }>::new();
-        let (mut active, mut distinct) = (0, 0);
+        let mut run = [0usize; WARP_SIZE];
+        let (mut active, mut distinct) = (0usize, 0usize);
+        let (mut last, mut ascending) = (None, true);
         for &i in idx.iter().flatten() {
+            let sg = (i * esz) >> shift;
+            match last {
+                Some(prev) if sg == prev => {}
+                Some(prev) if sg < prev => {
+                    ascending = false;
+                    break;
+                }
+                _ => {
+                    run[distinct] = sg;
+                    distinct += 1;
+                    last = Some(sg);
+                }
+            }
             active += 1;
-            let sg = i * esz / seg;
-            if segments.add(sg) == 1 {
-                distinct += 1;
+        }
+        let (active, distinct) = if ascending {
+            for &sg in &run[..distinct] {
                 if self.l2.insert((buf_id, sg)) {
                     self.counters.global_bytes_unique += seg as u64;
                 }
             }
-        }
+            (active, distinct)
+        } else {
+            self.tally_segments(buf_id, idx, esz, shift)
+        };
         self.counters.global_transactions += distinct as u64;
         self.counters.global_bytes += (distinct * seg) as u64;
         self.counters.global_bytes_requested += (active * esz) as u64;
+    }
+
+    /// [`Self::charge_global`]'s general path for lanes in any order:
+    /// returns `(active lanes, distinct segments)` and charges each
+    /// segment's first touch in the L2 set.
+    fn tally_segments(
+        &mut self,
+        buf_id: u64,
+        idx: &Lanes<Option<usize>>,
+        esz: usize,
+        shift: u32,
+    ) -> (usize, usize) {
+        let mut segments = Tally::<{ 2 * WARP_SIZE }>::new();
+        let (mut active, mut distinct) = (0, 0);
+        for &i in idx.iter().flatten() {
+            active += 1;
+            let sg = (i * esz) >> shift;
+            if segments.add(sg) == 1 {
+                distinct += 1;
+                if self.l2.insert((buf_id, sg)) {
+                    self.counters.global_bytes_unique += 1u64 << shift;
+                }
+            }
+        }
+        (active, distinct)
     }
 
     /// Charges one warp-wide atomic: one atomic per active lane, and
@@ -712,19 +784,39 @@ impl<'a> WarpCtx<'a> {
         if in_window {
             return;
         }
-        let mut words = Tally::<{ 2 * MAX_SMEM_WORDS * WARP_SIZE }>::new();
-        let mut per_bank = Tally::<{ 2 * MAX_SMEM_WORDS * WARP_SIZE }>::new();
-        let mut replay = 0u8;
-        for i in idx.iter().flatten() {
-            let (first_word, span) = arr.word_span(*i);
-            for word in first_word..first_word + span {
-                if words.add(word) == 1 {
-                    replay = replay.max(per_bank.add(word % banks));
-                }
-            }
-        }
+        // A 4-byte element puts at most one word per lane in the tallies;
+        // only wider elements need room for `MAX_SMEM_WORDS` per lane.
+        let replay = if std::mem::size_of::<T>() <= 4 {
+            bank_replays::<T, { 2 * WARP_SIZE }>(arr, idx, banks)
+        } else {
+            bank_replays::<T, { 2 * MAX_SMEM_WORDS * WARP_SIZE }>(arr, idx, banks)
+        };
         self.counters.bank_conflict_extra += u64::from(replay.saturating_sub(1));
     }
+}
+
+/// The most distinct words any one bank holds across the active lanes'
+/// elements, tallied in `N`-slot [`Tally`]s (`N` at least twice the
+/// words one warp-op can touch). `banks` is a power of two (checked by
+/// [`crate::Device::try_launch`]), so a word's bank is a mask.
+fn bank_replays<T: Copy, const N: usize>(
+    arr: &SharedArray<T>,
+    idx: &Lanes<Option<usize>>,
+    banks: usize,
+) -> u8 {
+    debug_assert!(banks.is_power_of_two(), "bank count {banks}");
+    let mut words = Tally::<N>::new();
+    let mut per_bank = Tally::<N>::new();
+    let mut replay = 0u8;
+    for i in idx.iter().flatten() {
+        let (first_word, span) = arr.word_span(*i);
+        for word in first_word..first_word + span {
+            if words.add(word) == 1 {
+                replay = replay.max(per_bank.add(word & (banks - 1)));
+            }
+        }
+    }
+    replay
 }
 
 #[cfg(test)]
@@ -1136,15 +1228,20 @@ mod tests {
     }
 
     /// Lane indices below `len` for one op: random, strided, a few
-    /// duplicated addresses, or unit stride, under the lane mask.
+    /// duplicated addresses, non-decreasing with runs of duplicates, an
+    /// ascending run that wraps back mid-warp, or unit stride, under the
+    /// lane mask.
     fn op_lanes(op: &OpSpec, len: usize) -> Lanes<Option<usize>> {
         let &(_, mask, pattern, base, stride, seed) = op;
+        let (run, rot) = (1 + seed as usize % 4, 1 + (seed >> 8) as usize % 31);
         lanes_from_fn(|l| {
             let r = mix(seed ^ l as u64) as usize;
             let i = match pattern {
                 0 => r,
                 1 => base + l * stride,
                 2 => base + (r % 3) * stride,
+                3 => base + (l / run) * (stride % 9),
+                4 => base + ((l + rot) % WARP_SIZE) * (stride % 9),
                 _ => base + l,
             };
             (mask & (1 << l) != 0).then_some(i % len)
@@ -1154,13 +1251,14 @@ mod tests {
     /// Runs `ops` through the production paths and through the oracle on
     /// identical fresh buffers, asserting equal counters, equal returned
     /// lanes and equal buffer contents.
-    fn check_against_oracle<T>(ops: &[OpSpec], banks: usize, pad: usize)
+    fn check_against_oracle<T>(ops: &[OpSpec], banks: usize, seg: usize, pad: usize)
     where
         T: Copy + Default + PartialEq + std::fmt::Debug + From<f32> + Send + Sync + 'static,
         T: std::ops::Add<Output = T>,
     {
         let spec = DeviceSpec {
             smem_banks: banks,
+            mem_transaction_bytes: seg,
             ..DeviceSpec::volta_v100()
         };
         let init = |i: usize| T::from((mix(i as u64) % 1000) as f32 * 0.37);
@@ -1224,9 +1322,10 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// Random warp-op sequences (lane masks, duplicate and strided
-        /// indices, 4- and 8-byte elements, shifted shared-memory bases,
-        /// 16/32/64 banks) charge exactly what the oracle charges and
-        /// leave the same bytes behind.
+        /// indices, sorted and wrapped runs, 4- and 8-byte elements,
+        /// shifted shared-memory bases, 16/32/64 banks, 32/64/128-byte
+        /// segments) charge exactly what the oracle charges and leave
+        /// the same bytes behind.
         #[test]
         fn warp_ops_match_the_oracle(
             ops in proptest::collection::vec(
@@ -1237,7 +1336,7 @@ mod tests {
                         0u32..=u32::MAX,
                         (0u32..32).prop_map(|l| 1 << l),
                     ],
-                    0u8..4,
+                    0u8..6,
                     0usize..GLOBAL_LEN,
                     1usize..130,
                     0u64..u64::MAX,
@@ -1245,13 +1344,14 @@ mod tests {
                 1..12,
             ),
             banks in proptest::prop_oneof![proptest::Just(16usize), proptest::Just(32), proptest::Just(64)],
+            seg in proptest::prop_oneof![proptest::Just(32usize), proptest::Just(64), proptest::Just(128)],
             pad in 0usize..8,
             wide in 0u8..2,
         ) {
             if wide == 1 {
-                check_against_oracle::<f64>(&ops, banks, pad);
+                check_against_oracle::<f64>(&ops, banks, seg, pad);
             } else {
-                check_against_oracle::<f32>(&ops, banks, pad);
+                check_against_oracle::<f32>(&ops, banks, seg, pad);
             }
         }
     }

@@ -4,10 +4,13 @@
 //! deterministic, so perf can be gated without flake: a committed
 //! baseline (`experiments_output/BENCH_baseline.json`) records every
 //! metric row of the `counters_report` and `shard_scaling` harnesses,
-//! and this tool diffs a fresh run against it. Any value drifting by
-//! more than the tolerance — in either direction, since an unexplained
-//! *improvement* means the baseline is stale — fails the gate. A PR
-//! that intentionally changes performance refreshes the baseline with
+//! and this tool diffs a fresh run against it. A value named after a
+//! `gpu_sim::Counters` field, or `calls`, must match exactly: those are
+//! integer event counts, and a one-count drift is a real change. Any
+//! other value (seconds, ratios, rates) fails when it drifts by more
+//! than the tolerance. Either direction fails, since an unexplained
+//! *improvement* means the baseline is stale. A change that
+//! intentionally moves performance refreshes the baseline with
 //! `scripts/update_baselines.sh` and commits the diff.
 //!
 //! Compare mode (the CI `perf-gate` job):
@@ -38,6 +41,45 @@ use std::fs;
 use std::process::ExitCode;
 
 use bench::{BenchReport, MetricRow};
+
+/// Values gated exactly: every `gpu_sim::Counters` field, plus the
+/// profiler's per-range `calls`.
+const EXACT: &[&str] = &[
+    "issues",
+    "effective_issues",
+    "global_bytes",
+    "global_bytes_requested",
+    "global_bytes_unique",
+    "global_transactions",
+    "smem_accesses",
+    "bank_conflict_extra",
+    "atomics",
+    "atomic_conflict_extra",
+    "barriers",
+    "divergence_extra",
+    "calls",
+];
+
+/// Compares one value against its baseline: `None` when it passes,
+/// otherwise the reason it fails.
+fn value_drift(name: &str, base: f64, fresh: f64, tolerance: f64) -> Option<String> {
+    if EXACT.contains(&name) {
+        return (fresh != base).then(|| {
+            format!(
+                "baseline {base}, current {fresh} ({:+} counts, gated exactly)",
+                fresh - base
+            )
+        });
+    }
+    let drift = (fresh - base) / base.abs().max(1e-12);
+    (drift.abs() > tolerance).then(|| {
+        format!(
+            "baseline {base:.6e}, current {fresh:.6e} ({:+.1}% > ±{:.0}%)",
+            drift * 100.0,
+            tolerance * 100.0
+        )
+    })
+}
 
 /// Stable identity of a row: its full (sorted) label set, serialized.
 fn key(row: &MetricRow) -> String {
@@ -115,16 +157,9 @@ fn compare(baseline: &str, inputs: &[String], tolerance: f64) -> Result<usize, S
                     continue;
                 };
                 compared += 1;
-                let denom = bv.abs().max(1e-12);
-                let drift = (fv - bv) / denom;
-                if drift.abs() > tolerance {
+                if let Some(why) = value_drift(vk, *bv, fv, tolerance) {
                     failures += 1;
-                    println!(
-                        "FAIL {vk} [{key}]: baseline {bv:.6e}, current {fv:.6e} \
-                         ({:+.1}% > ±{:.0}%)",
-                        drift * 100.0,
-                        tolerance * 100.0
-                    );
+                    println!("FAIL {vk} [{key}]: {why}");
                 }
             }
         }
@@ -143,7 +178,7 @@ fn compare(baseline: &str, inputs: &[String], tolerance: f64) -> Result<usize, S
     }
     println!(
         "compare_bench: {compared} values compared against {baseline}, \
-         {failures} failure(s), tolerance ±{:.0}%",
+         {failures} failure(s), counters exact, other values ±{:.0}%",
         tolerance * 100.0
     );
     Ok(failures)
@@ -201,5 +236,22 @@ fn main() -> ExitCode {
             eprintln!("compare_bench: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::value_drift;
+
+    #[test]
+    fn counters_gate_exactly_and_seconds_within_the_tolerance() {
+        // One count in a million is far inside ±10 %, and still fails.
+        assert!(value_drift("issues", 1e6, 1e6 + 1.0, 0.10).is_some());
+        assert!(value_drift("calls", 64.0, 63.0, 0.10).is_some());
+        assert!(value_drift("global_bytes_unique", 4096.0, 4096.0, 0.10).is_none());
+        // Seconds and ratios keep the tolerance.
+        assert!(value_drift("sim_seconds", 1.0e-4, 1.05e-4, 0.10).is_none());
+        assert!(value_drift("sim_seconds", 1.0e-4, 1.2e-4, 0.10).is_some());
+        assert!(value_drift("coalescing_overhead", 1.3, 1.31, 0.10).is_none());
     }
 }

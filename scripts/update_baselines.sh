@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Refreshes every committed CI baseline in one pass:
 #
-#   * experiments_output/BENCH_baseline.json   — perf gate (±10%)
+#   * experiments_output/BENCH_baseline.json   — perf gate (counters exact, seconds ±10%)
 #   * experiments_output/ANALYZE_baseline.json — analyzer suppressions
 #   * experiments_output/ANN_recall_floor.json — IVF recall gate
 #
