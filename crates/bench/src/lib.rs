@@ -2,18 +2,28 @@
 //! the paper's tables and figures.
 //!
 //! Each binary in `src/bin/` reproduces one artifact of the paper's
-//! evaluation section:
+//! evaluation or one study of the system around it:
 //!
-//! | Binary             | Paper artifact |
-//! |--------------------|----------------|
-//! | `table2`           | Table 2 — dataset statistics |
-//! | `table3`           | Table 3 — baseline vs. RAFT-style runtimes |
-//! | `figure1`          | Figure 1 — degree-distribution CDFs |
-//! | `memory_footprint` | §4.3 — csrgemm vs. hybrid memory accounting |
-//! | `speedup`          | §4.2 — GPU-vs-CPU speedup summary |
+//! | Binary              | Artifact |
+//! |---------------------|----------|
+//! | `table2`            | Table 2 — dataset statistics |
+//! | `table3`            | Table 3 — baseline vs. RAFT-style runtimes |
+//! | `figure1`           | Figure 1 — degree-distribution CDFs |
+//! | `memory_footprint`  | §4.3 — csrgemm vs. hybrid memory accounting |
+//! | `speedup`           | §4.2 — GPU-vs-CPU speedup summary |
+//! | `counters_report`   | §3 — divergence, coalescing and smem counters per strategy |
+//! | `arch_compare`      | §3.3.2 — Volta vs. Ampere shared-memory limits |
+//! | `ann_recall`        | IVF approximate tier: recall vs. throughput |
+//! | `resilience_report` | Injected fault classes vs. the retry/fallback cascade |
+//! | `shard_scaling`     | Multi-device k-NN shard scaling |
+//! | `serve_throughput`  | Serving: prepared-index cache and micro-batching |
+//! | `serve_fleet`       | Serving under overload, plus a chaos drill |
+//! | `serve_ingest`      | Serving with streaming ingest and compaction |
+//! | `run_all`           | Every harness above, teed into `experiments_output/` |
 //!
-//! Criterion microbenches (strategy and shared-memory ablations) live in
-//! `benches/`.
+//! `perfbench` (its own package under `src/bin/perfbench`) is the
+//! repository's end-to-end benchmark. §3's strategy and shared-memory
+//! orderings are asserted by the `tests/design_space.rs` test.
 
 #![deny(missing_docs)]
 

@@ -210,8 +210,7 @@ impl<T: Copy + Default> SmemHashTable<T> {
     /// alternative.
     pub fn lookup_warp(&self, w: &mut WarpCtx, keys: &Lanes<Option<u32>>) -> Lanes<Option<T>> {
         let mut pending = *keys;
-        let mut out = [None; WARP_SIZE];
-        // The slot each hit was found in, for the value-read charge.
+        // The slot each hit was found in, for the value read.
         let mut hit_idx: Lanes<Option<usize>> = [None; WARP_SIZE];
         let homes = self.homes(keys);
         for probe in 0..=self.capacity {
@@ -234,7 +233,6 @@ impl<T: Copy + Default> SmemHashTable<T> {
                             pending[l] = None;
                             continue;
                         };
-                        out[l] = Some(self.vals.read(i));
                         hit_idx[l] = Some(i);
                         pending[l] = None;
                     } else if found[l] == EMPTY {
@@ -243,9 +241,10 @@ impl<T: Copy + Default> SmemHashTable<T> {
                 }
             }
         }
-        // Charge one value-read access for the hits. A hit whose key has
-        // left its slot indicates corrupted table state and is recorded
-        // as a fault.
+        // One value-read access reads the hits. A hit whose key has left
+        // its slot indicates corrupted table state and is recorded as a
+        // fault; the launch's outputs are then discarded, so that lane's
+        // `None` is never observed.
         for l in 0..WARP_SIZE {
             let (Some(i), Some(k)) = (hit_idx[l], keys[l]) else {
                 continue;
@@ -258,10 +257,11 @@ impl<T: Copy + Default> SmemHashTable<T> {
                 hit_idx[l] = None;
             }
         }
-        if hit_idx.iter().any(Option::is_some) {
-            let _ = w.smem_gather(&self.vals, &hit_idx);
+        if hit_idx.iter().all(Option::is_none) {
+            return [None; WARP_SIZE];
         }
-        out
+        let vals = w.smem_gather(&self.vals, &hit_idx);
+        lanes_from_fn(|l| hit_idx[l].map(|_| vals[l]))
     }
 }
 
@@ -435,6 +435,75 @@ mod tests {
             }
             assert_eq!([slot(wrapping[1], 1), slot(wrapping[2], 2)], [0, 1]);
         });
+    }
+
+    /// Pins what `lookup_warp` charges for hits, misses, a warp of
+    /// mixed and inactive lanes, and a chain that wraps past the last
+    /// slot, each in its own profiler range: `(smem_accesses,
+    /// bank_conflict_extra, issues, divergence_extra)`.
+    #[test]
+    fn lookup_counters_are_pinned() {
+        let cap = 64;
+        let present = |l: usize| (l * 37) as u32;
+        let dev = Device::volta().with_profiler(true);
+        let stats = dev.launch("pin", LaunchConfig::new(1, 32, 64 * 1024), |block| {
+            let table = SmemHashTable::<f32>::new(block, cap);
+            let wrapping: Vec<u32> = (0..)
+                .filter(|&k| murmur3_32(k, table.seed) as usize % cap == cap - 1)
+                .take(3)
+                .collect();
+            block.run_warps(|w| {
+                // The wrapping keys first, so they take slots 63, 0, 1.
+                let keys = lanes_from_fn(|l| wrapping.get(l).copied());
+                table.insert_warp(w, &keys, &lanes_from_fn(|l| l as f32 + 0.5));
+                let keys = lanes_from_fn(|l| (l < 24).then(|| present(l)));
+                table.insert_warp(w, &keys, &lanes_from_fn(|l| l as f32));
+                let hits = w.range("hits", |w| {
+                    table.lookup_warp(w, &lanes_from_fn(|l| (l < 24).then(|| present(l))))
+                });
+                assert!((0..24).all(|l| hits[l] == Some(l as f32)));
+                let misses = w.range("misses", |w| {
+                    table.lookup_warp(w, &lanes_from_fn(|l| Some(present(l) + 1)))
+                });
+                assert!(misses.iter().all(Option::is_none));
+                // Even lanes hit, odd lanes miss, the top eight idle.
+                let mixed = w.range("mixed", |w| {
+                    let keys = lanes_from_fn(|l| (l < 24).then(|| present(l) + (l as u32 & 1)));
+                    table.lookup_warp(w, &keys)
+                });
+                for l in 0..WARP_SIZE {
+                    assert_eq!(mixed[l], (l < 24 && l % 2 == 0).then_some(l as f32));
+                }
+                let wrap = w.range("wrap", |w| {
+                    table.lookup_warp(w, &lanes_from_fn(|l| wrapping.get(l).copied()))
+                });
+                assert_eq!(&wrap[..4], &[Some(0.5), Some(1.5), Some(2.5), None]);
+            });
+        });
+        let profile = stats.profile.expect("profiler on");
+        let got: Vec<_> = ["hits", "misses", "mixed", "wrap"]
+            .into_iter()
+            .map(|name| {
+                let r = profile.ranges.iter().find(|r| r.path == name).unwrap();
+                let c = r.exclusive;
+                (
+                    name,
+                    c.smem_accesses,
+                    c.bank_conflict_extra,
+                    c.issues,
+                    c.divergence_extra,
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("hits", 6, 2, 11, 0),
+                ("misses", 5, 1, 10, 0),
+                ("mixed", 5, 1, 9, 0),
+                ("wrap", 4, 0, 7, 0),
+            ]
+        );
     }
 
     #[test]
