@@ -9,8 +9,8 @@ use crate::cost::{estimate_with_blocks, CostBreakdown};
 use crate::counters::Counters;
 use crate::fault::{FaultPlan, FaultState, LaunchFaults, WatchdogAbort};
 use crate::global::GlobalBuffer;
-use crate::prof::{BlockProfiler, LaunchProfile, LaunchProfiler, ProfData};
-use crate::sanitizer::{BlockSanitizer, LaunchSanitizer, SanitizerMode, SanitizerReport, SimError};
+use crate::prof::{BlockProfiler, LaunchProfile, ProfData};
+use crate::sanitizer::{BlockSanitizer, CappedReports, SanitizerMode, SanitizerReport, SimError};
 use crate::shared::{SharedArray, SharedMem};
 use crate::spec::{DeviceSpec, Occupancy};
 use crate::warp::{AtomicDefer, L2Tracker, WarpCtx, WARP_SIZE};
@@ -39,8 +39,7 @@ fn env_host_threads() -> Option<usize> {
 /// [`Device::try_launch`] fold these into the launch in block order.
 struct BlockOutcome {
     counters: Counters,
-    reports: Vec<SanitizerReport>,
-    reports_dropped: usize,
+    reports: CappedReports,
     prof: Option<ProfData>,
     fault: Option<SimError>,
     panic: Option<Box<dyn Any + Send>>,
@@ -89,8 +88,12 @@ pub struct LaunchStats {
     /// Roofline cost estimate.
     pub cost: CostBreakdown,
     /// Findings collected by the sanitizer (empty when it is off — and,
-    /// for a correct kernel, when it is on).
+    /// for a correct kernel, when it is on): the first 128 in block
+    /// order.
     pub sanitizer_reports: Vec<SanitizerReport>,
+    /// Findings past the 128-report cap, counted but not kept, so a
+    /// truncated report list never looks complete.
+    pub sanitizer_reports_dropped: usize,
     /// Per-range profile when the device's profiler is enabled
     /// ([`Device::with_profiler`]).
     pub profile: Option<LaunchProfile>,
@@ -121,9 +124,11 @@ pub struct BlockCtx<'a> {
     shared: SharedMem,
     counters: Counters,
     l2: &'a mut L2Tracker,
-    san: Rc<BlockSanitizer>,
-    prof: Option<Rc<BlockProfiler>>,
-    faults: Rc<LaunchFaults>,
+    /// `Some` only when the launch's sanitizer mode is on.
+    san: Option<Rc<BlockSanitizer>>,
+    /// `Some` only when the device's profiler is on.
+    prof: Option<&'a BlockProfiler>,
+    faults: &'a LaunchFaults,
     /// `Some` when the block runs on a parallel-executor worker: global
     /// atomics are logged here instead of applied eagerly, then replayed
     /// in block order after the grid finishes (see [`AtomicDefer`]).
@@ -187,9 +192,9 @@ impl<'a> BlockCtx<'a> {
                 spec: self.spec,
                 counters: &mut self.counters,
                 l2: self.l2,
-                san: self.san.as_ref(),
-                prof: self.prof.as_deref(),
-                faults: self.faults.as_ref(),
+                san: self.san.as_deref(),
+                prof: self.prof,
+                faults: self.faults,
                 watchdog: self.faults.watchdog(),
                 deferred: self.deferred,
             };
@@ -203,7 +208,7 @@ impl<'a> BlockCtx<'a> {
     /// counter delta across `f` is attributed to the range (see
     /// [`crate::prof`]).
     pub fn range<R>(&mut self, name: &str, f: impl FnOnce(&mut Self) -> R) -> R {
-        match self.prof.clone() {
+        match self.prof {
             Some(p) => {
                 p.open(name, &self.counters);
                 let r = f(self);
@@ -220,7 +225,9 @@ impl<'a> BlockCtx<'a> {
     pub fn sync(&mut self) {
         self.counters.barriers += 1;
         self.counters.issues += self.warps_per_block as u64;
-        self.san.block_sync();
+        if let Some(san) = &self.san {
+            san.block_sync();
+        }
         if let Some(budget) = self.faults.watchdog() {
             if self.counters.effective_issues() > budget {
                 std::panic::panic_any(WatchdogAbort);
@@ -479,17 +486,19 @@ impl Device {
         // "first access" state that per-block replicas would re-fire.
         let pooled = host_threads > 1 && config.blocks > 1 && inject.is_none();
         let (spec, warps_per_block) = (&self.spec, config.warps_per_block());
-        // One block, start to finish, against its own sanitizer, profiler
-        // and (on the pool) atomic log. The L2 tracker belongs to the
-        // executor — the serial loop or one pool worker — and is emptied
-        // here, so each block still starts cold while its set keeps the
-        // capacity earlier blocks grew. Panics are always caught here —
-        // they must not cross the pool's scope join — and classified by
-        // `merge`.
-        let run_block = |b: usize, faults: &Rc<LaunchFaults>, l2: &mut L2Tracker| -> BlockOutcome {
-            let bsan_root = Rc::new(LaunchSanitizer::new(mode, name));
-            let bsan = Rc::new(BlockSanitizer::new(bsan_root.clone(), b, warps_per_block));
-            let bprof = profiling.then(|| Rc::new(LaunchProfiler::new()));
+        // One block, start to finish. The block owns the collectors its
+        // launch's modes turn on: a sanitizer unless the mode is `Off`, a
+        // profiler when profiling. The executor — the serial loop or one
+        // pool worker — owns the fault context and the L2 tracker and
+        // lends them to each block in turn; the tracker is emptied before
+        // the block and the fault slots after it, so each block starts
+        // cold while the tracker's set keeps the capacity earlier blocks
+        // grew. Panics are always caught here — they must not cross the
+        // pool's scope join — and classified by `merge`.
+        let run_block = |b: usize, faults: &LaunchFaults, l2: &mut L2Tracker| -> BlockOutcome {
+            let san = (mode != SanitizerMode::Off)
+                .then(|| Rc::new(BlockSanitizer::new(name, b, warps_per_block)));
+            let prof = profiling.then(|| BlockProfiler::new(b));
             let defer = AtomicDefer::default();
             // `clear` rewrites every control byte even of an empty set.
             if !l2.is_empty() {
@@ -500,33 +509,37 @@ impl Device {
                 grid_blocks: config.blocks,
                 warps_per_block,
                 spec,
-                shared: SharedMem::with_sanitizer(config.smem_per_block, bsan.clone()),
+                shared: SharedMem::with_sanitizer(config.smem_per_block, san.clone()),
                 counters: Counters::new(),
                 l2,
-                san: bsan,
-                prof: bprof
-                    .as_ref()
-                    .map(|lp| Rc::new(BlockProfiler::new(lp.clone(), b))),
-                faults: faults.clone(),
+                san,
+                prof: prof.as_ref(),
+                faults,
                 deferred: pooled.then_some(&defer),
             };
             let caught =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kernel(&mut block)));
-            let fault = block.shared.take_fault().or_else(|| faults.take());
+            // Drain both slots, so a pool worker's context starts its
+            // next block empty; a shared-memory fault takes precedence.
+            let (smem_fault, ctx_fault) = (block.shared.take_fault(), faults.take());
+            let reports = block
+                .san
+                .as_ref()
+                .map(|san| san.take_reports())
+                .unwrap_or_default();
             let counters = block.counters;
             drop(block);
             BlockOutcome {
                 counters,
-                reports: bsan_root.take_reports(),
-                reports_dropped: bsan_root.dropped(),
-                prof: bprof.map(|lp| lp.take_data()),
-                fault,
+                reports,
+                prof: prof.map(BlockProfiler::into_data),
+                fault: smem_fault.or(ctx_fault),
                 panic: caught.err(),
                 atomics: defer.take(),
             }
         };
-        let lsan = LaunchSanitizer::new(mode, name);
-        let lprof = profiling.then(LaunchProfiler::new);
+        let mut reports = CappedReports::default();
+        let mut prof = profiling.then(ProfData::default);
         let mut total = Counters::new();
         let mut max_block_issues = 0u64;
         // Folds one outcome into the launch; called in block order. The
@@ -546,9 +559,9 @@ impl Device {
             if let Some(fault) = o.fault {
                 return Err(fault);
             }
-            lsan.absorb(o.reports, o.reports_dropped);
-            if let (Some(lp), Some(piece)) = (lprof.as_ref(), o.prof) {
-                lp.absorb(piece);
+            reports.append(o.reports);
+            if let (Some(launch), Some(block)) = (prof.as_mut(), o.prof) {
+                launch.absorb(block);
             }
             for apply in o.atomics {
                 apply();
@@ -558,21 +571,22 @@ impl Device {
             Ok(())
         };
         if pooled {
-            // Each block gets its own uninjected fault context and logs
-            // its atomics for the ordered replay in `merge`.
+            // Each worker owns one uninjected fault context for all its
+            // blocks, and each block logs its atomics for the ordered
+            // replay in `merge`.
             let queue = AtomicUsize::new(0);
             let slots: Vec<Mutex<Option<BlockOutcome>>> =
                 (0..config.blocks).map(|_| Mutex::new(None)).collect();
             std::thread::scope(|s| {
                 for _ in 0..host_threads.min(config.blocks) {
                     s.spawn(|| {
+                        let faults = LaunchFaults::new(name, None, watchdog);
                         let mut l2 = L2Tracker::default();
                         loop {
                             let b = queue.fetch_add(1, Ordering::Relaxed);
                             if b >= config.blocks {
                                 break;
                             }
-                            let faults = Rc::new(LaunchFaults::new(name, None, watchdog));
                             *slots[b].lock().unwrap_or_else(|e| e.into_inner()) =
                                 Some(run_block(b, &faults, &mut l2));
                         }
@@ -591,17 +605,16 @@ impl Device {
             // apply atomics eagerly, which equals the block-order replay
             // by construction. Merging after each block lets a fault stop
             // the launch before later blocks run.
-            let faults = Rc::new(LaunchFaults::new(name, inject, watchdog));
+            let faults = LaunchFaults::new(name, inject, watchdog);
             let mut l2 = L2Tracker::default();
             for b in 0..config.blocks {
                 merge(run_block(b, &faults, &mut l2))?;
             }
         }
-        let sanitizer_reports = lsan.take_reports();
-        if mode == SanitizerMode::Fail && !sanitizer_reports.is_empty() {
+        if mode == SanitizerMode::Fail && !reports.reports.is_empty() {
             return Err(SimError::SanitizerFailure {
                 kernel: name.to_string(),
-                reports: sanitizer_reports,
+                reports: reports.reports,
             });
         }
         let occupancy = self
@@ -614,14 +627,15 @@ impl Device {
             &total,
             max_block_issues,
         );
-        let profile = lprof.map(|lp| lp.finish(total, cost, max_block_issues));
+        let profile = prof.map(|data| data.finish(total, cost, max_block_issues));
         Ok(LaunchStats {
             name: name.to_string(),
             config,
             occupancy,
             counters: total,
             cost,
-            sanitizer_reports,
+            sanitizer_reports: reports.reports,
+            sanitizer_reports_dropped: reports.dropped,
             profile,
         })
     }
@@ -896,24 +910,26 @@ mod tests {
     fn capped_reports_are_the_first_in_block_order_under_both_schedulers() {
         // 4 blocks × 50 out-of-bounds lanes = 200 findings, past the
         // 128-report cap: both schedulers keep blocks 0 and 1 whole and
-        // the first 28 of block 2.
+        // the first 28 of block 2, and count the other 72 as dropped.
         let buf = Device::volta().buffer::<f32>(8);
         let run = |threads: usize| {
             let dev = Device::volta()
                 .with_host_threads(threads)
                 .with_sanitizer(SanitizerMode::Warn);
-            dev.launch("capped", LaunchConfig::new(4, 32, 0), |block| {
+            let stats = dev.launch("capped", LaunchConfig::new(4, 32, 0), |block| {
                 block.run_warps(|w| {
                     for round in 0..2 {
                         let idx = lanes_from_fn(|l| (l < 25).then_some(100 + 25 * round + l));
                         let _ = w.global_gather(&buf, &idx);
                     }
                 });
-            })
-            .sanitizer_reports
+            });
+            (stats.sanitizer_reports, stats.sanitizer_reports_dropped)
         };
         let (in_order, pooled) = (run(1), run(4));
         assert_eq!(in_order, pooled);
+        let (in_order, dropped) = in_order;
+        assert_eq!(dropped, 72);
         let blocks: Vec<usize> = in_order.iter().map(|r| r.block).collect();
         let mut expected = vec![0; 50];
         expected.extend([1; 50]);
@@ -921,6 +937,32 @@ mod tests {
         assert_eq!(blocks, expected);
         assert_eq!(in_order[0].offset, Some(100));
         assert_eq!(in_order[127].offset, Some(100 + 25 + 2));
+    }
+
+    #[test]
+    fn a_block_that_overflows_the_cap_alone_counts_its_drops() {
+        // Block 0 alone reports 5 × 32 = 160 findings and block 1 ten
+        // more: the launch keeps block 0's first 128 and drops 42.
+        let buf = Device::volta().buffer::<f32>(8);
+        for threads in [1, 4] {
+            let dev = Device::volta()
+                .with_host_threads(threads)
+                .with_sanitizer(SanitizerMode::Warn);
+            let stats = dev.launch("flood", LaunchConfig::new(2, 32, 0), |block| {
+                let (rounds, lanes) = [(5, 32), (1, 10)][block.block_id];
+                block.run_warps(|w| {
+                    for round in 0..rounds {
+                        let idx = lanes_from_fn(|l| (l < lanes).then_some(100 + 32 * round + l));
+                        let _ = w.global_gather(&buf, &idx);
+                    }
+                });
+            });
+            let reports = &stats.sanitizer_reports;
+            assert_eq!(reports.len(), 128, "{threads} threads");
+            assert!(reports.iter().all(|r| r.block == 0), "{threads} threads");
+            assert_eq!(reports[127].offset, Some(100 + 127), "{threads} threads");
+            assert_eq!(stats.sanitizer_reports_dropped, 42, "{threads} threads");
+        }
     }
 
     #[test]

@@ -230,11 +230,13 @@ pub(crate) struct FlipTarget {
 /// [`SimError::WatchdogTimeout`].
 pub(crate) struct WatchdogAbort;
 
-/// Launch-wide fault context: the injection decisions for this launch,
-/// the effective watchdog budget, and the record-and-limp fault slot that
-/// hardened warp primitives write into. Mirrors the
-/// `LaunchSanitizer`/`BlockSanitizer` sharing pattern — one per launch,
-/// handed to every block and warp context.
+/// Fault context of one block executor: the injection decisions for
+/// this launch, the effective watchdog budget, and the record-and-limp
+/// fault slot that hardened warp primitives write into. The in-order
+/// executor owns one context per launch, armed with the launch's
+/// injections; each host-pool worker owns one uninjected context for all
+/// the blocks it runs. Either lends it by reference to every block and
+/// warp context and drains the slot after each block.
 #[derive(Debug)]
 pub(crate) struct LaunchFaults {
     kernel: String,

@@ -29,7 +29,6 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
 
 use crate::cost::CostBreakdown;
 use crate::counters::Counters;
@@ -198,6 +197,8 @@ impl RangeAcc {
     }
 }
 
+/// Profile data of one block, or of a launch once the blocks' data is
+/// folded in with [`Self::absorb`].
 #[derive(Debug, Default)]
 pub(crate) struct ProfData {
     ranges: BTreeMap<String, RangeAcc>,
@@ -208,81 +209,57 @@ pub(crate) struct ProfData {
     top_level: Counters,
 }
 
-/// Launch-wide collector behind the `Rc` that every block's
-/// [`BlockProfiler`] shares, mirroring the sanitizer's
-/// `LaunchSanitizer`/`BlockSanitizer` split.
-#[derive(Debug, Default)]
-pub struct LaunchProfiler {
-    data: RefCell<ProfData>,
-}
-
-impl LaunchProfiler {
-    /// Fresh collector for one launch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn record(&self, span: TraceSpan, exclusive: &Counters, inclusive: &Counters) {
-        let mut d = self.data.borrow_mut();
+impl ProfData {
+    fn record(&mut self, span: TraceSpan, exclusive: &Counters, inclusive: &Counters) {
         // Look the path up by `&str` first: only a range's first close
         // allocates its key.
-        match d.ranges.get_mut(span.path.as_str()) {
+        match self.ranges.get_mut(span.path.as_str()) {
             Some(acc) => acc.add(exclusive, inclusive),
             None => {
                 let mut acc = RangeAcc::default();
                 acc.add(exclusive, inclusive);
-                d.ranges.insert(span.path.clone(), acc);
+                self.ranges.insert(span.path.clone(), acc);
             }
         }
-        if d.spans.len() < MAX_SPANS {
-            d.spans.push(span);
+        self.push_span(span);
+    }
+
+    /// Keeps `span` under [`MAX_SPANS`], else counts it dropped.
+    fn push_span(&mut self, span: TraceSpan) {
+        if self.spans.len() < MAX_SPANS {
+            self.spans.push(span);
         } else {
-            d.spans_dropped += 1;
+            self.spans_dropped += 1;
         }
     }
 
-    /// Extracts this collector's raw data. The block executor gives
-    /// every block its own `LaunchProfiler`, takes the data on the
-    /// thread that ran the block, and merges the pieces in block order
-    /// with [`Self::absorb`] (range aggregates are additive; spans
-    /// concatenate in block order).
-    pub(crate) fn take_data(&self) -> ProfData {
-        self.data.take()
-    }
-
-    /// Merges one block's extracted data into this launch-wide
-    /// collector under the launch-wide span cap: retained spans are the
-    /// first [`MAX_SPANS`] in block order, the rest are counted in
-    /// `spans_dropped`.
-    pub(crate) fn absorb(&self, piece: ProfData) {
-        let mut d = self.data.borrow_mut();
+    /// Folds one block's data into this launch's. `Device::try_launch`
+    /// calls it in block order, so range aggregates add up and the
+    /// retained spans are the first [`MAX_SPANS`] in block order, the
+    /// rest counted in `spans_dropped`.
+    pub(crate) fn absorb(&mut self, piece: ProfData) {
         for (path, acc) in piece.ranges {
-            let slot = d.ranges.entry(path).or_default();
+            let slot = self.ranges.entry(path).or_default();
             slot.calls += acc.calls;
             slot.exclusive.merge(&acc.exclusive);
             slot.inclusive.merge(&acc.inclusive);
         }
-        d.spans_dropped += piece.spans_dropped;
+        self.spans_dropped += piece.spans_dropped;
         for span in piece.spans {
-            if d.spans.len() < MAX_SPANS {
-                d.spans.push(span);
-            } else {
-                d.spans_dropped += 1;
-            }
+            self.push_span(span);
         }
-        d.top_level.merge(&piece.top_level);
+        self.top_level.merge(&piece.top_level);
     }
 
-    /// Folds the collected data into the launch's profile. Called once by
+    /// Turns the launch's folded data into its profile. Called once by
     /// `Device::try_launch` after the cost estimate exists.
     pub(crate) fn finish(
-        &self,
+        self,
         total: Counters,
         cost: CostBreakdown,
         block_issue_ceiling: u64,
     ) -> LaunchProfile {
-        let d = self.data.take();
-        let ranges = d
+        let ranges = self
             .ranges
             .into_iter()
             .map(|(path, acc)| {
@@ -298,9 +275,9 @@ impl LaunchProfiler {
             .collect();
         LaunchProfile {
             ranges,
-            spans: d.spans,
-            spans_dropped: d.spans_dropped,
-            unattributed: total.delta_since(&d.top_level),
+            spans: self.spans,
+            spans_dropped: self.spans_dropped,
+            unattributed: total.delta_since(&self.top_level),
             total,
             cost,
             block_issue_ceiling,
@@ -334,24 +311,31 @@ struct OpenRange {
     child_inclusive: Counters,
 }
 
-/// Per-block profiler handle threaded into [`crate::BlockCtx`] (and, by
-/// reference, every [`crate::WarpCtx`]). Holds the open-range stack; all
-/// mutation goes through interior mutability so `range` can hand the
-/// kernel closure the same `&mut` context it already had.
+/// One block's profiler, built only when the device's profiler is on.
+/// It lives on the block executor's stack and is lent to
+/// [`crate::BlockCtx`] (and every [`crate::WarpCtx`]) by reference. Holds
+/// the open-range stack and the block's [`ProfData`]; all mutation goes
+/// through interior mutability so `range` can hand the kernel closure the
+/// same `&mut` context it already had.
 #[derive(Debug)]
-pub struct BlockProfiler {
-    launch: Rc<LaunchProfiler>,
+pub(crate) struct BlockProfiler {
     block_id: usize,
     stack: RefCell<Vec<OpenRange>>,
+    data: RefCell<ProfData>,
 }
 
 impl BlockProfiler {
-    pub(crate) fn new(launch: Rc<LaunchProfiler>, block_id: usize) -> Self {
+    pub(crate) fn new(block_id: usize) -> Self {
         Self {
-            launch,
             block_id,
             stack: RefCell::new(Vec::new()),
+            data: RefCell::new(ProfData::default()),
         }
+    }
+
+    /// The block's data, for the launch to [`ProfData::absorb`].
+    pub(crate) fn into_data(self) -> ProfData {
+        self.data.into_inner()
     }
 
     /// Opens a nested range named `name`, snapshotting the block
@@ -378,13 +362,13 @@ impl BlockProfiler {
         let inclusive = current.delta_since(&open.snapshot);
         let exclusive = inclusive.delta_since(&open.child_inclusive);
         let depth = stack.len();
+        let mut data = self.data.borrow_mut();
         if let Some(parent) = stack.last_mut() {
             parent.child_inclusive.merge(&inclusive);
         } else {
-            self.launch.data.borrow_mut().top_level.merge(&inclusive);
+            data.top_level.merge(&inclusive);
         }
-        drop(stack);
-        self.launch.record(
+        data.record(
             TraceSpan {
                 path: open.path,
                 block: self.block_id,

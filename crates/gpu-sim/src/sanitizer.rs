@@ -19,8 +19,8 @@
 //!   written (global buffers created with [`crate::GlobalBuffer::uninit`]
 //!   track a per-element init bitmap).
 //!
-//! The knob is [`SanitizerMode`]: `Off` (default — zero overhead, legacy
-//! panic behaviour), `Warn` (collect reports into
+//! The knob is [`SanitizerMode`]: `Off` (default — no sanitizer state is
+//! built, legacy panic behaviour), `Warn` (collect reports into
 //! [`crate::LaunchStats::sanitizer_reports`]), or `Fail` (a non-empty
 //! report set fails the launch with [`SimError::SanitizerFailure`]).
 //! Select it for every launch on a device via
@@ -250,85 +250,62 @@ impl std::error::Error for SimError {}
 /// buffer would otherwise flood memory with identical findings.
 const MAX_REPORTS: usize = 128;
 
-/// Launch-wide sanitizer state: the mode knob and the report sink.
-#[derive(Debug)]
-pub(crate) struct LaunchSanitizer {
-    mode: SanitizerMode,
-    kernel: String,
-    reports: RefCell<Vec<SanitizerReport>>,
-    dropped: Cell<usize>,
+/// A report list capped at [`MAX_REPORTS`]: findings past the cap are
+/// counted, not kept. Each block collects into one, and the launch folds
+/// them into another in block order, so the retained reports are the
+/// first [`MAX_REPORTS`] in block order under either scheduler.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct CappedReports {
+    pub(crate) reports: Vec<SanitizerReport>,
+    /// Reports discarded past the cap.
+    pub(crate) dropped: usize,
 }
 
-impl LaunchSanitizer {
-    pub(crate) fn new(mode: SanitizerMode, kernel: &str) -> Self {
-        Self {
-            mode,
-            kernel: kernel.to_string(),
-            reports: RefCell::new(Vec::new()),
-            dropped: Cell::new(0),
+impl CappedReports {
+    /// Keeps `r` while the list is under the cap, else counts it dropped.
+    pub(crate) fn push(&mut self, r: SanitizerReport) {
+        if self.reports.len() < MAX_REPORTS {
+            self.reports.push(r);
+        } else {
+            self.dropped += 1;
         }
     }
 
-    pub(crate) fn enabled(&self) -> bool {
-        self.mode != SanitizerMode::Off
-    }
-
-    pub(crate) fn take_reports(&self) -> Vec<SanitizerReport> {
-        self.reports.take()
-    }
-
-    /// Reports silently discarded past [`MAX_REPORTS`].
-    pub(crate) fn dropped(&self) -> usize {
-        self.dropped.get()
-    }
-
-    /// Merges one block's collected reports into this launch-wide sink:
-    /// reports append in the order given until [`MAX_REPORTS`], the
-    /// overflow joins the dropped count. The block executor gives every
-    /// block its own collector and absorbs them in block order, so the
-    /// retained reports are the first [`MAX_REPORTS`] in block order
-    /// under either scheduler.
-    pub(crate) fn absorb(&self, reports: Vec<SanitizerReport>, dropped: usize) {
-        self.dropped.set(self.dropped.get() + dropped);
-        let mut sink = self.reports.borrow_mut();
-        for r in reports {
-            if sink.len() >= MAX_REPORTS {
-                self.dropped.set(self.dropped.get() + 1);
-            } else {
-                sink.push(r);
-            }
+    /// Pushes `other`'s reports in order and adds its dropped count.
+    pub(crate) fn append(&mut self, other: CappedReports) {
+        self.dropped += other.dropped;
+        for r in other.reports {
+            self.push(r);
         }
     }
 }
 
-/// Per-block sanitizer state: the barrier epoch (advanced by every
-/// [`crate::BlockCtx::sync`]) and per-warp barrier-arrival counts.
+/// One block's sanitizer, built only when the launch's mode is not
+/// [`SanitizerMode::Off`]: its findings, the barrier epoch (advanced by
+/// every [`crate::BlockCtx::sync`]) and per-warp barrier-arrival counts.
 #[derive(Debug)]
 pub(crate) struct BlockSanitizer {
-    launch: Rc<LaunchSanitizer>,
+    kernel: String,
     block_id: usize,
     epoch: Cell<u64>,
     arrivals: RefCell<Vec<u64>>,
+    reports: RefCell<CappedReports>,
 }
 
 impl BlockSanitizer {
-    pub(crate) fn new(launch: Rc<LaunchSanitizer>, block_id: usize, warps: usize) -> Self {
+    pub(crate) fn new(kernel: &str, block_id: usize, warps: usize) -> Self {
         Self {
-            launch,
+            kernel: kernel.to_string(),
             block_id,
             epoch: Cell::new(0),
             arrivals: RefCell::new(vec![0; warps.max(1)]),
+            reports: RefCell::new(CappedReports::default()),
         }
     }
 
-    /// A no-op sanitizer for contexts built outside a launch (tests).
-    #[cfg(test)]
-    pub(crate) fn disabled() -> Self {
-        Self::new(Rc::new(LaunchSanitizer::new(SanitizerMode::Off, "")), 0, 1)
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.launch.enabled()
+    /// Drains the block's findings.
+    pub(crate) fn take_reports(&self) -> CappedReports {
+        self.reports.take()
     }
 
     pub(crate) fn epoch(&self) -> u64 {
@@ -344,14 +321,9 @@ impl BlockSanitizer {
         offset: Option<usize>,
         detail: String,
     ) {
-        let mut reports = self.launch.reports.borrow_mut();
-        if reports.len() >= MAX_REPORTS {
-            self.launch.dropped.set(self.launch.dropped.get() + 1);
-            return;
-        }
-        reports.push(SanitizerReport {
+        self.reports.borrow_mut().push(SanitizerReport {
             kind,
-            kernel: self.launch.kernel.clone(),
+            kernel: self.kernel.clone(),
             block: self.block_id,
             warp,
             lane,
@@ -371,7 +343,7 @@ impl BlockSanitizer {
                 arr[warp] += 1;
             }
         }
-        if self.enabled() && !full {
+        if !full {
             self.report(
                 CheckerKind::Synccheck,
                 Some(warp),
@@ -389,25 +361,23 @@ impl BlockSanitizer {
     /// Advances the barrier epoch at a block-wide `__syncthreads()` and
     /// verifies every warp announced the same number of arrivals.
     pub(crate) fn block_sync(&self) {
-        if self.enabled() {
-            let arr = self.arrivals.borrow();
-            let max = arr.iter().copied().max().unwrap_or(0);
-            let min = arr.iter().copied().min().unwrap_or(0);
-            if max != min {
-                self.report(
-                    CheckerKind::Synccheck,
-                    None,
-                    None,
-                    None,
-                    None,
-                    format!(
-                        "mismatched barrier participation across warps (arrival counts {:?})",
-                        &*arr
-                    ),
-                );
-            }
+        let mut arr = self.arrivals.borrow_mut();
+        let max = arr.iter().copied().max().unwrap_or(0);
+        let min = arr.iter().copied().min().unwrap_or(0);
+        if max != min {
+            self.report(
+                CheckerKind::Synccheck,
+                None,
+                None,
+                None,
+                None,
+                format!(
+                    "mismatched barrier participation across warps (arrival counts {:?})",
+                    &*arr
+                ),
+            );
         }
-        self.arrivals.borrow_mut().fill(0);
+        arr.fill(0);
         self.epoch.set(self.epoch.get() + 1);
     }
 }
@@ -644,53 +614,61 @@ mod tests {
 
     #[test]
     fn report_cap_drops_overflow() {
-        let lsan = Rc::new(LaunchSanitizer::new(SanitizerMode::Warn, "k"));
-        let bsan = BlockSanitizer::new(lsan.clone(), 0, 1);
+        let bsan = BlockSanitizer::new("k", 0, 1);
         for i in 0..MAX_REPORTS + 10 {
             bsan.report(CheckerKind::Memcheck, None, None, None, Some(i), "x".into());
         }
-        assert_eq!(lsan.take_reports().len(), MAX_REPORTS);
-        assert_eq!(lsan.dropped(), 10);
+        let block = bsan.take_reports();
+        assert_eq!(block.reports.len(), MAX_REPORTS);
+        assert_eq!(block.dropped, 10);
+        // Folding keeps the first reports in order and sums the drops.
+        let mut launch = CappedReports::default();
+        launch.push(block.reports[5].clone());
+        launch.append(block);
+        assert_eq!(launch.reports.len(), MAX_REPORTS);
+        assert_eq!(launch.reports[1].offset, Some(0));
+        assert_eq!(
+            launch.reports[MAX_REPORTS - 1].offset,
+            Some(MAX_REPORTS - 2)
+        );
+        assert_eq!(launch.dropped, 11);
     }
 
     #[test]
     fn shadow_flags_cross_warp_same_epoch_only() {
-        let lsan = Rc::new(LaunchSanitizer::new(SanitizerMode::Warn, "k"));
-        let bsan = Rc::new(BlockSanitizer::new(lsan.clone(), 0, 2));
+        let bsan = Rc::new(BlockSanitizer::new("k", 0, 2));
         let shadow = SmemShadow::new(bsan.clone(), 0, 4);
         shadow.warp_write(0, 0, 0, false);
         shadow.warp_write(0, 0, 1, false); // same warp: no hazard
         shadow.warp_write(0, 1, 0, false); // other warp, same epoch: WAW
         bsan.block_sync();
         shadow.warp_read(0, 0, 0, false); // next epoch: clean
-        let reports = lsan.take_reports();
+        let reports = bsan.take_reports().reports;
         assert_eq!(reports.len(), 1, "{reports:?}");
         assert_eq!(reports[0].kind, CheckerKind::Racecheck);
     }
 
     #[test]
     fn shadow_atomics_do_not_race_each_other() {
-        let lsan = Rc::new(LaunchSanitizer::new(SanitizerMode::Warn, "k"));
-        let bsan = Rc::new(BlockSanitizer::new(lsan.clone(), 0, 2));
+        let bsan = Rc::new(BlockSanitizer::new("k", 0, 2));
         let shadow = SmemShadow::new(bsan.clone(), 0, 4);
         shadow.host_bulk(); // initialize
         shadow.warp_atomic(2, 0, 0);
         shadow.warp_atomic(2, 1, 0); // atomic vs atomic: clean
         shadow.warp_write(2, 0, 0, false); // plain vs atomic: hazard
-        let reports = lsan.take_reports();
+        let reports = bsan.take_reports().reports;
         assert_eq!(reports.len(), 1, "{reports:?}");
         assert_eq!(reports[0].kind, CheckerKind::Racecheck);
     }
 
     #[test]
     fn shadow_initcheck_fires_once_per_uninit_read() {
-        let lsan = Rc::new(LaunchSanitizer::new(SanitizerMode::Warn, "k"));
-        let bsan = Rc::new(BlockSanitizer::new(lsan.clone(), 0, 1));
-        let shadow = SmemShadow::new(bsan, 0, 2);
+        let bsan = Rc::new(BlockSanitizer::new("k", 0, 1));
+        let shadow = SmemShadow::new(bsan.clone(), 0, 2);
         shadow.warp_read(1, 0, 5, false);
         shadow.warp_write(1, 0, 5, false);
         shadow.warp_read(1, 0, 5, false); // now initialized
-        let reports = lsan.take_reports();
+        let reports = bsan.take_reports().reports;
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].kind, CheckerKind::Initcheck);
         assert_eq!(reports[0].lane, Some(5));
@@ -698,8 +676,7 @@ mod tests {
 
     #[test]
     fn barrier_arrival_mismatch_is_synccheck() {
-        let lsan = Rc::new(LaunchSanitizer::new(SanitizerMode::Warn, "k"));
-        let bsan = BlockSanitizer::new(lsan.clone(), 0, 2);
+        let bsan = BlockSanitizer::new("k", 0, 2);
         bsan.barrier_arrival(0, 32, true);
         bsan.barrier_arrival(0, 32, true);
         bsan.barrier_arrival(1, 32, true);
@@ -708,17 +685,16 @@ mod tests {
         bsan.barrier_arrival(0, 32, true);
         bsan.barrier_arrival(1, 32, true);
         bsan.block_sync();
-        let reports = lsan.take_reports();
+        let reports = bsan.take_reports().reports;
         assert_eq!(reports.len(), 1, "{reports:?}");
         assert_eq!(reports[0].kind, CheckerKind::Synccheck);
     }
 
     #[test]
     fn divergent_barrier_mask_is_synccheck() {
-        let lsan = Rc::new(LaunchSanitizer::new(SanitizerMode::Warn, "k"));
-        let bsan = BlockSanitizer::new(lsan.clone(), 0, 1);
+        let bsan = BlockSanitizer::new("k", 0, 1);
         bsan.barrier_arrival(0, 20, false);
-        let reports = lsan.take_reports();
+        let reports = bsan.take_reports().reports;
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].kind, CheckerKind::Synccheck);
         assert!(reports[0].detail.contains("divergent mask"));

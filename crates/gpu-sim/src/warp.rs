@@ -188,7 +188,8 @@ pub struct WarpCtx<'a> {
     pub(crate) spec: &'a DeviceSpec,
     pub(crate) counters: &'a mut Counters,
     pub(crate) l2: &'a mut L2Tracker,
-    pub(crate) san: &'a BlockSanitizer,
+    /// `Some` only when the launch's sanitizer mode is on.
+    pub(crate) san: Option<&'a BlockSanitizer>,
     pub(crate) prof: Option<&'a BlockProfiler>,
     pub(crate) faults: &'a LaunchFaults,
     pub(crate) watchdog: Option<u64>,
@@ -339,16 +340,16 @@ impl<'a> WarpCtx<'a> {
         space: MemSpace,
         what: &str,
     ) -> Cow<'i, Lanes<Option<usize>>> {
-        if self.san.enabled() {
-            Cow::Owned(self.squash_out_of_bounds(len, idx, space, what))
-        } else {
-            Cow::Borrowed(idx)
+        match self.san {
+            Some(san) => Cow::Owned(self.squash_out_of_bounds(san, len, idx, space, what)),
+            None => Cow::Borrowed(idx),
         }
     }
 
     /// [`Self::memcheck`] under an enabled sanitizer.
     fn squash_out_of_bounds(
         &self,
+        san: &BlockSanitizer,
         len: usize,
         idx: &Lanes<Option<usize>>,
         space: MemSpace,
@@ -358,7 +359,7 @@ impl<'a> WarpCtx<'a> {
         for (l, slot) in out.iter_mut().enumerate() {
             if let Some(i) = *slot {
                 if i >= len {
-                    self.san.report(
+                    san.report(
                         CheckerKind::Memcheck,
                         Some(self.warp_id),
                         Some(l),
@@ -380,14 +381,14 @@ impl<'a> WarpCtx<'a> {
         buf: &GlobalBuffer<T>,
         idx: &Lanes<Option<usize>>,
     ) {
-        if !self.san.enabled() {
+        let Some(san) = self.san else {
             return;
-        }
+        };
         let uninit = buf.uninit_lanes(idx);
         for (l, slot) in idx.iter().enumerate() {
             if let Some(i) = *slot {
                 if uninit & (1 << l) != 0 {
-                    self.san.report(
+                    san.report(
                         CheckerKind::Initcheck,
                         Some(self.warp_id),
                         Some(l),
@@ -594,9 +595,10 @@ impl<'a> WarpCtx<'a> {
     /// disagree. Costs one issue.
     pub fn barrier(&mut self, active: &Lanes<bool>) {
         self.issue(1);
-        let lanes = active.iter().filter(|&&a| a).count();
-        self.san
-            .barrier_arrival(self.warp_id, lanes, lanes == WARP_SIZE);
+        if let Some(san) = self.san {
+            let lanes = active.iter().filter(|&&a| a).count();
+            san.barrier_arrival(self.warp_id, lanes, lanes == WARP_SIZE);
+        }
     }
 
     /// Warp-wide reduction of the active lanes' values with `op`,
@@ -832,7 +834,6 @@ mod tests {
     fn with_spec_ctx<R>(spec: &DeviceSpec, f: impl FnOnce(&mut WarpCtx) -> R) -> (R, Counters) {
         let mut counters = Counters::new();
         let mut l2 = L2Tracker::default();
-        let san = BlockSanitizer::disabled();
         let faults = LaunchFaults::disabled();
         let r = {
             let mut ctx = WarpCtx {
@@ -842,7 +843,7 @@ mod tests {
                 spec,
                 counters: &mut counters,
                 l2: &mut l2,
-                san: &san,
+                san: None,
                 prof: None,
                 faults: &faults,
                 watchdog: None,

@@ -54,13 +54,15 @@ pub enum SpanEvent {
         /// Simulated seconds of preparation.
         seconds: f64,
     },
-    /// One device shard's kernel execution.
+    /// One pool device's kernel execution within one arm of the batch
+    /// (the base arm, or a mutable batch's fresh-segment scan): the
+    /// engine emits one per device slot per arm.
     ShardLaunch {
-        /// Shard index within the prepared plan.
+        /// The device slot (the same value as `device_slot`).
         shard: usize,
-        /// Device slot executing the shard.
+        /// Device slot executing the arm's shards.
         device_slot: usize,
-        /// Simulated seconds attributed to the shard.
+        /// Simulated seconds of every shard the device ran for the arm.
         seconds: f64,
     },
     /// The resilience cascade retried transient faults.

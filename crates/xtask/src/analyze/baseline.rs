@@ -83,11 +83,22 @@ impl Baseline {
 }
 
 /// Writes the current findings as a fresh baseline (everything marked
-/// baselined, since committing the file is the act of accepting them).
+/// baselined, since committing the file is the act of accepting them)
+/// and returns `true`, unless the baseline already at `path` covers the
+/// findings exactly — every finding baselined, no stale entry — in which
+/// case the file is left untouched and the result is `false`. The gate
+/// matches by `(rule, file, fingerprint)`, so line, column and
+/// `files_scanned` moving alone never churn the committed file.
 /// An empty findings set writes an empty — but valid — document, so a
 /// fully clean repo keeps a committed baseline for the gate to diff
 /// against.
-pub fn write_baseline(path: &str, findings: &[Diagnostic], files_scanned: usize) {
+pub fn write_baseline(path: &str, findings: &[Diagnostic], files_scanned: usize) -> bool {
+    if let Ok(base) = Baseline::load(path) {
+        let mut live = findings.to_vec();
+        if base.apply(&mut live).is_empty() && live.iter().all(|d| d.baselined) {
+            return false;
+        }
+    }
     let findings = findings
         .iter()
         .map(|d| Diagnostic {
@@ -102,6 +113,7 @@ pub fn write_baseline(path: &str, findings: &[Diagnostic], files_scanned: usize)
         findings,
     }
     .write(path);
+    true
 }
 
 #[cfg(test)]
@@ -178,6 +190,38 @@ mod tests {
         let stale = base.apply(&mut live);
         assert!(stale.is_empty());
         assert!(!live[0].baselined);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn covered_findings_leave_the_file_untouched() {
+        let path = tmp("untouched.json");
+        let _ = std::fs::remove_file(&path);
+        let committed = vec![
+            finding("uncosted-smem", "a.rs", "x.read(0);"),
+            finding("panic-path", "b.rs", "x.unwrap();"),
+        ];
+        assert!(write_baseline(&path, &committed, 2));
+        let bytes = std::fs::read(&path).expect("read");
+        // Code moved above both findings and a file was added.
+        let shifted: Vec<Diagnostic> = committed
+            .iter()
+            .map(|d| Diagnostic {
+                line: d.line + 16,
+                col: d.col + 4,
+                ..d.clone()
+            })
+            .collect();
+        assert!(!write_baseline(&path, &shifted, 3));
+        assert_eq!(std::fs::read(&path).expect("read"), bytes);
+        // A removed finding leaves a stale entry: the file is rewritten.
+        assert!(write_baseline(&path, &shifted[..1], 3));
+        let base = Baseline::load(&path).expect("loads");
+        let mut live = shifted.clone();
+        assert!(base.apply(&mut live).is_empty());
+        assert!(live[0].baselined && !live[1].baselined);
+        // A new finding is not covered: rewritten too.
+        assert!(write_baseline(&path, &shifted, 3));
         std::fs::remove_file(&path).ok();
     }
 

@@ -3,8 +3,8 @@
 //! The simulator's counters and roofline seconds are fully
 //! deterministic, so perf can be gated without flake: a committed
 //! baseline (`experiments_output/BENCH_baseline.json`) records every
-//! metric row of the `counters_report` and `shard_scaling` harnesses,
-//! and this tool diffs a fresh run against it. A value named after a
+//! metric row of the harnesses `scripts/update_baselines.sh` runs, and
+//! this tool diffs a fresh run against it. A value named after a
 //! `gpu_sim::Counters` field, or `calls`, must match exactly: those are
 //! integer event counts, and a one-count drift is a real change. Any
 //! other value (seconds, ratios, rates) fails when it drifts by more
